@@ -7,6 +7,7 @@ import hashlib
 import json
 import logging
 import random
+import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -140,6 +141,8 @@ class Fuzzer:
         self.stats = CampaignStats()
         self._module_bytes: Optional[bytes] = None
         self._last_flush = 0.0
+        # holds .cur_input for `@@` when there is no campaign directory
+        self._cur_input_dir: Optional[tempfile.TemporaryDirectory] = None
         self.on_crash: Optional[Callable[[CrashReport], None]] = None
         self.on_stats: Optional[Callable[[CampaignStats], None]] = None
 
@@ -166,10 +169,21 @@ class Fuzzer:
         return outcome, trace
 
     def _write_cur_input(self, data: bytes) -> str:
-        out = self.config.out_dir or Path(".")
-        p = Path(out) / ".cur_input"
+        out = self.config.out_dir
+        if out is None:
+            if self._cur_input_dir is None:
+                self._cur_input_dir = tempfile.TemporaryDirectory(
+                    prefix="wasmwarden-")
+            out = Path(self._cur_input_dir.name)
+        p = out / ".cur_input"
         p.write_bytes(data)
         return str(p)
+
+    def close(self):
+        """Remove the private `.cur_input` directory, if one was made."""
+        if self._cur_input_dir is not None:
+            self._cur_input_dir.cleanup()
+            self._cur_input_dir = None
 
     # ------------------------------------------------------------------
     def add_seeds(self, seeds: list[bytes]):
@@ -283,13 +297,16 @@ class Fuzzer:
     def run(self, seeds: list[bytes]) -> CampaignStats:
         self.stats.start_time = time.monotonic()
         self._write_setup()
-        self.add_seeds(seeds)
-        cursor = 0
-        while not self._budget_exhausted():
-            entry = self.queue[cursor % len(self.queue)]
-            cursor += 1
-            if not self._fuzz_entry(entry):
-                break
+        try:
+            self.add_seeds(seeds)
+            cursor = 0
+            while not self._budget_exhausted():
+                entry = self.queue[cursor % len(self.queue)]
+                cursor += 1
+                if not self._fuzz_entry(entry):
+                    break
+        finally:
+            self.close()
         self.stats.elapsed = time.monotonic() - self.stats.start_time
         self.stats.edges_covered = self.path_map.edge_count()
         self._flush_stats()

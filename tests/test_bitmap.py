@@ -1,5 +1,6 @@
 import numpy as np
-from hypothesis import given, strategies as st
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from wasmwarden.fuzz.bitmap import (
     MAP_SIZE,
@@ -104,3 +105,72 @@ def test_accumulation_is_monotonic(observations):
         vm.has_new_bits(traces[-1])
     for t in traces:
         assert vm.has_new_bits(t) == NO_NEW
+
+
+def test_classify_counts_rejects_partial_words():
+    for size in (1, 7, 255, MAP_SIZE + 1):
+        with pytest.raises(ValueError):
+            classify_counts(bytes(size))
+
+
+def test_has_new_bits_rejects_wrong_map_size():
+    vm = VirginMap()
+    for size in (0, 1024, MAP_SIZE - 8, MAP_SIZE + 8):
+        with pytest.raises(ValueError):
+            vm.has_new_bits(np.zeros(size, dtype=np.uint8))
+
+
+# every count on either side of a bucket boundary
+BUCKET_EDGES = (1, 2, 3, 4, 7, 8, 15, 16, 31, 32, 127, 128, 255)
+
+counts = st.sampled_from(BUCKET_EDGES) | st.integers(1, 255)
+indices = st.sampled_from((0, 7, 8, MAP_SIZE - 1)) | st.integers(0, MAP_SIZE - 1)
+
+
+@st.composite
+def word_hits(draw):
+    """Several counters inside one 8-byte word."""
+    base = 8 * draw(st.sampled_from((0, 1, MAP_SIZE // 8 - 1))
+                    | st.integers(0, MAP_SIZE // 8 - 1))
+    return [(base + off, count) for off, count in
+            draw(st.lists(st.tuples(st.integers(0, 7), counts), max_size=8))]
+
+
+traces = st.lists(
+    st.lists(st.tuples(indices, counts), max_size=6).map(lambda hits: [hits])
+    | st.lists(word_hits(), min_size=1, max_size=3),
+    min_size=1, max_size=8,
+)
+
+
+@settings(deadline=None)
+@given(traces)
+def test_word_skipping_matches_dense_reference(steps):
+    """classify_counts + has_new_bits against a byte-by-byte reference
+    that walks a per-index seen list."""
+    vm = VirginMap()
+    seen = [0] * MAP_SIZE
+    touched = set()
+    for groups in steps:
+        buf = bytearray(MAP_SIZE)
+        for hits in groups:
+            for idx, count in hits:
+                buf[idx] = count
+        hit = {i: scalar_bucket(buf[i]) for hits in groups for i, _ in hits}
+
+        bucketed = classify_counts(bytes(buf))
+        assert bucketed.dtype == np.uint8 and len(bucketed) == MAP_SIZE
+        assert {int(i): int(bucketed[i])
+                for i in np.flatnonzero(bucketed)} == hit
+
+        expect = NO_NEW
+        for i, b in hit.items():
+            if b & ~seen[i]:
+                expect = max(expect, NEW_EDGE if seen[i] == 0 else NEW_BUCKET)
+        for i, b in hit.items():
+            seen[i] |= b
+        touched.update(hit)
+
+        assert vm.has_new_bits(bucketed) == expect
+        assert vm.edge_count() == sum(1 for i in touched if seen[i])
+        assert vm.bit_count() == sum(bin(seen[i]).count("1") for i in touched)

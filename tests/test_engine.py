@@ -1,5 +1,6 @@
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -133,3 +134,28 @@ def test_replayed_queue_reestablishes_coverage(tmp_path):
     fz2.stats.start_time = 0.0
     fz2.add_seeds(entries)
     assert fz2.path_map.edge_count() == fz.path_map.edge_count()
+
+
+def test_file_input_without_campaign_dir_leaves_cwd_untouched(
+        tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    m, sites = instrumented_victim()
+    cfg = quick_cfg(max_execs=200, argv=["prog", "@@"])
+    fz = Fuzzer(m, sites, cfg)
+    paths = []
+    instantiate = fz.engine.instantiate
+
+    def spy(wasi):
+        path = Path(wasi.argv[1])
+        assert path.read_bytes() == wasi.stdin
+        paths.append(path)
+        return instantiate(wasi)
+
+    fz.engine.instantiate = spy
+    stats = fz.run([b"A" * 16])
+    assert stats.execs == 200
+    assert list(tmp_path.iterdir()) == []
+    # one private file per campaign, removed when the campaign ends
+    assert len(set(paths)) == 1
+    assert paths[0].parent != tmp_path
+    assert not paths[0].parent.exists()
