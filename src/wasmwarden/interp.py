@@ -8,6 +8,7 @@ metered, and traps are classified for crash triage.
 from __future__ import annotations
 
 import math
+import operator
 import random
 import struct
 from dataclasses import dataclass, field
@@ -121,15 +122,18 @@ def classify_crash(outcome: ExecOutcome, sites: SiteTable | None) -> CrashClass:
 # internal signals
 
 class _Trap(Exception):
-    def __init__(self, kind: str, func: int = -1, offset: int = -1):
+    def __init__(self, kind: str, func: int = -1, offset: int = -1,
+                 executed: int = 0):
         self.kind = kind
         self.func = func
         self.offset = offset
+        self.executed = executed
 
 
 class _ProcExit(Exception):
     def __init__(self, code: int):
         self.code = code
+        self.executed = 0  # set by the run that made the call
 
 
 class _Fuel(Exception):
@@ -143,6 +147,11 @@ class _NumTrap(Exception):
 
 # ---------------------------------------------------------------------------
 # numeric helpers
+#
+# Every value is an unsigned int of its type's width; an f32 or f64 value is
+# its IEEE bit pattern. Floats exist only inside float arithmetic,
+# comparison and conversion, so const, load, store, local, global, select,
+# reinterpret, neg, abs and copysign keep NaN payloads bit for bit.
 
 def _s32(v):
     return v - 0x1_0000_0000 if v & 0x8000_0000 else v
@@ -152,11 +161,61 @@ def _s64(v):
     return v - 0x1_0000_0000_0000_0000 if v & 0x8000_0000_0000_0000 else v
 
 
-def _f32(x: float) -> float:
+_U32, _U64, _F32, _F64 = map(struct.Struct, ("<I", "<Q", "<f", "<d"))
+
+
+def _f32(bits: int) -> float:
+    """The f32 value with bit pattern ``bits``, widened exactly to a double."""
+    return _F32.unpack(_U32.pack(bits))[0]
+
+
+def _f32_bits(x: float) -> int:
+    """Bit pattern of ``x`` rounded once to f32 (overflow gives infinity)."""
     try:
-        return struct.unpack("<f", struct.pack("<f", x))[0]
+        return _U32.unpack(_F32.pack(x))[0]
     except OverflowError:
-        return math.inf if x > 0 else -math.inf
+        return 0x7F80_0000 if x > 0 else 0xFF80_0000
+
+
+def _f64(bits: int) -> float:
+    return _F64.unpack(_U64.pack(bits))[0]
+
+
+def _f64_bits(x: float) -> int:
+    return _U64.unpack(_F64.pack(x))[0]
+
+
+def _to_bits(valtype: str, v):
+    """A ``call_export`` argument as the engine holds it."""
+    if valtype == "f32":
+        return _f32_bits(v)
+    if valtype == "f64":
+        return _f64_bits(v)
+    return v
+
+
+def _from_bits(valtype: str, v):
+    """A result as ``call_export`` returns it."""
+    if valtype == "f32":
+        return _f32(v)
+    if valtype == "f64":
+        return _f64(v)
+    return v
+
+
+def _int_f32_bits(n: int) -> int:
+    """Bit pattern of the integer ``n`` rounded once to f32.
+
+    Bits below a double's 53 are folded into a sticky bit first, so the
+    exact int -> double conversion leaves the one rounding to f32.
+    """
+    drop = n.bit_length() - 53
+    if drop > 0:
+        m = abs(n)
+        sticky = 1 if m & ((1 << drop) - 1) else 0
+        m = (m >> drop | sticky) << drop
+        n = -m if n < 0 else m
+    return _f32_bits(float(n))
 
 
 def _trunc_div(a: int, b: int) -> int:
@@ -228,37 +287,25 @@ def _fmax(a, b):
     return a if a > b else b
 
 
-def _fceil(x):
-    if math.isnan(x) or math.isinf(x) or x == 0.0:
+def _fdiv(a, b):
+    if b == 0.0:
+        if math.isnan(a) or a == 0.0:
+            return math.nan
+        sign = math.copysign(1, a) * math.copysign(1, b)
+        return math.inf if sign > 0 else -math.inf
+    return a / b
+
+
+def _fround(x, to_int):
+    """ceil, floor, trunc or nearest; the result keeps the sign of ``x``,
+    so ceil(-0.5) is -0.0."""
+    if math.isnan(x) or math.isinf(x):
         return x
-    return float(math.ceil(x))
-
-
-def _ffloor(x):
-    if math.isnan(x) or math.isinf(x) or x == 0.0:
-        return x
-    return float(math.floor(x))
-
-
-def _ftrunc(x):
-    if math.isnan(x) or math.isinf(x) or x == 0.0:
-        return x
-    return float(math.trunc(x))
-
-
-def _fnearest(x):
-    if math.isnan(x) or math.isinf(x) or x == 0.0:
-        return x
-    r = float(round(x))
-    return math.copysign(r, x) if r == 0.0 else r
+    return math.copysign(float(to_int(x)), x)
 
 
 def _fsqrt(x):
-    if math.isnan(x) or x < 0:
-        return math.nan
-    if x == 0.0:
-        return x
-    return math.sqrt(x)
+    return math.nan if x < 0 else math.sqrt(x)  # sqrt(-0.0) is -0.0
 
 
 def _trunc_to_int(x: float, lo: int, hi: int) -> int:
@@ -271,7 +318,7 @@ def _trunc_to_int(x: float, lo: int, hi: int) -> int:
 
 
 def _build_numeric() -> dict[str, tuple[int, object]]:
-    """opname -> (arity, fn on stored representations)."""
+    """opname -> (arity, fn on bit patterns)."""
     ops: dict[str, tuple[int, object]] = {}
 
     def u(name, fn):
@@ -313,72 +360,45 @@ def _build_numeric() -> dict[str, tuple[int, object]]:
         b(f"{p}.rotl", lambda a, c, n=bits, m=mask: _rotl(a, c, n, m))
         b(f"{p}.rotr", lambda a, c, n=bits, m=mask: _rotr(a, c, n, m))
 
-    for p, narrow in (("f32", _f32), ("f64", float)):
-        b(f"{p}.eq", lambda a, c: 1 if a == c else 0)
-        b(f"{p}.ne", lambda a, c: 1 if a != c else 0)
-        b(f"{p}.lt", lambda a, c: 1 if a < c else 0)
-        b(f"{p}.gt", lambda a, c: 1 if a > c else 0)
-        b(f"{p}.le", lambda a, c: 1 if a <= c else 0)
-        b(f"{p}.ge", lambda a, c: 1 if a >= c else 0)
-        u(f"{p}.abs", lambda a, w=narrow: w(abs(a)))
-        u(f"{p}.neg", lambda a, w=narrow: w(-a))
-        u(f"{p}.ceil", lambda a, w=narrow: w(_fceil(a)))
-        u(f"{p}.floor", lambda a, w=narrow: w(_ffloor(a)))
-        u(f"{p}.trunc", lambda a, w=narrow: w(_ftrunc(a)))
-        u(f"{p}.nearest", lambda a, w=narrow: w(_fnearest(a)))
-        u(f"{p}.sqrt", lambda a, w=narrow: w(_fsqrt(a)))
-        b(f"{p}.add", lambda a, c, w=narrow: w(a + c))
-        b(f"{p}.sub", lambda a, c, w=narrow: w(a - c))
-        b(f"{p}.mul", lambda a, c, w=narrow: w(a * c))
-        b(f"{p}.div",
-          lambda a, c, w=narrow: w(_fdiv(a, c)))
-        b(f"{p}.min", lambda a, c, w=narrow: w(_fmin(a, c)))
-        b(f"{p}.max", lambda a, c, w=narrow: w(_fmax(a, c)))
-        b(f"{p}.copysign", lambda a, c, w=narrow: w(math.copysign(a, c)))
+    for p, val, to_bits, sign in (("f32", _f32, _f32_bits, 1 << 31),
+                                  ("f64", _f64, _f64_bits, 1 << 63)):
+        for name, fn in (("eq", operator.eq), ("ne", operator.ne),
+                         ("lt", operator.lt), ("gt", operator.gt),
+                         ("le", operator.le), ("ge", operator.ge)):
+            b(f"{p}.{name}",
+              lambda a, c, f=fn, v=val: 1 if f(v(a), v(c)) else 0)
+        for name, fn in (("ceil", math.ceil), ("floor", math.floor),
+                         ("trunc", math.trunc), ("nearest", round)):
+            u(f"{p}.{name}",
+              lambda a, f=fn, v=val, w=to_bits: w(_fround(v(a), f)))
+        u(f"{p}.sqrt", lambda a, v=val, w=to_bits: w(_fsqrt(v(a))))
+        for name, fn in (("add", operator.add), ("sub", operator.sub),
+                         ("mul", operator.mul), ("div", _fdiv),
+                         ("min", _fmin), ("max", _fmax)):
+            b(f"{p}.{name}",
+              lambda a, c, f=fn, v=val, w=to_bits: w(f(v(a), v(c))))
+        # sign-bit operations: bit-exact, NaN payloads included
+        u(f"{p}.abs", lambda a, m=sign - 1: a & m)
+        u(f"{p}.neg", lambda a, s=sign: a ^ s)
+        b(f"{p}.copysign", lambda a, c, s=sign: (a & (s - 1)) | (c & s))
 
+    for p, sx, mask in (("i32", _s32, M32), ("i64", _s64, M64)):
+        half = 1 << (mask.bit_length() - 1)
+        for fp, val in (("f32", _f32), ("f64", _f64)):
+            u(f"{p}.trunc_{fp}_s", lambda a, v=val, lo=-half, hi=half - 1,
+              m=mask: _trunc_to_int(v(a), lo, hi) & m)
+            u(f"{p}.trunc_{fp}_u",
+              lambda a, v=val, hi=mask: _trunc_to_int(v(a), 0, hi))
+        u(f"f32.convert_{p}_s", lambda a, s=sx: _int_f32_bits(s(a)))
+        u(f"f32.convert_{p}_u", _int_f32_bits)
+        u(f"f64.convert_{p}_s", lambda a, s=sx: _f64_bits(s(a)))
+        u(f"f64.convert_{p}_u", _f64_bits)
     u("i32.wrap_i64", lambda a: a & M32)
-    u("i32.trunc_f32_s",
-      lambda a: _trunc_to_int(a, -(1 << 31), (1 << 31) - 1) & M32)
-    u("i32.trunc_f32_u", lambda a: _trunc_to_int(a, 0, M32))
-    u("i32.trunc_f64_s",
-      lambda a: _trunc_to_int(a, -(1 << 31), (1 << 31) - 1) & M32)
-    u("i32.trunc_f64_u", lambda a: _trunc_to_int(a, 0, M32))
     u("i64.extend_i32_s", lambda a: _s32(a) & M64)
     u("i64.extend_i32_u", lambda a: a)
-    u("i64.trunc_f32_s",
-      lambda a: _trunc_to_int(a, -(1 << 63), (1 << 63) - 1) & M64)
-    u("i64.trunc_f32_u", lambda a: _trunc_to_int(a, 0, M64))
-    u("i64.trunc_f64_s",
-      lambda a: _trunc_to_int(a, -(1 << 63), (1 << 63) - 1) & M64)
-    u("i64.trunc_f64_u", lambda a: _trunc_to_int(a, 0, M64))
-    u("f32.convert_i32_s", lambda a: _f32(float(_s32(a))))
-    u("f32.convert_i32_u", lambda a: _f32(float(a)))
-    u("f32.convert_i64_s", lambda a: _f32(float(_s64(a))))
-    u("f32.convert_i64_u", lambda a: _f32(float(a)))
-    u("f32.demote_f64", lambda a: _f32(a))
-    u("f64.convert_i32_s", lambda a: float(_s32(a)))
-    u("f64.convert_i32_u", lambda a: float(a))
-    u("f64.convert_i64_s", lambda a: float(_s64(a)))
-    u("f64.convert_i64_u", lambda a: float(a))
-    u("f64.promote_f32", lambda a: a)
-    u("i32.reinterpret_f32",
-      lambda a: struct.unpack("<I", struct.pack("<f", a))[0])
-    u("i64.reinterpret_f64",
-      lambda a: struct.unpack("<Q", struct.pack("<d", a))[0])
-    u("f32.reinterpret_i32",
-      lambda a: struct.unpack("<f", struct.pack("<I", a))[0])
-    u("f64.reinterpret_i64",
-      lambda a: struct.unpack("<d", struct.pack("<Q", a))[0])
+    u("f32.demote_f64", lambda a: _f32_bits(_f64(a)))
+    u("f64.promote_f32", lambda a: _f64_bits(_f32(a)))
     return ops
-
-
-def _fdiv(a, b):
-    if b == 0.0:
-        if math.isnan(a) or a == 0.0:
-            return math.nan
-        sign = math.copysign(1, a) * math.copysign(1, b)
-        return math.inf if sign > 0 else -math.inf
-    return a / b
 
 
 _NUMERIC = _build_numeric()
@@ -413,46 +433,64 @@ C_NUM1 = 25
 C_NUM2 = 26
 C_MEMFILL = 27
 
+# ops whose compiled form does not depend on their position or arguments
+_PLAIN = {
+    "unreachable": (C_UNREACHABLE,), "nop": (C_NOP,), "loop": (C_LOOP,),
+    "end": (C_END,), "return": (C_RETURN,), "drop": (C_DROP,),
+    "select": (C_SELECT,), "memory.size": (C_MEMSIZE,),
+    "memory.grow": (C_MEMGROW,),
+    # a value is its bit pattern, so reinterpreting it changes nothing
+    "i32.reinterpret_f32": (C_NOP,), "i64.reinterpret_f64": (C_NOP,),
+    "f32.reinterpret_i32": (C_NOP,), "f64.reinterpret_i64": (C_NOP,),
+}
+
+# ops compiled to (code, *args)
+_WITH_ARGS = {
+    "br": C_BR, "br_if": C_BR_IF, "br_table": C_BR_TABLE, "call": C_CALL,
+    "call_indirect": C_CALL_INDIRECT, "local.get": C_LOCAL_GET,
+    "local.set": C_LOCAL_SET, "local.tee": C_LOCAL_TEE,
+    "global.get": C_GLOBAL_GET, "global.set": C_GLOBAL_SET,
+}
+
+_CONST_MASK = {"i32.const": M32, "i64.const": M64,
+               "f32.const": M32, "f64.const": M64}
+
 _LOAD_INFO = {
-    # op -> (width, signed, kind)
-    "i32.load": (4, False, "i32"), "i64.load": (8, False, "i64"),
-    "f32.load": (4, False, "f32"), "f64.load": (8, False, "f64"),
-    "i32.load8_s": (1, True, "i32"), "i32.load8_u": (1, False, "i32"),
-    "i32.load16_s": (2, True, "i32"), "i32.load16_u": (2, False, "i32"),
-    "i64.load8_s": (1, True, "i64"), "i64.load8_u": (1, False, "i64"),
-    "i64.load16_s": (2, True, "i64"), "i64.load16_u": (2, False, "i64"),
-    "i64.load32_s": (4, True, "i64"), "i64.load32_u": (4, False, "i64"),
+    # op -> (width, signed, mask of the result type)
+    "i32.load": (4, False, M32), "i64.load": (8, False, M64),
+    "f32.load": (4, False, M32), "f64.load": (8, False, M64),
+    "i32.load8_s": (1, True, M32), "i32.load8_u": (1, False, M32),
+    "i32.load16_s": (2, True, M32), "i32.load16_u": (2, False, M32),
+    "i64.load8_s": (1, True, M64), "i64.load8_u": (1, False, M64),
+    "i64.load16_s": (2, True, M64), "i64.load16_u": (2, False, M64),
+    "i64.load32_s": (4, True, M64), "i64.load32_u": (4, False, M64),
 }
 
-_STORE_INFO = {
-    "i32.store": (4, "i32"), "i64.store": (8, "i64"),
-    "f32.store": (4, "f32"), "f64.store": (8, "f64"),
-    "i32.store8": (1, "i32"), "i32.store16": (2, "i32"),
-    "i64.store8": (1, "i64"), "i64.store16": (2, "i64"),
-    "i64.store32": (4, "i64"),
+_STORE_WIDTH = {
+    "i32.store": 4, "i64.store": 8, "f32.store": 4, "f64.store": 8,
+    "i32.store8": 1, "i32.store16": 2,
+    "i64.store8": 1, "i64.store16": 2, "i64.store32": 4,
 }
-
-_DEFAULT = {"i32": 0, "i64": 0, "f32": 0.0, "f64": 0.0}
 
 
 class _FuncMeta:
-    __slots__ = ("func_idx", "nparams", "nresults", "param_types",
-                 "local_defaults", "code")
+    __slots__ = ("func_idx", "ftype", "nparams", "nresults", "local_zeros",
+                 "code")
 
-    def __init__(self, func_idx, ftype: FuncType, local_types, code):
+    def __init__(self, func_idx, ftype: FuncType, nlocals, code):
         self.func_idx = func_idx
+        self.ftype = ftype
         self.nparams = len(ftype.params)
         self.nresults = len(ftype.results)
-        self.param_types = ftype.params
-        self.local_defaults = [_DEFAULT[t] for t in local_types]
+        self.local_zeros = [0] * nlocals
         self.code = code
 
 
 def _compile_body(body) -> list[tuple]:
     """Flat body -> compiled tuples with jump targets resolved."""
-    n = len(body)
-    # match structured instructions
-    end_of = {}
+    # match structured instructions; the terminal end of the function
+    # matches the implicit frame
+    end_of = {}  # block, loop, if or else -> its end
     else_of = {}
     stack = []
     for pc, instr in enumerate(body):
@@ -461,88 +499,36 @@ def _compile_body(body) -> list[tuple]:
             stack.append(pc)
         elif op == "else":
             else_of[stack[-1]] = pc
-        elif op == "end":
-            if stack:
-                end_of[stack.pop()] = pc
-            # terminal end of the function matches the implicit frame
+        elif op == "end" and stack:
+            start = stack.pop()
+            end_of[start] = pc
+            if start in else_of:
+                end_of[else_of[start]] = pc
 
     code: list[tuple] = []
     for pc, instr in enumerate(body):
         op = instr.op
         a = instr.args
-        if op == "unreachable":
-            code.append((C_UNREACHABLE,))
-        elif op == "nop":
-            code.append((C_NOP,))
+        if op in _PLAIN:
+            code.append(_PLAIN[op])
+        elif op in _WITH_ARGS:
+            code.append((_WITH_ARGS[op], *a))
+        elif op in _CONST_MASK:
+            code.append((C_CONST, a[0] & _CONST_MASK[op]))
+        elif op in _LOAD_INFO:
+            code.append((C_LOAD, a[1], *_LOAD_INFO[op]))
+        elif op in _STORE_WIDTH:
+            width = _STORE_WIDTH[op]
+            code.append((C_STORE, a[1], width, (1 << (8 * width)) - 1))
         elif op == "block":
-            arity = 0 if a[0] is None else 1
-            code.append((C_BLOCK, end_of[pc], arity))
-        elif op == "loop":
-            code.append((C_LOOP,))
+            code.append((C_BLOCK, end_of[pc], 0 if a[0] is None else 1))
         elif op == "if":
-            arity = 0 if a[0] is None else 1
             end = end_of[pc]
-            epc = else_of.get(pc)
-            jump_false = end if epc is None else epc + 1
-            code.append((C_IF, jump_false, end, arity))
+            jump_false = else_of[pc] + 1 if pc in else_of else end
+            code.append((C_IF, jump_false, end, 0 if a[0] is None else 1))
         elif op == "else":
             # reaching else means the then-branch finished
-            end = None
-            for start, e in else_of.items():
-                if e == pc:
-                    end = end_of[start]
-                    break
-            code.append((C_ELSE, end))
-        elif op == "end":
-            code.append((C_END,))
-        elif op == "br":
-            code.append((C_BR, a[0]))
-        elif op == "br_if":
-            code.append((C_BR_IF, a[0]))
-        elif op == "br_table":
-            code.append((C_BR_TABLE, a[0], a[1]))
-        elif op == "return":
-            code.append((C_RETURN,))
-        elif op == "call":
-            code.append((C_CALL, a[0]))
-        elif op == "call_indirect":
-            code.append((C_CALL_INDIRECT, a[0]))
-        elif op == "drop":
-            code.append((C_DROP,))
-        elif op == "select":
-            code.append((C_SELECT,))
-        elif op == "local.get":
-            code.append((C_LOCAL_GET, a[0]))
-        elif op == "local.set":
-            code.append((C_LOCAL_SET, a[0]))
-        elif op == "local.tee":
-            code.append((C_LOCAL_TEE, a[0]))
-        elif op == "global.get":
-            code.append((C_GLOBAL_GET, a[0]))
-        elif op == "global.set":
-            code.append((C_GLOBAL_SET, a[0]))
-        elif op in _LOAD_INFO:
-            width, signed, kind = _LOAD_INFO[op]
-            code.append((C_LOAD, a[1], width, signed, kind))
-        elif op in _STORE_INFO:
-            width, kind = _STORE_INFO[op]
-            code.append((C_STORE, a[1], width, kind))
-        elif op == "memory.size":
-            code.append((C_MEMSIZE,))
-        elif op == "memory.grow":
-            code.append((C_MEMGROW,))
-        elif op == "i32.const":
-            code.append((C_CONST, a[0] & M32))
-        elif op == "i64.const":
-            code.append((C_CONST, a[0] & M64))
-        elif op == "f32.const":
-            code.append(
-                (C_CONST, struct.unpack("<f", a[0].to_bytes(4, "little"))[0])
-            )
-        elif op == "f64.const":
-            code.append(
-                (C_CONST, struct.unpack("<d", a[0].to_bytes(8, "little"))[0])
-            )
+            code.append((C_ELSE, end_of[pc]))
         else:
             arity, fn = _NUMERIC[op]
             code.append((C_NUM1 if arity == 1 else C_NUM2, fn))
@@ -564,7 +550,9 @@ def _apply_fill_peephole(body, code):
     The loop the coverage pass emits to clear the trace-bits region would
     otherwise cost ~90k interpreted instructions per run. The replacement
     is observationally identical: same memory effect, same final local
-    value, and fuel is charged as if every iteration had run.
+    value, and fuel is charged as if every iteration had run. A fill that
+    would trap or run out of fuel part way acts as the loop's leading
+    ``i32.const`` instead, and the loop then runs step by step.
     """
     n = len(body)
     i = 0
@@ -586,7 +574,7 @@ def _apply_fill_peephole(body, code):
                 cost = 2 + 11 * iters + 1
                 code[i] = (
                     C_MEMFILL, start, end, local_a, cost,
-                    i + len(_FILL_SHAPE), i + 5,
+                    i + len(_FILL_SHAPE),
                 )
             i += len(_FILL_SHAPE)
         else:
@@ -812,9 +800,9 @@ class Engine:
         self.metas: list[_FuncMeta] = []
         for i, f in enumerate(module.functions):
             ftype = module.types[f.type_idx]
-            self.metas.append(
-                _FuncMeta(n_host + i, ftype, f.locals, _compile_body(f.body))
-            )
+            self.metas.append(_FuncMeta(
+                n_host + i, ftype, len(f.locals), _compile_body(f.body)
+            ))
 
         self.table: list[Optional[int]] = []
         if module.table is not None:
@@ -829,17 +817,12 @@ class Engine:
         self.exports = module.export_map()
         self.n_host = n_host
 
-    def eval_const(self, expr) -> int | float:
+    def eval_const(self, expr) -> int:
+        """Bit pattern of a constant expression."""
         instr = expr[0]
-        if instr.op == "i32.const":
-            return instr.args[0] & M32
-        if instr.op == "i64.const":
-            return instr.args[0] & M64
-        if instr.op == "f32.const":
-            return struct.unpack("<f", instr.args[0].to_bytes(4, "little"))[0]
-        if instr.op == "f64.const":
-            return struct.unpack("<d", instr.args[0].to_bytes(8, "little"))[0]
-        raise InstantiationTrap(f"unsupported constant init {instr.op}")
+        if instr.op not in _CONST_MASK:
+            raise InstantiationTrap(f"unsupported constant init {instr.op}")
+        return instr.args[0] & _CONST_MASK[instr.op]
 
     def instantiate(self, wasi: WasiConfig | None = None) -> Instance:
         inst = Instance(self, wasi or WasiConfig())
@@ -851,63 +834,34 @@ class Engine:
                   limits: RunLimits | None = None) -> ExecOutcome:
         """Run the entry point: module start function (if any) then the
         exported ``_start``."""
-        limits = limits or RunLimits()
         exp = self.exports.get("_start")
         if exp is None or exp.kind != "func":
             raise NoEntryPoint("module does not export a _start function")
-        executed = 0
-        try:
-            if self.module.start is not None and not inst.start_ran:
-                inst.start_ran = True
-                _, executed = self._invoke(
-                    inst, self.module.start, [], limits, executed
-                )
-            _, executed = self._invoke(inst, exp.index, [], limits, executed)
-            status = ExecOutcome("exit", exit_code=0)
-        except _ProcExit as e:
-            status = ExecOutcome("exit", exit_code=e.code)
-            executed = self._last_executed
-        except _Trap as t:
-            status = ExecOutcome(
-                "trap", trap_kind=t.kind, trap_function=t.func,
-                trap_offset=t.offset,
-            )
-            executed = self._last_executed
-        except _Fuel:
-            status = ExecOutcome("fuel-exhausted")
-            executed = limits.fuel
-        status.stdout = bytes(inst.stdout)
-        status.stderr = bytes(inst.stderr)
-        status.instructions_executed = executed
-        return status
+        calls = [self._callee(exp.index, 0)]
+        if self.module.start is not None and not inst.start_ran:
+            calls.insert(0, self._callee(self.module.start, 0))
+            inst.start_ran = True
+        return self._execute(inst, calls, [], limits or RunLimits())[0]
 
     def call_export(self, inst: Instance, name: str, args: list,
                     limits: RunLimits | None = None
                     ) -> tuple[ExecOutcome, list]:
-        """Invoke an exported function directly; used by tests and tools."""
-        limits = limits or RunLimits()
+        """Invoke an exported function directly; used by tests and tools.
+
+        i32 and i64 arguments and results are unsigned ints; f32 and f64
+        ones are Python floats. This is the only place that converts
+        between Python floats and the engine's bit patterns.
+        """
         exp = self.exports.get(name)
         if exp is None or exp.kind != "func":
             raise NoEntryPoint(f"no exported function {name!r}")
-        try:
-            results, executed = self._invoke(inst, exp.index, args, limits, 0)
-            outcome = ExecOutcome("exit", exit_code=0)
-        except _ProcExit as e:
-            outcome, results = ExecOutcome("exit", exit_code=e.code), []
-            executed = self._last_executed
-        except _Trap as t:
-            outcome = ExecOutcome(
-                "trap", trap_kind=t.kind, trap_function=t.func,
-                trap_offset=t.offset,
-            )
-            results, executed = [], self._last_executed
-        except _Fuel:
-            outcome, results = ExecOutcome("fuel-exhausted"), []
-            executed = limits.fuel
-        outcome.stdout = bytes(inst.stdout)
-        outcome.stderr = bytes(inst.stderr)
-        outcome.instructions_executed = executed
-        return outcome, results
+        meta = self._callee(exp.index, len(args))
+        params, results = meta.ftype.params, meta.ftype.results
+        outcome, vals = self._execute(
+            inst, [meta], [_to_bits(t, v) for t, v in zip(params, args)],
+            limits or RunLimits(),
+        )
+        return outcome, [_from_bits(t, v) for t, v in zip(results, vals)]
 
     def read_trace_bits(self, inst: Instance) -> bytes:
         if ACCESSOR_EXPORT not in self.exports:
@@ -927,17 +881,42 @@ class Engine:
         return bytes(inst.memory[base: base + TRACE_BITS_SIZE])
 
     # ------------------------------------------------------------------
-    def _invoke(self, inst: Instance, func_idx: int, args: list,
-                limits: RunLimits, executed: int):
-        self._last_executed = executed
+    def _callee(self, func_idx: int, nargs: int) -> _FuncMeta:
         if func_idx < self.n_host:
             raise NoEntryPoint("cannot invoke an imported function directly")
         meta = self.metas[func_idx - self.n_host]
-        if len(args) != meta.nparams:
+        if nargs != meta.nparams:
             raise NoEntryPoint(
-                f"function expects {meta.nparams} args, got {len(args)}"
+                f"function expects {meta.nparams} args, got {nargs}"
             )
-        return self._run(inst, meta, list(args), limits, executed)
+        return meta
+
+    def _execute(self, inst: Instance, calls: list[_FuncMeta], args: list,
+                 limits: RunLimits) -> tuple[ExecOutcome, list]:
+        """Run ``calls`` in order under one fuel budget; return how the run
+        ended and the last call's results."""
+        executed = 0
+        results: list = []
+        try:
+            for meta in calls:
+                vals, executed = self._run(inst, meta, args, limits, executed)
+            outcome, results = ExecOutcome("exit"), vals
+        except _ProcExit as e:
+            outcome = ExecOutcome("exit", exit_code=e.code)
+            executed = e.executed
+        except _Trap as t:
+            outcome = ExecOutcome(
+                "trap", trap_kind=t.kind, trap_function=t.func,
+                trap_offset=t.offset,
+            )
+            executed = t.executed
+        except _Fuel:
+            outcome = ExecOutcome("fuel-exhausted")
+            executed = limits.fuel
+        outcome.stdout = bytes(inst.stdout)
+        outcome.stderr = bytes(inst.stderr)
+        outcome.instructions_executed = executed
+        return outcome, results
 
     def _run(self, inst: Instance, meta: _FuncMeta, args: list,
              limits: RunLimits, executed: int):
@@ -955,131 +934,74 @@ class Engine:
         frames: list = []
         code = meta.code
         pc = 0
-        locals_ = args + list(meta.local_defaults)
+        locals_ = args + meta.local_zeros
         labels: list = []
         base = 0
         nresults = meta.nresults
         func_idx = meta.func_idx
 
-        def trap(kind):
-            self._last_executed = executed
-            raise _Trap(kind, func_idx, pc)
+        while True:
+            if executed >= fuel:
+                raise _Fuel()
+            executed += 1
+            ins = code[pc]
+            c = ins[0]
 
-        try:
-            while True:
-                if executed >= fuel:
-                    self._last_executed = fuel
-                    raise _Fuel()
-                executed += 1
-                ins = code[pc]
-                c = ins[0]
-
-                if c == C_LOCAL_GET:
-                    vals.append(locals_[ins[1]])
-                elif c == C_CONST:
-                    vals.append(ins[1])
-                elif c == C_NUM2:
-                    b = vals.pop()
-                    a = vals[-1]
-                    try:
-                        vals[-1] = ins[1](a, b)
-                    except _NumTrap as t:
-                        trap(t.kind)
-                elif c == C_NUM1:
-                    try:
-                        vals[-1] = ins[1](vals[-1])
-                    except _NumTrap as t:
-                        trap(t.kind)
-                elif c == C_LOCAL_SET:
-                    locals_[ins[1]] = vals.pop()
-                elif c == C_LOCAL_TEE:
-                    locals_[ins[1]] = vals[-1]
-                elif c == C_LOAD:
-                    addr = vals[-1] + ins[1]
-                    width = ins[2]
-                    if addr + width > len(mem):
-                        trap(MEM_OOB)
-                    raw = mem[addr: addr + width]
-                    kind = ins[4]
-                    if kind == "i32" or kind == "i64":
-                        v = int.from_bytes(raw, "little", signed=ins[3])
-                        if ins[3]:
-                            v &= M32 if kind == "i32" else M64
-                        vals[-1] = v
-                    elif kind == "f32":
-                        vals[-1] = struct.unpack("<f", raw)[0]
-                    else:
-                        vals[-1] = struct.unpack("<d", raw)[0]
-                elif c == C_STORE:
-                    v = vals.pop()
-                    addr = vals.pop() + ins[1]
-                    width = ins[2]
-                    if addr + width > len(mem):
-                        trap(MEM_OOB)
-                    kind = ins[3]
-                    if kind == "i32" or kind == "i64":
-                        mem[addr: addr + width] = (
-                            v & ((1 << (8 * width)) - 1)
-                        ).to_bytes(width, "little")
-                    elif kind == "f32":
-                        mem[addr: addr + 4] = struct.pack("<f", v)
-                    else:
-                        mem[addr: addr + 8] = struct.pack("<d", v)
-                elif c == C_BLOCK:
-                    labels.append((ins[1], ins[2], len(vals), False))
-                elif c == C_LOOP:
-                    labels.append((pc, 0, len(vals), True))
-                elif c == C_IF:
-                    cond = vals.pop()
-                    labels.append((ins[2], ins[3], len(vals), False))
-                    if not cond:
-                        pc = ins[1]
-                        continue
-                elif c == C_ELSE:
+            if c == C_LOCAL_GET:
+                vals.append(locals_[ins[1]])
+            elif c == C_CONST:
+                vals.append(ins[1])
+            elif c == C_NUM2:
+                b = vals.pop()
+                a = vals[-1]
+                try:
+                    vals[-1] = ins[1](a, b)
+                except _NumTrap as t:
+                    raise _Trap(t.kind, func_idx, pc, executed)
+            elif c == C_NUM1:
+                try:
+                    vals[-1] = ins[1](vals[-1])
+                except _NumTrap as t:
+                    raise _Trap(t.kind, func_idx, pc, executed)
+            elif c == C_LOCAL_SET:
+                locals_[ins[1]] = vals.pop()
+            elif c == C_LOCAL_TEE:
+                locals_[ins[1]] = vals[-1]
+            elif c == C_LOAD:
+                addr = vals[-1] + ins[1]
+                width = ins[2]
+                if addr + width > len(mem):
+                    raise _Trap(MEM_OOB, func_idx, pc, executed)
+                vals[-1] = int.from_bytes(
+                    mem[addr: addr + width], "little", signed=ins[3]
+                ) & ins[4]
+            elif c == C_STORE:
+                v = vals.pop()
+                addr = vals.pop() + ins[1]
+                width = ins[2]
+                if addr + width > len(mem):
+                    raise _Trap(MEM_OOB, func_idx, pc, executed)
+                mem[addr: addr + width] = (v & ins[3]).to_bytes(
+                    width, "little"
+                )
+            elif c == C_BLOCK:
+                labels.append((ins[1], ins[2], len(vals), False))
+            elif c == C_LOOP:
+                labels.append((pc, 0, len(vals), True))
+            elif c == C_IF:
+                cond = vals.pop()
+                labels.append((ins[2], ins[3], len(vals), False))
+                if not cond:
                     pc = ins[1]
                     continue
-                elif c == C_END:
-                    if labels:
-                        labels.pop()
-                    else:
-                        # function return
-                        if nresults:
-                            res = vals[-nresults:]
-                            del vals[base:]
-                            vals.extend(res)
-                        else:
-                            del vals[base:]
-                        if not frames:
-                            self._last_executed = executed
-                            return vals, executed
-                        (code, pc, locals_, labels, base, nresults,
-                         func_idx) = frames.pop()
-                        continue
-                elif c == C_BR or c == C_BR_IF or c == C_BR_TABLE:
-                    if c == C_BR_IF:
-                        if not vals.pop():
-                            pc += 1
-                            continue
-                        depth = ins[1]
-                    elif c == C_BR:
-                        depth = ins[1]
-                    else:
-                        idx = vals.pop()
-                        targets, default = ins[1], ins[2]
-                        depth = targets[idx] if idx < len(targets) else default
-                    L = len(labels)
-                    cont, ar, h, isloop = labels[L - 1 - depth]
-                    if ar:
-                        vals[h:] = vals[-ar:]
-                    else:
-                        del vals[h:]
-                    if isloop:
-                        del labels[L - 1 - depth:]
-                    else:
-                        del labels[L - depth:]
-                    pc = cont
-                    continue
-                elif c == C_RETURN:
+            elif c == C_ELSE:
+                pc = ins[1]
+                continue
+            elif c == C_END:
+                if labels:
+                    labels.pop()
+                else:
+                    # function return
                     if nresults:
                         res = vals[-nresults:]
                         del vals[base:]
@@ -1087,104 +1009,136 @@ class Engine:
                     else:
                         del vals[base:]
                     if not frames:
-                        self._last_executed = executed
                         return vals, executed
                     (code, pc, locals_, labels, base, nresults,
                      func_idx) = frames.pop()
                     continue
-                elif c == C_CALL or c == C_CALL_INDIRECT:
-                    if c == C_CALL:
-                        target = ins[1]
-                    else:
-                        elem = vals.pop()
-                        if elem >= len(table) or table[elem] is None:
-                            trap(UNINIT_TABLE)
-                        target = table[elem]
-                        expected = self.module.types[ins[1]]
-                        if self.module.func_type(target) != expected:
-                            trap(INDIRECT_MISMATCH)
-                    if target < n_host:
-                        fn, nargs, nres = host_funcs[target]
-                        if nargs:
-                            hargs = vals[-nargs:]
-                            del vals[-nargs:]
-                        else:
-                            hargs = []
-                        try:
-                            r = fn(inst, *hargs)
-                        except _Trap as t:
-                            trap(t.kind)
-                        if nres:
-                            vals.append(r & M32)
-                    else:
-                        if len(frames) >= max_depth:
-                            trap(STACK_EXHAUSTED)
-                        tmeta = metas[target - n_host]
-                        frames.append(
-                            (code, pc + 1, locals_, labels, base,
-                             nresults, func_idx)
-                        )
-                        nargs = tmeta.nparams
-                        if nargs:
-                            newlocals = vals[-nargs:]
-                            del vals[-nargs:]
-                        else:
-                            newlocals = []
-                        newlocals.extend(tmeta.local_defaults)
-                        code = tmeta.code
-                        pc = 0
-                        locals_ = newlocals
-                        labels = []
-                        base = len(vals)
-                        nresults = tmeta.nresults
-                        func_idx = tmeta.func_idx
+            elif c == C_BR or c == C_BR_IF or c == C_BR_TABLE:
+                if c == C_BR_IF:
+                    if not vals.pop():
+                        pc += 1
                         continue
-                elif c == C_GLOBAL_GET:
-                    vals.append(glb[ins[1]])
-                elif c == C_GLOBAL_SET:
-                    glb[ins[1]] = vals.pop()
-                elif c == C_DROP:
-                    vals.pop()
-                elif c == C_SELECT:
-                    cond = vals.pop()
-                    b = vals.pop()
-                    if not cond:
-                        vals[-1] = b
-                elif c == C_MEMSIZE:
-                    vals.append(len(mem) // PAGE)
-                elif c == C_MEMGROW:
-                    delta = vals.pop()
-                    cur = len(mem) // PAGE
-                    new = cur + delta
-                    cap = max_pages
-                    if inst.mem_max is not None:
-                        cap = min(cap, inst.mem_max)
-                    if new > cap:
-                        vals.append(M32)  # -1
+                    depth = ins[1]
+                elif c == C_BR:
+                    depth = ins[1]
+                else:
+                    idx = vals.pop()
+                    targets, default = ins[1], ins[2]
+                    depth = targets[idx] if idx < len(targets) else default
+                L = len(labels)
+                cont, ar, h, isloop = labels[L - 1 - depth]
+                if ar:
+                    vals[h:] = vals[-ar:]
+                else:
+                    del vals[h:]
+                if isloop:
+                    del labels[L - 1 - depth:]
+                else:
+                    del labels[L - depth:]
+                pc = cont
+                continue
+            elif c == C_RETURN:
+                if nresults:
+                    res = vals[-nresults:]
+                    del vals[base:]
+                    vals.extend(res)
+                else:
+                    del vals[base:]
+                if not frames:
+                    return vals, executed
+                (code, pc, locals_, labels, base, nresults,
+                 func_idx) = frames.pop()
+                continue
+            elif c == C_CALL or c == C_CALL_INDIRECT:
+                if c == C_CALL:
+                    target = ins[1]
+                else:
+                    elem = vals.pop()
+                    if elem >= len(table) or table[elem] is None:
+                        raise _Trap(UNINIT_TABLE, func_idx, pc, executed)
+                    target = table[elem]
+                    expected = self.module.types[ins[1]]
+                    if self.module.func_type(target) != expected:
+                        raise _Trap(INDIRECT_MISMATCH, func_idx, pc, executed)
+                if target < n_host:
+                    fn, nargs, nres = host_funcs[target]
+                    if nargs:
+                        hargs = vals[-nargs:]
+                        del vals[-nargs:]
                     else:
-                        mem.extend(bytes(delta * PAGE))
-                        vals.append(cur)
-                elif c == C_MEMFILL:
-                    start, end, lidx, cost, skip, store_pc = ins[1:]
-                    if end > len(mem):
-                        executed += 5  # the instructions before the store
-                        pc = store_pc
-                        trap(MEM_OOB)
-                    if executed - 1 + cost > fuel:
-                        self._last_executed = fuel
-                        raise _Fuel()
+                        hargs = []
+                    try:
+                        r = fn(inst, *hargs)
+                    except _Trap as t:
+                        raise _Trap(t.kind, func_idx, pc, executed)
+                    except _ProcExit as e:
+                        e.executed = executed
+                        raise
+                    if nres:
+                        vals.append(r & M32)
+                else:
+                    if len(frames) >= max_depth:
+                        raise _Trap(STACK_EXHAUSTED, func_idx, pc, executed)
+                    tmeta = metas[target - n_host]
+                    frames.append(
+                        (code, pc + 1, locals_, labels, base,
+                         nresults, func_idx)
+                    )
+                    nargs = tmeta.nparams
+                    if nargs:
+                        newlocals = vals[-nargs:]
+                        del vals[-nargs:]
+                    else:
+                        newlocals = []
+                    newlocals.extend(tmeta.local_zeros)
+                    code = tmeta.code
+                    pc = 0
+                    locals_ = newlocals
+                    labels = []
+                    base = len(vals)
+                    nresults = tmeta.nresults
+                    func_idx = tmeta.func_idx
+                    continue
+            elif c == C_GLOBAL_GET:
+                vals.append(glb[ins[1]])
+            elif c == C_GLOBAL_SET:
+                glb[ins[1]] = vals.pop()
+            elif c == C_DROP:
+                vals.pop()
+            elif c == C_SELECT:
+                cond = vals.pop()
+                b = vals.pop()
+                if not cond:
+                    vals[-1] = b
+            elif c == C_MEMSIZE:
+                vals.append(len(mem) // PAGE)
+            elif c == C_MEMGROW:
+                delta = vals.pop()
+                cur = len(mem) // PAGE
+                new = cur + delta
+                cap = max_pages
+                if inst.mem_max is not None:
+                    cap = min(cap, inst.mem_max)
+                if new > cap:
+                    vals.append(M32)  # -1
+                else:
+                    mem.extend(bytes(delta * PAGE))
+                    vals.append(cur)
+            elif c == C_MEMFILL:
+                start, end, lidx, cost, skip = ins[1:]
+                if end <= len(mem) and executed - 1 + cost <= fuel:
                     mem[start:end] = bytes(end - start)
                     locals_[lidx] = end
                     executed += cost - 1  # this step already counted 1
                     pc = skip
                     continue
-                elif c == C_UNREACHABLE:
-                    trap(UNREACHABLE)
-                elif c == C_NOP:
-                    pass
-                else:
-                    raise AssertionError(f"bad compiled op {c}")
-                pc += 1
-        except _ProcExit:
-            self._last_executed = executed
-            raise
+                # the loop would trap or run out of fuel part way: run it
+                # step by step, starting as its i32.const
+                vals.append(start)
+            elif c == C_UNREACHABLE:
+                raise _Trap(UNREACHABLE, func_idx, pc, executed)
+            elif c == C_NOP:
+                pass
+            else:
+                raise AssertionError(f"bad compiled op {c}")
+            pc += 1

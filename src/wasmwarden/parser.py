@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import struct
-
 from . import opcodes
 from .ir import (
     BYTE_VALTYPE,
@@ -375,11 +373,3 @@ def parse_module(data: bytes) -> ModuleIR:
         if ti >= len(m.types):
             raise MalformedBinary(0, f"function type index {ti} out of range")
     return m
-
-
-def f32_bits_to_float(bits: int) -> float:
-    return struct.unpack("<f", bits.to_bytes(4, "little"))[0]
-
-
-def f64_bits_to_float(bits: int) -> float:
-    return struct.unpack("<d", bits.to_bytes(8, "little"))[0]

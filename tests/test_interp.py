@@ -1,11 +1,16 @@
+import functools
+import math
 import random
 import struct
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import modbuild
 from wasmwarden import Engine, RunLimits, WasiConfig
 from wasmwarden.interp import (
+    C_MEMFILL,
     DIV_ZERO,
     INDIRECT_MISMATCH,
     INT_OVERFLOW,
@@ -15,10 +20,12 @@ from wasmwarden.interp import (
     UNREACHABLE,
 )
 from wasmwarden.ir import (
+    DataSegment,
     ElemSegment,
     Export,
     FuncType,
     FunctionIR,
+    Global,
     I,
     ModuleIR,
 )
@@ -363,3 +370,259 @@ def test_engine_rejects_unknown_imports():
     modbuild.add_start(m, [I("end")])
     with pytest.raises(UnsupportedImport):
         Engine(m)
+
+
+# ------------------------------------------------- bit-exact float values
+
+INT_OF = {"f32": "i32", "f64": "i64"}
+SIGN = {"f32": 1 << 31, "f64": 1 << 63}
+NAN_BITS = {
+    # a signalling NaN and a negative signalling NaN with a payload
+    "f32": (0x7F80_0001, 0xFFA5_A5A5),
+    "f64": (0x7FF0_0000_0000_0001, 0xFFF4_A5A5_A5A5_A5A5),
+}
+
+
+def _bits_module(ty, body, locals_=(), globals_=()):
+    """(i) -> i function: param 0 holds the bits of a ``ty`` value."""
+    it = INT_OF[ty]
+    m = make_func_module((it,), (it,), body + [I("end")], locals_)
+    m.globals.extend(globals_)
+    return m
+
+
+def _moves(ty, bits):
+    """Ways to move a value without computing on it, each leaving the
+    value's bits as the function's result."""
+    it = INT_OF[ty]
+    arg = [I("local.get", 0), I(f"{ty}.reinterpret_{it}")]
+    out = [I(f"{it}.reinterpret_{ty}")]
+    align = 2 if ty == "f32" else 3
+    return {
+        "reinterpret": (arg + out, (), ()),
+        "const": ([I(f"{ty}.const", bits)] + out, (), ()),
+        "global init": ([I("global.get", 0)] + out, (),
+                        (Global(ty, False, [I(f"{ty}.const", bits)]),)),
+        "local": (arg + [I("local.set", 1), I("local.get", 1)] + out,
+                  (ty,), ()),
+        "select first": (arg + [I(f"{ty}.const", 0), I("i32.const", 1),
+                                I("select")] + out, (), ()),
+        "select second": ([I(f"{ty}.const", 0)] + arg
+                          + [I("i32.const", 0), I("select")] + out, (), ()),
+        # store the bits, copy them with a float load and store, reload
+        "load/store": ([I("i32.const", 0), I("local.get", 0),
+                        I(f"{it}.store", align, 0),
+                        I("i32.const", 16), I("i32.const", 0),
+                        I(f"{ty}.load", align, 0),
+                        I(f"{ty}.store", align, 0),
+                        I("i32.const", 16), I(f"{it}.load", align, 0)],
+                       (), ()),
+    }
+
+
+@pytest.mark.parametrize("how", list(_moves("f32", 0)))
+@pytest.mark.parametrize("ty,bits", [
+    (ty, bits) for ty, vs in NAN_BITS.items() for bits in vs
+])
+def test_nan_bits_survive_moves(ty, bits, how):
+    body, locals_, globals_ = _moves(ty, bits)[how]
+    _, res = call(_bits_module(ty, body, locals_, globals_), [bits])
+    assert res == [bits], f"{res[0]:#x}"
+
+
+@pytest.mark.parametrize("ty,bits", [
+    (ty, bits) for ty, vs in NAN_BITS.items() for bits in vs
+])
+def test_sign_ops_keep_nan_payloads(ty, bits):
+    it, sign = INT_OF[ty], SIGN[ty]
+    arg = [I("local.get", 0), I(f"{ty}.reinterpret_{it}")]
+    out = [I(f"{it}.reinterpret_{ty}")]
+
+    def run(body):
+        return call(_bits_module(ty, body), [bits])[1][0]
+
+    assert run(arg + [I(f"{ty}.neg")] + out) == bits ^ sign
+    assert run(arg + [I(f"{ty}.abs")] + out) == bits & ~sign
+    neg_zero = [I(f"{ty}.const", sign)]
+    assert run(arg + neg_zero + [I(f"{ty}.copysign")] + out) == bits | sign
+    one = [I(f"{ty}.const", 0x3F80_0000 if ty == "f32" else 0x3FF << 52)]
+    assert run(arg + one + [I(f"{ty}.copysign")] + out) == bits & ~sign
+
+
+@pytest.mark.parametrize("op,n,want", [
+    # 2**60 + 2**36 is a tie between two f32 values; the + 1 breaks it
+    # upwards, and rounding through f64 first would lose it
+    ("f32.convert_i64_s", 2**60 + 2**36 + 1, 0x5D80_0001),
+    ("f32.convert_i64_u", 2**60 + 2**36 + 1, 0x5D80_0001),
+    ("f32.convert_i64_s", -(2**60 + 2**36 + 1) & M64, 0xDD80_0001),
+])
+def test_i64_to_f32_rounds_once(op, n, want):
+    m = make_func_module(("i64",), ("i32",), [
+        I("local.get", 0), I(op), I("i32.reinterpret_f32"), I("end"),
+    ])
+    assert call(m, [n])[1] == [want]
+
+
+@pytest.mark.parametrize("ty", ["f32", "f64"])
+@pytest.mark.parametrize("op", ["ceil", "trunc", "nearest"])
+def test_rounding_to_zero_keeps_the_sign(ty, op):
+    m = make_func_module((ty,), (ty,), [
+        I("local.get", 0), I(f"{ty}.{op}"), I("end"),
+    ])
+    (res,) = call(m, [-0.25])[1]
+    assert res == 0.0 and math.copysign(1.0, res) == -1.0
+
+
+# Differential test against numpy on random bit patterns. numpy's
+# float32 and float64 arithmetic is IEEE single and double precision with
+# round-to-nearest-even, which is what Wasm specifies.
+_NP_FLOAT = {"f32": np.float32, "f64": np.float64}
+_NP_UINT = {"i32": np.uint32, "i64": np.uint64,
+            "f32": np.uint32, "f64": np.uint64}
+
+
+def _wasm_min(a, b):
+    if a == b == 0:  # Wasm orders -0 below +0
+        return a if np.signbit(a) else b
+    return np.minimum(a, b)
+
+
+def _wasm_max(a, b):
+    if a == b == 0:
+        return b if np.signbit(a) else a
+    return np.maximum(a, b)
+
+
+def _float_cases():
+    """export name -> (param types, result type, numpy reference)."""
+    binary = {"add": np.add, "sub": np.subtract, "mul": np.multiply,
+              "div": np.divide, "min": _wasm_min, "max": _wasm_max,
+              "copysign": np.copysign}
+    unary = {"ceil": np.ceil, "floor": np.floor, "trunc": np.trunc,
+             "nearest": np.rint, "sqrt": np.sqrt, "neg": np.negative,
+             "abs": np.abs}
+    compare = {"eq": np.equal, "ne": np.not_equal, "lt": np.less,
+               "gt": np.greater, "le": np.less_equal,
+               "ge": np.greater_equal}
+    cases = {}
+    for ty, np_t in _NP_FLOAT.items():
+        for name, ref in binary.items():
+            cases[f"{ty}.{name}"] = ((ty, ty), ty, ref)
+        for name, ref in unary.items():
+            cases[f"{ty}.{name}"] = ((ty,), ty, ref)
+        for name, ref in compare.items():
+            cases[f"{ty}.{name}"] = ((ty, ty), "i32", ref)
+        for it, np_s in (("i32", np.int32), ("i64", np.int64)):
+            cases[f"{ty}.convert_{it}_s"] = (
+                (it,), ty, lambda a, s=np_s, t=np_t: t(a.view(s)))
+            cases[f"{ty}.convert_{it}_u"] = ((it,), ty, np_t)
+    cases["f32.demote_f64"] = (("f64",), "f32", np.float32)
+    cases["f64.promote_f32"] = (("f32",), "f64", np.float64)
+    return cases
+
+
+FLOAT_CASES = _float_cases()
+
+
+@functools.cache
+def _float_ops_instance():
+    """One module exporting every case of FLOAT_CASES; floats cross the
+    boundary as bits, through reinterpret."""
+    m = ModuleIR()
+    for name, (params, res, _) in FLOAT_CASES.items():
+        body = []
+        for k, p in enumerate(params):
+            body.append(I("local.get", k))
+            if p in INT_OF:
+                body.append(I(f"{p}.reinterpret_{INT_OF[p]}"))
+        body.append(I(name))
+        if res in INT_OF:
+            body.append(I(f"{INT_OF[res]}.reinterpret_{res}"))
+        ti = m.add_type(FuncType(
+            tuple(INT_OF.get(p, p) for p in params), (INT_OF.get(res, res),)
+        ))
+        m.exports.append(Export(name, "func", len(m.functions)))
+        m.functions.append(FunctionIR(ti, [], body + [I("end")]))
+    eng = Engine(m)
+    return eng, eng.instantiate()
+
+
+def _bits_strategy(ty):
+    if ty in INT_OF:
+        width = 32 if ty == "f32" else 64
+        return st.one_of(
+            st.integers(0, (1 << width) - 1),
+            st.floats(width=width).map(
+                lambda x: int(_NP_FLOAT[ty](x).view(_NP_UINT[ty]))),
+        )
+    return st.integers(0, M32 if ty == "i32" else M64)
+
+
+@pytest.mark.parametrize("name", sorted(FLOAT_CASES))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_float_ops_match_numpy(name, data):
+    params, res, ref = FLOAT_CASES[name]
+    args = [data.draw(_bits_strategy(p), label=p) for p in params]
+    eng, inst = _float_ops_instance()
+    out, got = eng.call_export(inst, name, args)
+    assert out.status == "exit"
+    with np.errstate(all="ignore"):
+        want = ref(*(
+            _NP_UINT[p](a).view(_NP_FLOAT.get(p, _NP_UINT[p]))
+            for p, a in zip(params, args)
+        ))
+    if res == "i32":
+        assert got == [int(want)]
+    elif np.isnan(want):
+        assert np.isnan(_NP_UINT[res](got[0]).view(_NP_FLOAT[res]))
+    else:
+        assert got == [int(_NP_FLOAT[res](want).view(_NP_UINT[res]))]
+
+
+# ------------------------------------------------- zero-fill peephole
+
+def _fill_module(start, end, pages, peephole):
+    """The coverage pass's zero-fill loop over [start, end), cursor in
+    local 1; returns the cursor. Without ``peephole`` the loop starts
+    from param 0 (holding ``start``), which the peephole does not match."""
+    first = I("i32.const", start) if peephole else I("local.get", 0)
+    body = [
+        first, I("local.set", 1),
+        I("loop", None),
+        I("local.get", 1), I("i64.const", 0), I("i64.store", 3, 0),
+        I("local.get", 1), I("i32.const", 8), I("i32.add"),
+        I("local.tee", 1), I("i32.const", end), I("i32.lt_u"),
+        I("br_if", 0),
+        I("end"),
+        I("local.get", 1),
+        I("end"),
+    ]
+    m = make_func_module(("i32",), ("i32",), body, ("i32",), pages)
+    lo = max(start - 8, 0)
+    m.data_segments.append(
+        DataSegment([I("i32.const", lo)], b"\xff" * (pages * 65536 - lo))
+    )
+    return m
+
+
+@pytest.mark.parametrize("start,end,fuel", [
+    (1024, 2048, 100_000),   # in bounds: the bulk fill
+    (1024, 2048, 1413),      # exactly enough fuel for the whole loop
+    (1024, 2048, 1412),      # one instruction short
+    (1024, 2048, 500),       # fuel runs out part way
+    (65000, 65600, 100_000), # the loop runs off the end of memory
+])
+def test_fill_peephole_matches_the_step_path(start, end, fuel):
+    runs = []
+    for peephole in (True, False):
+        eng = Engine(_fill_module(start, end, 1, peephole))
+        assert (eng.metas[0].code[0][0] == C_MEMFILL) == peephole
+        inst = eng.instantiate()
+        out, res = eng.call_export(inst, "f", [start], RunLimits(fuel=fuel))
+        runs.append((out, res, bytes(inst.memory)))
+    assert runs[0] == runs[1]
+    if end > 65536:
+        out, _, mem = runs[0]
+        assert out.trap_kind == MEM_OOB and out.instructions_executed == 743
+        assert mem[start:] == bytes(65536 - start)
