@@ -17,7 +17,6 @@ from pathlib import Path
 
 from .encoder import encode_module
 from .interp import (
-    ACCESSOR_EXPORT,
     AccessorMissing,
     AccessorOutOfBounds,
     Engine,
@@ -27,9 +26,9 @@ from .interp import (
 )
 from .ir import MalformedBinary, UnsupportedFeature, WasmError
 from .parser import parse_module
-from .passes.coverage import apply_coverage_pass
+from .passes.coverage import ACCESSOR_NAME, apply_coverage_pass
 from .passes.heap_canary import HeapConfig, apply_heap_pass
-from .passes.sites import SiteTable, collect_sites
+from .passes.sites import ORACLE_KINDS, SiteTable, collect_sites
 from .passes.stack_canary import CanaryConfig, apply_stack_pass
 from .validate import validate_module
 from .fuzz.bitmap import bucket_for_count, classify_counts
@@ -95,9 +94,9 @@ def cmd_instrument(args) -> int:
         return EXIT_USAGE
 
     m = _load_module(args.input)
-    if ACCESSOR_EXPORT in m.export_map():
+    if ACCESSOR_NAME in m.export_map():
         print(
-            f"error: {args.input} already exports {ACCESSOR_EXPORT}; "
+            f"error: {args.input} already exports {ACCESSOR_NAME}; "
             "refusing to instrument twice", file=sys.stderr,
         )
         return EXIT_USAGE
@@ -135,9 +134,7 @@ def cmd_instrument(args) -> int:
         return EXIT_PARSE
 
     Path(args.output).write_bytes(encode_module(m))
-    sites = collect_sites(m).by_kind(
-        "stack-canary", "heap-underflow", "heap-overflow"
-    )
+    sites = collect_sites(m).by_kind(*ORACLE_KINDS)
     Path(args.output + ".sites.json").write_text(sites.to_json())
     print(f"wrote {args.output} (+ sidecar, {len(sites)} oracle sites)")
     return EXIT_OK

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-MAP_SIZE = 65536
+from ..passes.coverage import MAP_SIZE
 
 # counter value -> one-hot bucket bit: 0, 1, 2, 3, 4-7, 8-15, 16-31,
 # 32-127, 128-255

@@ -14,15 +14,14 @@ import struct
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .ir import FuncType, ModuleIR, WasmError
-from .passes.sites import SiteTable
+from .ir import PAGE, FuncType, ModuleIR, WasmError
+from .opcodes import MEM_ACCESS, SIGS, VALTYPE_WIDTH
+from .passes.coverage import ACCESSOR_NAME, MAP_SIZE
+from .passes.sites import ORACLE_KINDS, SiteTable
 from .validate import validate_module
 
 M32 = 0xFFFFFFFF
 M64 = 0xFFFFFFFFFFFFFFFF
-PAGE = 65536
-TRACE_BITS_SIZE = 65536
-ACCESSOR_EXPORT = "__fuzzm_trace_bits"
 
 # trap kinds
 UNREACHABLE = "Unreachable"
@@ -111,9 +110,7 @@ def classify_crash(outcome: ExecOutcome, sites: SiteTable | None) -> CrashClass:
         return CrashClass("none")
     if outcome.trap_kind == UNREACHABLE and sites is not None:
         site = sites.lookup(outcome.trap_function, outcome.trap_offset)
-        if site is not None and site.kind in (
-            "stack-canary", "heap-underflow", "heap-overflow"
-        ):
+        if site is not None and site.kind in ORACLE_KINDS:
             return CrashClass(site.kind, detail=UNREACHABLE)
     return CrashClass("builtin", detail=outcome.trap_kind)
 
@@ -317,91 +314,83 @@ def _trunc_to_int(x: float, lo: int, hi: int) -> int:
     return t
 
 
-def _build_numeric() -> dict[str, tuple[int, object]]:
-    """opname -> (arity, fn on bit patterns)."""
-    ops: dict[str, tuple[int, object]] = {}
-
-    def u(name, fn):
-        ops[name] = (1, fn)
-
-    def b(name, fn):
-        ops[name] = (2, fn)
-
+def _build_numeric() -> dict[str, object]:
+    """opname -> fn on bit patterns; its arity is in ``opcodes.SIGS``."""
+    ops: dict[str, object] = {}
+    put = ops.__setitem__
     for bits, mask, sx in ((32, M32, _s32), (64, M64, _s64)):
         p = f"i{bits}"
-        u(f"{p}.eqz", lambda a: 1 if a == 0 else 0)
-        b(f"{p}.eq", lambda a, c: 1 if a == c else 0)
-        b(f"{p}.ne", lambda a, c: 1 if a != c else 0)
-        b(f"{p}.lt_s", lambda a, c, s=sx: 1 if s(a) < s(c) else 0)
-        b(f"{p}.lt_u", lambda a, c: 1 if a < c else 0)
-        b(f"{p}.gt_s", lambda a, c, s=sx: 1 if s(a) > s(c) else 0)
-        b(f"{p}.gt_u", lambda a, c: 1 if a > c else 0)
-        b(f"{p}.le_s", lambda a, c, s=sx: 1 if s(a) <= s(c) else 0)
-        b(f"{p}.le_u", lambda a, c: 1 if a <= c else 0)
-        b(f"{p}.ge_s", lambda a, c, s=sx: 1 if s(a) >= s(c) else 0)
-        b(f"{p}.ge_u", lambda a, c: 1 if a >= c else 0)
-        u(f"{p}.clz", lambda a, n=bits: _clz(a, n))
-        u(f"{p}.ctz", lambda a, n=bits: _ctz(a, n))
-        u(f"{p}.popcnt", lambda a: a.bit_count())
-        b(f"{p}.add", lambda a, c, m=mask: (a + c) & m)
-        b(f"{p}.sub", lambda a, c, m=mask: (a - c) & m)
-        b(f"{p}.mul", lambda a, c, m=mask: (a * c) & m)
-        b(f"{p}.div_s", lambda a, c, n=bits: _div_s(a, c, n))
-        b(f"{p}.div_u", lambda a, c: _div_u(a, c))
-        b(f"{p}.rem_s", lambda a, c, n=bits: _rem_s(a, c, n))
-        b(f"{p}.rem_u", lambda a, c: _rem_u(a, c))
-        b(f"{p}.and", lambda a, c: a & c)
-        b(f"{p}.or", lambda a, c: a | c)
-        b(f"{p}.xor", lambda a, c: a ^ c)
-        b(f"{p}.shl", lambda a, c, n=bits, m=mask: (a << (c % n)) & m)
-        b(f"{p}.shr_u", lambda a, c, n=bits: a >> (c % n))
-        b(f"{p}.shr_s",
-          lambda a, c, n=bits, m=mask, s=sx: (s(a) >> (c % n)) & m)
-        b(f"{p}.rotl", lambda a, c, n=bits, m=mask: _rotl(a, c, n, m))
-        b(f"{p}.rotr", lambda a, c, n=bits, m=mask: _rotr(a, c, n, m))
+        put(f"{p}.eqz", lambda a: 1 if a == 0 else 0)
+        put(f"{p}.eq", lambda a, c: 1 if a == c else 0)
+        put(f"{p}.ne", lambda a, c: 1 if a != c else 0)
+        put(f"{p}.lt_s", lambda a, c, s=sx: 1 if s(a) < s(c) else 0)
+        put(f"{p}.lt_u", lambda a, c: 1 if a < c else 0)
+        put(f"{p}.gt_s", lambda a, c, s=sx: 1 if s(a) > s(c) else 0)
+        put(f"{p}.gt_u", lambda a, c: 1 if a > c else 0)
+        put(f"{p}.le_s", lambda a, c, s=sx: 1 if s(a) <= s(c) else 0)
+        put(f"{p}.le_u", lambda a, c: 1 if a <= c else 0)
+        put(f"{p}.ge_s", lambda a, c, s=sx: 1 if s(a) >= s(c) else 0)
+        put(f"{p}.ge_u", lambda a, c: 1 if a >= c else 0)
+        put(f"{p}.clz", lambda a, n=bits: _clz(a, n))
+        put(f"{p}.ctz", lambda a, n=bits: _ctz(a, n))
+        put(f"{p}.popcnt", lambda a: a.bit_count())
+        put(f"{p}.add", lambda a, c, m=mask: (a + c) & m)
+        put(f"{p}.sub", lambda a, c, m=mask: (a - c) & m)
+        put(f"{p}.mul", lambda a, c, m=mask: (a * c) & m)
+        put(f"{p}.div_s", lambda a, c, n=bits: _div_s(a, c, n))
+        put(f"{p}.div_u", lambda a, c: _div_u(a, c))
+        put(f"{p}.rem_s", lambda a, c, n=bits: _rem_s(a, c, n))
+        put(f"{p}.rem_u", lambda a, c: _rem_u(a, c))
+        put(f"{p}.and", lambda a, c: a & c)
+        put(f"{p}.or", lambda a, c: a | c)
+        put(f"{p}.xor", lambda a, c: a ^ c)
+        put(f"{p}.shl", lambda a, c, n=bits, m=mask: (a << (c % n)) & m)
+        put(f"{p}.shr_u", lambda a, c, n=bits: a >> (c % n))
+        put(f"{p}.shr_s",
+            lambda a, c, n=bits, m=mask, s=sx: (s(a) >> (c % n)) & m)
+        put(f"{p}.rotl", lambda a, c, n=bits, m=mask: _rotl(a, c, n, m))
+        put(f"{p}.rotr", lambda a, c, n=bits, m=mask: _rotr(a, c, n, m))
 
     for p, val, to_bits, sign in (("f32", _f32, _f32_bits, 1 << 31),
                                   ("f64", _f64, _f64_bits, 1 << 63)):
         for name, fn in (("eq", operator.eq), ("ne", operator.ne),
                          ("lt", operator.lt), ("gt", operator.gt),
                          ("le", operator.le), ("ge", operator.ge)):
-            b(f"{p}.{name}",
-              lambda a, c, f=fn, v=val: 1 if f(v(a), v(c)) else 0)
+            put(f"{p}.{name}",
+                lambda a, c, f=fn, v=val: 1 if f(v(a), v(c)) else 0)
         for name, fn in (("ceil", math.ceil), ("floor", math.floor),
                          ("trunc", math.trunc), ("nearest", round)):
-            u(f"{p}.{name}",
-              lambda a, f=fn, v=val, w=to_bits: w(_fround(v(a), f)))
-        u(f"{p}.sqrt", lambda a, v=val, w=to_bits: w(_fsqrt(v(a))))
+            put(f"{p}.{name}",
+                lambda a, f=fn, v=val, w=to_bits: w(_fround(v(a), f)))
+        put(f"{p}.sqrt", lambda a, v=val, w=to_bits: w(_fsqrt(v(a))))
         for name, fn in (("add", operator.add), ("sub", operator.sub),
                          ("mul", operator.mul), ("div", _fdiv),
                          ("min", _fmin), ("max", _fmax)):
-            b(f"{p}.{name}",
-              lambda a, c, f=fn, v=val, w=to_bits: w(f(v(a), v(c))))
+            put(f"{p}.{name}",
+                lambda a, c, f=fn, v=val, w=to_bits: w(f(v(a), v(c))))
         # sign-bit operations: bit-exact, NaN payloads included
-        u(f"{p}.abs", lambda a, m=sign - 1: a & m)
-        u(f"{p}.neg", lambda a, s=sign: a ^ s)
-        b(f"{p}.copysign", lambda a, c, s=sign: (a & (s - 1)) | (c & s))
+        put(f"{p}.abs", lambda a, m=sign - 1: a & m)
+        put(f"{p}.neg", lambda a, s=sign: a ^ s)
+        put(f"{p}.copysign", lambda a, c, s=sign: (a & (s - 1)) | (c & s))
 
     for p, sx, mask in (("i32", _s32, M32), ("i64", _s64, M64)):
         half = 1 << (mask.bit_length() - 1)
         for fp, val in (("f32", _f32), ("f64", _f64)):
-            u(f"{p}.trunc_{fp}_s", lambda a, v=val, lo=-half, hi=half - 1,
-              m=mask: _trunc_to_int(v(a), lo, hi) & m)
-            u(f"{p}.trunc_{fp}_u",
-              lambda a, v=val, hi=mask: _trunc_to_int(v(a), 0, hi))
-        u(f"f32.convert_{p}_s", lambda a, s=sx: _int_f32_bits(s(a)))
-        u(f"f32.convert_{p}_u", _int_f32_bits)
-        u(f"f64.convert_{p}_s", lambda a, s=sx: _f64_bits(s(a)))
-        u(f"f64.convert_{p}_u", _f64_bits)
-    u("i32.wrap_i64", lambda a: a & M32)
-    u("i64.extend_i32_s", lambda a: _s32(a) & M64)
-    u("i64.extend_i32_u", lambda a: a)
-    u("f32.demote_f64", lambda a: _f32_bits(_f64(a)))
-    u("f64.promote_f32", lambda a: _f64_bits(_f32(a)))
+            put(f"{p}.trunc_{fp}_s", lambda a, v=val, lo=-half, hi=half - 1,
+                m=mask: _trunc_to_int(v(a), lo, hi) & m)
+            put(f"{p}.trunc_{fp}_u",
+                lambda a, v=val, hi=mask: _trunc_to_int(v(a), 0, hi))
+        put(f"f32.convert_{p}_s", lambda a, s=sx: _int_f32_bits(s(a)))
+        put(f"f32.convert_{p}_u", _int_f32_bits)
+        put(f"f64.convert_{p}_s", lambda a, s=sx: _f64_bits(s(a)))
+        put(f"f64.convert_{p}_u", _f64_bits)
+    put("i32.wrap_i64", lambda a: a & M32)
+    put("i64.extend_i32_s", lambda a: _s32(a) & M64)
+    put("i64.extend_i32_u", lambda a: a)
+    put("f32.demote_f64", lambda a: _f32_bits(_f64(a)))
+    put("f64.promote_f32", lambda a: _f64_bits(_f32(a)))
     return ops
 
-
-_NUMERIC = _build_numeric()
 
 # compiled instruction codes
 C_UNREACHABLE = 0
@@ -452,24 +441,20 @@ _WITH_ARGS = {
     "global.get": C_GLOBAL_GET, "global.set": C_GLOBAL_SET,
 }
 
-_CONST_MASK = {"i32.const": M32, "i64.const": M64,
-               "f32.const": M32, "f64.const": M64}
+# numeric ops compile to (C_NUM1 or C_NUM2, fn), by arity
+_PLAIN.update(
+    (op, (C_NUM1 if len(SIGS[op][0]) == 1 else C_NUM2, fn))
+    for op, fn in _build_numeric().items()
+)
 
-_LOAD_INFO = {
-    # op -> (width, signed, mask of the result type)
-    "i32.load": (4, False, M32), "i64.load": (8, False, M64),
-    "f32.load": (4, False, M32), "f64.load": (8, False, M64),
-    "i32.load8_s": (1, True, M32), "i32.load8_u": (1, False, M32),
-    "i32.load16_s": (2, True, M32), "i32.load16_u": (2, False, M32),
-    "i64.load8_s": (1, True, M64), "i64.load8_u": (1, False, M64),
-    "i64.load16_s": (2, True, M64), "i64.load16_u": (2, False, M64),
-    "i64.load32_s": (4, True, M64), "i64.load32_u": (4, False, M64),
-}
+_MASK = {t: (1 << 8 * width) - 1 for t, width in VALTYPE_WIDTH.items()}
+_CONST_MASK = {f"{t}.const": mask for t, mask in _MASK.items()}
 
-_STORE_WIDTH = {
-    "i32.store": 4, "i64.store": 8, "f32.store": 4, "f64.store": 8,
-    "i32.store8": 1, "i32.store16": 2,
-    "i64.store8": 1, "i64.store16": 2, "i64.store32": 4,
+# loads and stores compiled to (code, memarg offset, *access)
+_MEMORY = {
+    op: ((C_LOAD, (width, signed, _MASK[t])) if SIGS[op][1]  # pushes: a load
+         else (C_STORE, (width, (1 << 8 * width) - 1)))
+    for op, (t, width, signed) in MEM_ACCESS.items()
 }
 
 
@@ -515,23 +500,19 @@ def _compile_body(body) -> list[tuple]:
             code.append((_WITH_ARGS[op], *a))
         elif op in _CONST_MASK:
             code.append((C_CONST, a[0] & _CONST_MASK[op]))
-        elif op in _LOAD_INFO:
-            code.append((C_LOAD, a[1], *_LOAD_INFO[op]))
-        elif op in _STORE_WIDTH:
-            width = _STORE_WIDTH[op]
-            code.append((C_STORE, a[1], width, (1 << (8 * width)) - 1))
+        elif op in _MEMORY:
+            c, access = _MEMORY[op]
+            code.append((c, a[1], *access))
         elif op == "block":
             code.append((C_BLOCK, end_of[pc], 0 if a[0] is None else 1))
         elif op == "if":
             end = end_of[pc]
             jump_false = else_of[pc] + 1 if pc in else_of else end
             code.append((C_IF, jump_false, end, 0 if a[0] is None else 1))
-        elif op == "else":
-            # reaching else means the then-branch finished
+        else:  # "else": reaching it means the then-branch finished
             code.append((C_ELSE, end_of[pc]))
-        else:
-            arity, fn = _NUMERIC[op]
-            code.append((C_NUM1 if arity == 1 else C_NUM2, fn))
+    # the function's own end returns; a branch to its label jumps there
+    code[-1] = (C_RETURN,)
 
     _apply_fill_peephole(body, code)
     return code
@@ -803,6 +784,9 @@ class Engine:
             self.metas.append(_FuncMeta(
                 n_host + i, ftype, len(f.locals), _compile_body(f.body)
             ))
+        # signature of every function index, for call_indirect's check
+        self.func_types = [module.types[im.desc] for im in module.imports]
+        self.func_types += [meta.ftype for meta in self.metas]
 
         self.table: list[Optional[int]] = []
         if module.table is not None:
@@ -864,21 +848,19 @@ class Engine:
         return outcome, [_from_bits(t, v) for t, v in zip(results, vals)]
 
     def read_trace_bits(self, inst: Instance) -> bytes:
-        if ACCESSOR_EXPORT not in self.exports:
-            raise AccessorMissing(
-                f"module does not export {ACCESSOR_EXPORT}"
-            )
+        if ACCESSOR_NAME not in self.exports:
+            raise AccessorMissing(f"module does not export {ACCESSOR_NAME}")
         outcome, results = self.call_export(
-            inst, ACCESSOR_EXPORT, [], RunLimits(fuel=1000)
+            inst, ACCESSOR_NAME, [], RunLimits(fuel=1000)
         )
         if outcome.status != "exit" or not results:
             raise AccessorMissing("trace-bits accessor failed to run")
         base = results[0]
-        if base + TRACE_BITS_SIZE > len(inst.memory):
+        if base + MAP_SIZE > len(inst.memory):
             raise AccessorOutOfBounds(
                 f"accessor returned {base}, memory is {len(inst.memory)} bytes"
             )
-        return bytes(inst.memory[base: base + TRACE_BITS_SIZE])
+        return bytes(inst.memory[base: base + MAP_SIZE])
 
     # ------------------------------------------------------------------
     def _callee(self, func_idx: int, nargs: int) -> _FuncMeta:
@@ -929,6 +911,7 @@ class Engine:
         n_host = self.n_host
         host_funcs = self.host_funcs
         table = self.table
+        func_types = self.func_types
 
         vals: list = []
         frames: list = []
@@ -998,21 +981,7 @@ class Engine:
                 pc = ins[1]
                 continue
             elif c == C_END:
-                if labels:
-                    labels.pop()
-                else:
-                    # function return
-                    if nresults:
-                        res = vals[-nresults:]
-                        del vals[base:]
-                        vals.extend(res)
-                    else:
-                        del vals[base:]
-                    if not frames:
-                        return vals, executed
-                    (code, pc, locals_, labels, base, nresults,
-                     func_idx) = frames.pop()
-                    continue
+                labels.pop()
             elif c == C_BR or c == C_BR_IF or c == C_BR_TABLE:
                 if c == C_BR_IF:
                     if not vals.pop():
@@ -1026,6 +995,9 @@ class Engine:
                     targets, default = ins[1], ins[2]
                     depth = targets[idx] if idx < len(targets) else default
                 L = len(labels)
+                if depth == L:  # the function's own label: return
+                    pc = len(code) - 1
+                    continue
                 cont, ar, h, isloop = labels[L - 1 - depth]
                 if ar:
                     vals[h:] = vals[-ar:]
@@ -1057,8 +1029,7 @@ class Engine:
                     if elem >= len(table) or table[elem] is None:
                         raise _Trap(UNINIT_TABLE, func_idx, pc, executed)
                     target = table[elem]
-                    expected = self.module.types[ins[1]]
-                    if self.module.func_type(target) != expected:
+                    if func_types[target] != self.module.types[ins[1]]:
                         raise _Trap(INDIRECT_MISMATCH, func_idx, pc, executed)
                 if target < n_host:
                     fn, nargs, nres = host_funcs[target]

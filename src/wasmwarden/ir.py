@@ -12,6 +12,8 @@ from typing import Optional
 
 VALTYPES = ("i32", "i64", "f32", "f64")
 
+PAGE = 65536  # bytes in a linear-memory page
+
 VALTYPE_BYTE = {"i32": 0x7F, "i64": 0x7E, "f32": 0x7D, "f64": 0x7C}
 BYTE_VALTYPE = {v: k for k, v in VALTYPE_BYTE.items()}
 
@@ -104,30 +106,12 @@ class FunctionIR:
     def copy(self) -> "FunctionIR":
         return FunctionIR(self.type_idx, list(self.locals), list(self.body))
 
-    def __eq__(self, other):
-        if not isinstance(other, FunctionIR):
-            return NotImplemented
-        return (
-            self.type_idx == other.type_idx
-            and self.locals == other.locals
-            and self.body == other.body
-        )
-
 
 @dataclass
 class Global:
     valtype: str
     mutable: bool
     init: list[Instr]
-
-    def __eq__(self, other):
-        if not isinstance(other, Global):
-            return NotImplemented
-        return (
-            self.valtype == other.valtype
-            and self.mutable == other.mutable
-            and self.init == other.init
-        )
 
 
 @dataclass(frozen=True)
@@ -142,24 +126,11 @@ class DataSegment:
     offset: list[Instr]
     data: bytes
 
-    def __eq__(self, other):
-        if not isinstance(other, DataSegment):
-            return NotImplemented
-        return self.offset == other.offset and self.data == other.data
-
 
 @dataclass
 class ElemSegment:
     offset: list[Instr]
     func_indices: list[int]
-
-    def __eq__(self, other):
-        if not isinstance(other, ElemSegment):
-            return NotImplemented
-        return (
-            self.offset == other.offset
-            and self.func_indices == other.func_indices
-        )
 
 
 @dataclass
@@ -168,7 +139,7 @@ class CustomSection:
     data: bytes
     # id of the last standard section seen before this one; keeps the
     # custom section in roughly its original position on re-encode
-    after_section: int = 0
+    after_section: int = field(default=0, compare=False)
 
 
 @dataclass
@@ -259,25 +230,6 @@ class ModuleIR:
             custom_sections=list(self.custom_sections),
         )
 
-    def __eq__(self, other):
-        if not isinstance(other, ModuleIR):
-            return NotImplemented
-        return (
-            self.types == other.types
-            and self.imports == other.imports
-            and self.functions == other.functions
-            and self.table == other.table
-            and self.memory == other.memory
-            and self.globals == other.globals
-            and self.exports == other.exports
-            and self.start == other.start
-            and self.elems == other.elems
-            and self.data_segments == other.data_segments
-            and self.names == other.names
-            and [(c.name, c.data) for c in self.custom_sections]
-            == [(c.name, c.data) for c in other.custom_sections]
-        )
-
 
 def add_global(m: ModuleIR, valtype: str, mutable: bool, init: list[Instr]) -> int:
     """Append a defined global; returns its module-wide global index.
@@ -294,3 +246,17 @@ def add_fresh_local(m: ModuleIR, f: FunctionIR, valtype: str) -> int:
     n_params = len(m.types[f.type_idx].params)
     f.locals.append(valtype)
     return n_params + len(f.locals) - 1
+
+
+def returns_to_branches(body: list[Instr]) -> list[Instr]:
+    """``body``, a function body without its terminal ``end``, with each
+    ``return`` turned into a branch to the end of a block wrapping it."""
+    out = []
+    depth = 0  # blocks open inside ``body``
+    for instr in body:
+        if instr.op in ("block", "loop", "if"):
+            depth += 1
+        elif instr.op == "end":
+            depth -= 1
+        out.append(I("br", depth) if instr.op == "return" else instr)
+    return out

@@ -207,6 +207,46 @@ BYTE_TO_NAME = {byte: name for byte, name, _ in _TABLE}
 NAME_TO_BYTE = {name: byte for byte, name, _ in _TABLE}
 IMM_KIND = {name: kind for _, name, kind in _TABLE}
 
+VALTYPE_WIDTH = {"i32": 4, "i64": 8, "f32": 4, "f64": 8}  # bytes
+
+_UNARY = {"clz", "ctz", "popcnt", "abs", "neg", "ceil", "floor", "trunc",
+          "nearest", "sqrt"}
+_COMPARE = {"eqz", "eq", "ne", "lt", "gt", "le", "ge"}
+
+
+def _derive_types():
+    """Stack effects and memory accesses of the typed ops, read off their
+    names: ``t.op`` works on ``t``, ``t.op_s`` converts from ``s``,
+    comparisons give i32, and a load or store's width is the digits in its
+    name or else the width of ``t``."""
+    sigs, mem = {}, {}
+    for _, name, _ in _TABLE:
+        t, _, op = name.partition(".")
+        if t not in VALTYPE_WIDTH:
+            continue
+        base, *suffix = op.split("_")
+        kind = base.rstrip("0123456789")
+        if kind in ("load", "store"):
+            bits = base[len(kind):]
+            width = int(bits) // 8 if bits else VALTYPE_WIDTH[t]
+            mem[name] = (t, width, suffix == ["s"])
+            sigs[name] = ((("i32",), (t,)) if kind == "load"
+                          else (("i32", t), ()))
+        elif op == "const":
+            sigs[name] = ((), (t,))
+        elif suffix and suffix[0] in VALTYPE_WIDTH:
+            sigs[name] = ((suffix[0],), (t,))
+        elif base in _COMPARE:
+            sigs[name] = ((t,) if base == "eqz" else (t, t), ("i32",))
+        else:
+            sigs[name] = ((t,) if base in _UNARY else (t, t), (t,))
+    return sigs, mem
+
+
+# op -> (param types, result types), for every op named after a value type
+# op -> (value type, width in bytes, sign-extends), for loads and stores
+SIGS, MEM_ACCESS = _derive_types()
+
 # Post-MVP opcode prefixes we reject explicitly with a feature name.
 POST_MVP_PREFIXES = {
     0xC0: "sign-extension",

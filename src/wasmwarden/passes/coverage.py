@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..ir import (
+    PAGE,
     Export,
     FuncType,
     FunctionIR,
@@ -29,8 +30,7 @@ from .sites import SiteTable, collect_sites
 
 log = logging.getLogger(__name__)
 
-PAGE = 65536
-MAP_SIZE = 65536  # one-byte counters; AFL-compatible
+MAP_SIZE = PAGE  # one-byte counters, AFL-compatible, in the page added
 ACCESSOR_NAME = "__fuzzm_trace_bits"
 INIT_WRAPPER_NAME = "__fuzzm_init"
 

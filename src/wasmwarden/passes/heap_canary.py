@@ -27,6 +27,7 @@ from ..ir import (
     SiteInfo,
     WasmError,
     add_fresh_local,
+    returns_to_branches,
 )
 from .sites import SiteTable, collect_sites
 
@@ -198,6 +199,9 @@ def instrument_alloc_function(
     preamble = _alloc_preamble(m, out, kind, req_local)
     ptr_local = add_fresh_local(m, out, "i32")
     body = out.body[:-1]
+    if any(instr.op == "return" for instr in body):
+        # an early return must reach the postamble too
+        body = [I("block", "i32"), *returns_to_branches(body), I("end")]
     out.body = (
         preamble
         + body

@@ -21,6 +21,7 @@ from ..ir import (
     ModuleIR,
     SiteInfo,
     WasmError,
+    returns_to_branches,
 )
 from .sites import SiteTable, collect_sites
 
@@ -92,22 +93,11 @@ def instrument_function_stack(
 ) -> FunctionIR:
     """Rewrite one function body; ``result_type`` is the function's single
     result valtype or None."""
-    inner = f.body[:-1]  # strip the terminal end; the wrapper supplies it
-    rewritten: list[Instr] = []
-    depth = 1  # the wrapper block encloses the whole original body
-    for instr in inner:
-        if instr.op in ("block", "loop", "if"):
-            depth += 1
-        elif instr.op == "end":
-            depth -= 1
-        if instr.op == "return":
-            rewritten.append(I("br", depth - 1))
-        else:
-            rewritten.append(instr)
+    # the wrapper block supplies the terminal end
     body = (
         emit_inject_canary(cfg, canary)
         + [I("block", result_type)]
-        + rewritten
+        + returns_to_branches(f.body[:-1])
         + [I("end")]
         + emit_validate_canary(cfg, canary, 1 if result_type else 0)
         + [I("end")]

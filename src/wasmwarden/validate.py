@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .ir import FuncType, FunctionIR, Instr, ModuleIR
+from .opcodes import MEM_ACCESS, SIGS
 
 UNKNOWN = "?"  # bottom type used below unreachable code
 
@@ -32,80 +33,10 @@ class _Invalid(Exception):
     pass
 
 
-def _build_sigs() -> dict[str, tuple[tuple[str, ...], tuple[str, ...]]]:
-    sigs: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {}
-    for t in ("i32", "i64"):
-        sigs[f"{t}.eqz"] = ((t,), ("i32",))
-        for op in ("eq", "ne", "lt_s", "lt_u", "gt_s", "gt_u",
-                   "le_s", "le_u", "ge_s", "ge_u"):
-            sigs[f"{t}.{op}"] = ((t, t), ("i32",))
-        for op in ("clz", "ctz", "popcnt"):
-            sigs[f"{t}.{op}"] = ((t,), (t,))
-        for op in ("add", "sub", "mul", "div_s", "div_u", "rem_s", "rem_u",
-                   "and", "or", "xor", "shl", "shr_s", "shr_u",
-                   "rotl", "rotr"):
-            sigs[f"{t}.{op}"] = ((t, t), (t,))
-    for t in ("f32", "f64"):
-        for op in ("eq", "ne", "lt", "gt", "le", "ge"):
-            sigs[f"{t}.{op}"] = ((t, t), ("i32",))
-        for op in ("abs", "neg", "ceil", "floor", "trunc",
-                   "nearest", "sqrt"):
-            sigs[f"{t}.{op}"] = ((t,), (t,))
-        for op in ("add", "sub", "mul", "div", "min", "max", "copysign"):
-            sigs[f"{t}.{op}"] = ((t, t), (t,))
-    for t in ("i32", "i64", "f32", "f64"):
-        sigs[f"{t}.const"] = ((), (t,))
-    conversions = {
-        "i32.wrap_i64": ("i64", "i32"),
-        "i32.trunc_f32_s": ("f32", "i32"),
-        "i32.trunc_f32_u": ("f32", "i32"),
-        "i32.trunc_f64_s": ("f64", "i32"),
-        "i32.trunc_f64_u": ("f64", "i32"),
-        "i64.extend_i32_s": ("i32", "i64"),
-        "i64.extend_i32_u": ("i32", "i64"),
-        "i64.trunc_f32_s": ("f32", "i64"),
-        "i64.trunc_f32_u": ("f32", "i64"),
-        "i64.trunc_f64_s": ("f64", "i64"),
-        "i64.trunc_f64_u": ("f64", "i64"),
-        "f32.convert_i32_s": ("i32", "f32"),
-        "f32.convert_i32_u": ("i32", "f32"),
-        "f32.convert_i64_s": ("i64", "f32"),
-        "f32.convert_i64_u": ("i64", "f32"),
-        "f32.demote_f64": ("f64", "f32"),
-        "f64.convert_i32_s": ("i32", "f64"),
-        "f64.convert_i32_u": ("i32", "f64"),
-        "f64.convert_i64_s": ("i64", "f64"),
-        "f64.convert_i64_u": ("i64", "f64"),
-        "f64.promote_f32": ("f32", "f64"),
-        "i32.reinterpret_f32": ("f32", "i32"),
-        "i64.reinterpret_f64": ("f64", "i64"),
-        "f32.reinterpret_i32": ("i32", "f32"),
-        "f64.reinterpret_i64": ("i64", "f64"),
-    }
-    for name, (src, dst) in conversions.items():
-        sigs[name] = ((src,), (dst,))
-    return sigs
-
-
-_SIGS = _build_sigs()
-
-_LOADS = {
-    "i32.load": ("i32", 4), "i64.load": ("i64", 8),
-    "f32.load": ("f32", 4), "f64.load": ("f64", 8),
-    "i32.load8_s": ("i32", 1), "i32.load8_u": ("i32", 1),
-    "i32.load16_s": ("i32", 2), "i32.load16_u": ("i32", 2),
-    "i64.load8_s": ("i64", 1), "i64.load8_u": ("i64", 1),
-    "i64.load16_s": ("i64", 2), "i64.load16_u": ("i64", 2),
-    "i64.load32_s": ("i64", 4), "i64.load32_u": ("i64", 4),
-}
-
-_STORES = {
-    "i32.store": ("i32", 4), "i64.store": ("i64", 8),
-    "f32.store": ("f32", 4), "f64.store": ("f64", 8),
-    "i32.store8": ("i32", 1), "i32.store16": ("i32", 2),
-    "i64.store8": ("i64", 1), "i64.store16": ("i64", 2),
-    "i64.store32": ("i64", 4),
-}
+# op -> (params, results, natural width of its memory access or 0); the
+# width rides in the one lookup each instruction makes
+_SIGS = {op: (ins, outs, MEM_ACCESS[op][1] if op in MEM_ACCESS else 0)
+         for op, (ins, outs) in SIGS.items()}
 
 
 class _Frame:
@@ -189,23 +120,13 @@ class _FuncChecker:
         op = instr.op
         sig = _SIGS.get(op)
         if sig is not None:
-            ins, outs = sig
+            ins, outs, natural = sig
+            if natural:
+                self.check_memarg(instr, natural)
             for t in reversed(ins):
                 self.pop(t)
             for t in outs:
                 self.push(t)
-            return
-        if op in _LOADS:
-            t, natural = _LOADS[op]
-            self.check_memarg(instr, natural)
-            self.pop("i32")
-            self.push(t)
-            return
-        if op in _STORES:
-            t, natural = _STORES[op]
-            self.check_memarg(instr, natural)
-            self.pop(t)
-            self.pop("i32")
             return
         if op == "nop":
             return
@@ -344,8 +265,8 @@ def _check_const_expr(
         report.add(f"{ctx}: constant expression must be a single instruction")
         return
     instr = expr[0]
-    if instr.op in ("i32.const", "i64.const", "f32.const", "f64.const"):
-        t = instr.op.split(".")[0]
+    if instr.op.endswith(".const") and instr.op in SIGS:
+        (t,) = SIGS[instr.op][1]
         if t != expect:
             report.add(f"{ctx}: init type {t}, expected {expect}")
         return

@@ -2,6 +2,7 @@ import pytest
 
 import modbuild
 from wasmwarden import Engine, RunLimits, WasiConfig, validate_module
+from wasmwarden.interp import _FILL_SHAPE, C_MEMFILL
 from wasmwarden.ir import FuncType, FunctionIR, Global, I, ModuleIR
 from wasmwarden.passes.coverage import (
     ACCESSOR_NAME,
@@ -178,6 +179,20 @@ def test_module_without_start_gets_init_wrapper():
                            RunLimits(fuel=200_000))
     assert o.status == "exit"
     assert len(eng.read_trace_bits(inst)) == MAP_SIZE
+
+
+@pytest.mark.parametrize("module,entry", [
+    (modbuild.branchy_module, "_start"),
+    (modbuild.bump_alloc_module, INIT_WRAPPER_NAME),
+])
+def test_trace_init_compiles_to_one_bulk_fill_step(module, entry):
+    # without the bulk step every exec would interpret ~90k instructions
+    m, _ = apply_coverage_pass(module(), rng_seed=5)
+    eng = Engine(m)
+    base = m.memory[0] * 65536 - MAP_SIZE
+    meta = eng.metas[m.export_map()[entry].index - eng.n_host]
+    assert meta.code[0][:3] == (C_MEMFILL, base, base + MAP_SIZE)
+    assert meta.code[0][-1] == len(_FILL_SHAPE)
 
 
 def test_seeded_site_ids_reproducible():

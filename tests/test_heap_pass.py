@@ -213,3 +213,56 @@ def test_module_wide_canary_is_shared():
     out, sites = apply_heap_pass(m, HeapConfig(rng_seed=3))
     ids = {s.id for s in sites}
     assert len(ids) == 1  # one canary value across every check site
+
+
+def free_list_alloc_module() -> ModuleIR:
+    """malloc reuses a one-slot free list, returning early when it does;
+    free parks its pointer in that slot (global 2)."""
+    m = ModuleIR()
+    m.memory = (4, None)
+    m.globals.append(Global("i32", True, [I("i32.const", 4096)]))
+    m.globals.append(Global("i32", True, [I("i32.const", 8192)]))
+    m.globals.append(Global("i32", True, [I("i32.const", 0)]))
+    malloc_body = [
+        I("global.get", 2), I("if", None),
+        I("global.get", 2), I("local.set", 1),
+        I("i32.const", 0), I("global.set", 2),
+        I("local.get", 1), I("return"),
+        I("end"),
+        I("global.get", 1), I("local.set", 1),
+        I("global.get", 1),
+        I("local.get", 0), I("i32.const", 7), I("i32.add"),
+        I("i32.const", -8), I("i32.and"),
+        I("i32.add"), I("global.set", 1),
+        I("local.get", 1),
+        I("end"),
+    ]
+    modbuild.add_func(m, ("i32",), ("i32",), ("i32",), malloc_body,
+                      export="malloc")
+    modbuild.add_func(m, ("i32",), (), (),
+                      [I("local.get", 0), I("global.set", 2), I("end")],
+                      export="free")
+    return m
+
+
+def test_early_return_from_the_allocator_gets_canaries():
+    eng, sites = instrumented(free_list_alloc_module())
+    inst = eng.instantiate()
+    ptrs = []
+    for _ in range(2):
+        out, (p,) = eng.call_export(inst, "malloc", [16])
+        assert out.status == "exit"
+        ptrs.append(p)
+        out, _ = eng.call_export(inst, "free", [p])
+        assert out.status == "exit", classify_crash(out, sites)
+    assert ptrs == [8192 + USER_OFFSET] * 2
+
+
+def test_allocator_without_return_is_not_wrapped():
+    m = modbuild.bump_alloc_module()
+    out, _ = apply_heap_pass(m, HeapConfig(rng_seed=7))
+    malloc = out.defined_func(out.export_map()["malloc"].index)
+    original = m.defined_func(m.export_map()["malloc"].index).body[:-1]
+    assert I("block", "i32") not in malloc.body
+    # the original body sits unchanged between preamble and postamble
+    assert malloc.body[6:6 + len(original)] == original

@@ -27,6 +27,7 @@ from wasmwarden.ir import (
     FunctionIR,
     Global,
     I,
+    Import,
     ModuleIR,
 )
 
@@ -207,6 +208,57 @@ def test_call_indirect_traps():
     assert out.trap_kind == UNINIT_TABLE
     out, _ = eng.call_export(inst, "f", [7])  # out of table bounds
     assert out.trap_kind == UNINIT_TABLE
+
+
+def test_call_indirect_checks_signatures_past_imported_functions():
+    # the import takes index 0, so defined functions start at 1
+    m = ModuleIR()
+    m.memory = (1, None)
+    t_close = m.add_type(FuncType(("i32",), ("i32",)))
+    m.imports.append(
+        Import("wasi_snapshot_preview1", "fd_close", "func", t_close))
+    t_i32 = m.add_type(FuncType((), ("i32",)))
+    m.functions.append(FunctionIR(t_i32, [], [I("i32.const", 42), I("end")]))
+    m.functions.append(FunctionIR(
+        t_close, [], [I("local.get", 0), I("call_indirect", t_i32), I("end")]
+    ))
+    m.table = (2, 2)
+    m.elems.append(ElemSegment([I("i32.const", 0)], [1, 2]))
+    m.exports.append(Export("f", "func", 2))
+    eng = Engine(m)
+    inst = eng.instantiate()
+    out, res = eng.call_export(inst, "f", [0])  # () -> i32: matches
+    assert out.status == "exit" and res == [42]
+    out, _ = eng.call_export(inst, "f", [1])  # (i32) -> i32: does not
+    assert out.trap_kind == INDIRECT_MISMATCH
+
+
+@pytest.mark.parametrize("body,want,executed", [
+    # br 0 at the top level returns
+    ([I("i32.const", 7), I("br", 0), I("i32.const", 1), I("end")], [7], 3),
+    # a taken br_if 0 at the top level returns
+    ([I("i32.const", 7), I("i32.const", 1), I("br_if", 0), I("drop"),
+      I("i32.const", 1), I("end")], [7], 4),
+    # br_table whose default is the function's label
+    ([I("i32.const", 7), I("i32.const", 5), I("br_table", (0, 0), 0),
+      I("end")], [7], 4),
+    # a branch out of a block to the function's label carries its value
+    ([I("block", None), I("i32.const", 9), I("br", 1), I("end"),
+      I("i32.const", 1), I("end")], [9], 4),
+])
+def test_branch_to_the_function_label_returns(body, want, executed):
+    m = make_func_module((), ("i32",), body)
+    out, res = call(m, [])
+    assert out.status == "exit" and res == want
+    assert out.instructions_executed == executed
+
+
+def test_branch_to_the_function_label_in_start():
+    m = ModuleIR()
+    modbuild.add_start(m, [I("br", 0), I("unreachable"), I("end")])
+    eng = Engine(m)
+    out = eng.run_start(eng.instantiate())
+    assert out.status == "exit" and out.instructions_executed == 2
 
 
 def test_fuel_accounting_is_exact():
