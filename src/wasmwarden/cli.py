@@ -16,14 +16,7 @@ import sys
 from pathlib import Path
 
 from .encoder import encode_module
-from .interp import (
-    AccessorMissing,
-    AccessorOutOfBounds,
-    Engine,
-    RunLimits,
-    WasiConfig,
-    classify_crash,
-)
+from .interp import Engine, RunLimits, WasiConfig, classify_crash
 from .ir import MalformedBinary, UnsupportedFeature, WasmError
 from .parser import parse_module
 from .passes.coverage import ACCESSOR_NAME, apply_coverage_pass
@@ -31,7 +24,7 @@ from .passes.heap_canary import HeapConfig, apply_heap_pass
 from .passes.sites import ORACLE_KINDS, SiteTable, collect_sites
 from .passes.stack_canary import CanaryConfig, apply_stack_pass
 from .validate import validate_module
-from .fuzz.bitmap import bucket_for_count, classify_counts
+from .fuzz.bitmap import classify_counts
 from .fuzz.engine import (
     AllSeedsInvalid,
     FuzzConfig,
@@ -183,9 +176,6 @@ def cmd_cov(args) -> int:
         inst = engine.instantiate(_make_wasi(args, data))
         engine.run_start(inst, RunLimits(fuel=args.fuel))
         trace = engine.read_trace_bits(inst)
-    except (AccessorMissing, AccessorOutOfBounds) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
     except WasmError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

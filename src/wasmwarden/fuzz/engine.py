@@ -143,7 +143,6 @@ class Fuzzer:
         self._last_flush = 0.0
         # holds .cur_input for `@@` when there is no campaign directory
         self._cur_input_dir: Optional[tempfile.TemporaryDirectory] = None
-        self.on_crash: Optional[Callable[[CrashReport], None]] = None
         self.on_stats: Optional[Callable[[CampaignStats], None]] = None
 
         out = self.config.out_dir
@@ -239,8 +238,6 @@ class Fuzzer:
         if out is not None:
             name = f"id_{report.id:06d}_{oracle}"
             (out / "crashes" / name).write_bytes(data)
-        if self.on_crash is not None:
-            self.on_crash(report)
         log.info(
             "unique crash %d: %s (%s) at func %d offset %d",
             report.id, oracle, outcome.trap_kind,

@@ -16,7 +16,7 @@ from typing import Optional
 
 from .ir import PAGE, FuncType, ModuleIR, WasmError
 from .opcodes import MEM_ACCESS, SIGS, VALTYPE_WIDTH
-from .passes.coverage import ACCESSOR_NAME, MAP_SIZE
+from .passes.coverage import ACCESSOR_NAME, MAP_SIZE, zero_fill_loop
 from .passes.sites import ORACLE_KINDS, SiteTable
 from .validate import validate_module
 
@@ -395,50 +395,46 @@ def _build_numeric() -> dict[str, object]:
 # compiled instruction codes
 C_UNREACHABLE = 0
 C_NOP = 1
-C_BLOCK = 2
-C_LOOP = 3
-C_IF = 4
-C_ELSE = 5
-C_END = 6
-C_BR = 7
-C_BR_IF = 8
-C_BR_TABLE = 9
-C_RETURN = 10
-C_CALL = 11
-C_CALL_INDIRECT = 12
-C_DROP = 13
-C_SELECT = 14
-C_LOCAL_GET = 15
-C_LOCAL_SET = 16
-C_LOCAL_TEE = 17
-C_GLOBAL_GET = 18
-C_GLOBAL_SET = 19
-C_LOAD = 20
-C_STORE = 21
-C_MEMSIZE = 22
-C_MEMGROW = 23
-C_CONST = 24
-C_NUM1 = 25
-C_NUM2 = 26
-C_MEMFILL = 27
+C_IF = 2
+C_BR = 3
+C_BR_IF = 4
+C_BR_TABLE = 5
+C_RETURN = 6
+C_CALL = 7
+C_CALL_INDIRECT = 8
+C_DROP = 9
+C_SELECT = 10
+C_LOCAL_GET = 11
+C_LOCAL_SET = 12
+C_LOCAL_TEE = 13
+C_GLOBAL_GET = 14
+C_GLOBAL_SET = 15
+C_LOAD = 16
+C_STORE = 17
+C_MEMSIZE = 18
+C_MEMGROW = 19
+C_CONST = 20
+C_NUM1 = 21
+C_NUM2 = 22
+C_MEMFILL = 23
+
+_NOP = (C_NOP,)
 
 # ops whose compiled form does not depend on their position or arguments
 _PLAIN = {
-    "unreachable": (C_UNREACHABLE,), "nop": (C_NOP,), "loop": (C_LOOP,),
-    "end": (C_END,), "return": (C_RETURN,), "drop": (C_DROP,),
-    "select": (C_SELECT,), "memory.size": (C_MEMSIZE,),
+    "unreachable": (C_UNREACHABLE,), "nop": _NOP, "return": (C_RETURN,),
+    "drop": (C_DROP,), "select": (C_SELECT,), "memory.size": (C_MEMSIZE,),
     "memory.grow": (C_MEMGROW,),
     # a value is its bit pattern, so reinterpreting it changes nothing
-    "i32.reinterpret_f32": (C_NOP,), "i64.reinterpret_f64": (C_NOP,),
-    "f32.reinterpret_i32": (C_NOP,), "f64.reinterpret_i64": (C_NOP,),
+    "i32.reinterpret_f32": _NOP, "i64.reinterpret_f64": _NOP,
+    "f32.reinterpret_i32": _NOP, "f64.reinterpret_i64": _NOP,
 }
 
 # ops compiled to (code, *args)
 _WITH_ARGS = {
-    "br": C_BR, "br_if": C_BR_IF, "br_table": C_BR_TABLE, "call": C_CALL,
-    "call_indirect": C_CALL_INDIRECT, "local.get": C_LOCAL_GET,
-    "local.set": C_LOCAL_SET, "local.tee": C_LOCAL_TEE,
-    "global.get": C_GLOBAL_GET, "global.set": C_GLOBAL_SET,
+    "local.get": C_LOCAL_GET, "local.set": C_LOCAL_SET,
+    "local.tee": C_LOCAL_TEE, "global.get": C_GLOBAL_GET,
+    "global.set": C_GLOBAL_SET,
 }
 
 # numeric ops compile to (C_NUM1 or C_NUM2, fn), by arity
@@ -458,6 +454,17 @@ _MEMORY = {
 }
 
 
+# operand-stack effect of each op, calls aside; control ops need none but
+# br_if's and if's pop, since the height is set at else and end and the
+# code after br, br_table, return or unreachable never runs
+_EFFECT = {op: len(outs) - len(ins) for op, (ins, outs) in SIGS.items()}
+_EFFECT.update({
+    "drop": -1, "select": -2, "local.get": 1, "local.set": -1,
+    "global.get": 1, "global.set": -1, "memory.size": 1, "br_if": -1,
+    "if": -1, "call_indirect": -1,
+})
+
+
 class _FuncMeta:
     __slots__ = ("func_idx", "ftype", "nparams", "nresults", "local_zeros",
                  "code")
@@ -471,29 +478,37 @@ class _FuncMeta:
         self.code = code
 
 
-def _compile_body(body) -> list[tuple]:
-    """Flat body -> compiled tuples with jump targets resolved."""
-    # match structured instructions; the terminal end of the function
-    # matches the implicit frame
-    end_of = {}  # block, loop, if or else -> its end
-    else_of = {}
+def _compile_body(body, nresults: int, func_types: list[FuncType],
+                  types: list[FuncType]) -> list[tuple]:
+    """Flat body of a validated function -> compiled tuples.
+
+    A branch compiles to (code, target pc, arity, height): it keeps its top
+    ``arity`` values, cuts the operand stack to ``height`` values above
+    the frame's base and jumps to the ``end`` of a block or ``if``, to a
+    ``loop``, or to the function's final ``end``, which returns.
+    ``block``, ``loop`` and the other ends are no-ops costing one fuel.
+    """
+    end_of = {}  # block, loop or if -> its end
+    false_to = {}  # an if with an else -> where a false condition goes
     stack = []
     for pc, instr in enumerate(body):
         op = instr.op
         if op in ("block", "loop", "if"):
             stack.append(pc)
         elif op == "else":
-            else_of[stack[-1]] = pc
+            false_to[stack[-1]] = pc + 1
         elif op == "end" and stack:
-            start = stack.pop()
-            end_of[start] = pc
-            if start in else_of:
-                end_of[else_of[start]] = pc
+            end_of[stack.pop()] = pc
 
+    # per open label: (target pc, arity, height), and the height after its
+    # end; the outermost is the function's own label
+    labels = [((len(body) - 1, nresults, 0), nresults)]
+    height = 0  # operand-stack height above the frame's base
     code: list[tuple] = []
     for pc, instr in enumerate(body):
         op = instr.op
         a = instr.args
+        height += _EFFECT.get(op, 0)
         if op in _PLAIN:
             code.append(_PLAIN[op])
         elif op in _WITH_ARGS:
@@ -503,30 +518,46 @@ def _compile_body(body) -> list[tuple]:
         elif op in _MEMORY:
             c, access = _MEMORY[op]
             code.append((c, a[1], *access))
-        elif op == "block":
-            code.append((C_BLOCK, end_of[pc], 0 if a[0] is None else 1))
-        elif op == "if":
-            end = end_of[pc]
-            jump_false = else_of[pc] + 1 if pc in else_of else end
-            code.append((C_IF, jump_false, end, 0 if a[0] is None else 1))
-        else:  # "else": reaching it means the then-branch finished
-            code.append((C_ELSE, end_of[pc]))
-    # the function's own end returns; a branch to its label jumps there
-    code[-1] = (C_RETURN,)
+        elif op == "br" or op == "br_if":
+            code.append((C_BR if op == "br" else C_BR_IF,
+                         *labels[-1 - a[0]][0]))
+        elif op == "br_table":
+            targets, default = a
+            code.append((C_BR_TABLE,
+                         tuple((C_BR, *labels[-1 - t][0]) for t in targets),
+                         (C_BR, *labels[-1 - default][0])))
+        elif op == "call":
+            ft = func_types[a[0]]
+            height += len(ft.results) - len(ft.params)
+            code.append((C_CALL, a[0]))
+        elif op == "call_indirect":
+            ft = types[a[0]]
+            height += len(ft.results) - len(ft.params)
+            code.append((C_CALL_INDIRECT, ft))
+        elif op == "else":  # the then-arm is done: jump to the end
+            (end, arity, height), _ = labels[-1]
+            code.append((C_BR, end, arity, height))
+        elif op == "end":
+            height = labels.pop()[1]
+            code.append(_NOP if labels else (C_RETURN,))
+        else:  # block, loop or if
+            arity = 0 if a[0] is None else 1
+            # a branch to a loop restarts it and, in MVP, carries no value
+            label = ((pc, 0, height) if op == "loop"
+                     else (end_of[pc], arity, height))
+            labels.append((label, height + arity))
+            code.append((C_IF, false_to.get(pc, end_of[pc])) if op == "if"
+                        else _NOP)
 
     _apply_fill_peephole(body, code)
     return code
 
 
-_FILL_SHAPE = (
-    "i32.const", "local.set", "loop", "local.get", "i64.const", "i64.store",
-    "local.get", "i32.const", "i32.add", "local.tee", "i32.const",
-    "i32.lt_u", "br_if", "end",
-)
+_FILL_SHAPE = tuple(instr.op for instr in zero_fill_loop(0, 8, 0))
 
 
 def _apply_fill_peephole(body, code):
-    """Replace the canonical zero-fill loop with a bulk-fill step.
+    """Replace each ``coverage.zero_fill_loop`` with a bulk-fill step.
 
     The loop the coverage pass emits to clear the trace-bits region would
     otherwise cost ~90k interpreted instructions per run. The replacement
@@ -535,31 +566,20 @@ def _apply_fill_peephole(body, code):
     would trap or run out of fuel part way acts as the loop's leading
     ``i32.const`` instead, and the loop then runs step by step.
     """
-    n = len(body)
-    i = 0
-    while i + len(_FILL_SHAPE) <= n:
-        if all(body[i + k].op == _FILL_SHAPE[k]
-               for k in range(len(_FILL_SHAPE))):
-            start = body[i].args[0] & M32
-            local_a = body[i + 1].args[0]
-            local_b = body[i + 3].args[0]
-            zero = body[i + 4].args[0]
-            step = body[i + 7].args[0]
-            local_c = body[i + 9].args[0]
-            end = body[i + 10].args[0] & M32
-            br_depth = body[i + 12].args[0]
-            if (local_a == local_b == local_c and zero == 0 and step == 8
-                    and br_depth == 0 and end > start
-                    and (end - start) % 8 == 0):
-                iters = (end - start) // 8
-                cost = 2 + 11 * iters + 1
-                code[i] = (
-                    C_MEMFILL, start, end, local_a, cost,
-                    i + len(_FILL_SHAPE),
-                )
-            i += len(_FILL_SHAPE)
-        else:
-            i += 1
+    n = len(_FILL_SHAPE)
+    for i in range(len(body) - n + 1):
+        if (body[i + 2].op != "loop"
+                or tuple(instr.op for instr in body[i:i + n]) != _FILL_SHAPE):
+            continue
+        start, counter, end = (body[i].args[0], body[i + 1].args[0],
+                               body[i + 10].args[0])
+        if body[i:i + n] != zero_fill_loop(start, end, counter):
+            continue
+        start &= M32
+        end &= M32
+        if end > start and (end - start) % 8 == 0:
+            cost = 2 + 11 * ((end - start) // 8) + 1
+            code[i] = (C_MEMFILL, start, end, counter, cost, i + n)
 
 
 _WASI_MODULE = "wasi_snapshot_preview1"
@@ -752,12 +772,12 @@ class Engine:
     """Compile-once wrapper around a module: validate, preprocess bodies,
     resolve imports; instances are then cheap to create."""
 
-    def __init__(self, module: ModuleIR, validate: bool = True):
+    def __init__(self, module: ModuleIR):
         self.module = module
-        if validate:
-            report = validate_module(module)
-            if not report.ok:
-                raise InvalidModule(str(report))
+        # compiling a body relies on it being valid
+        report = validate_module(module)
+        if not report.ok:
+            raise InvalidModule(str(report))
 
         self.host_funcs = []
         for im in module.imports:
@@ -777,16 +797,18 @@ class Engine:
                  len(expected.results))
             )
 
+        # signature of every function index, for calls and call_indirect
+        self.func_types = [module.types[im.desc] for im in module.imports]
+        self.func_types += [module.types[f.type_idx]
+                            for f in module.functions]
         n_host = len(self.host_funcs)
         self.metas: list[_FuncMeta] = []
         for i, f in enumerate(module.functions):
-            ftype = module.types[f.type_idx]
-            self.metas.append(_FuncMeta(
-                n_host + i, ftype, len(f.locals), _compile_body(f.body)
-            ))
-        # signature of every function index, for call_indirect's check
-        self.func_types = [module.types[im.desc] for im in module.imports]
-        self.func_types += [meta.ftype for meta in self.metas]
+            ftype = self.func_types[n_host + i]
+            code = _compile_body(f.body, len(ftype.results),
+                                 self.func_types, module.types)
+            self.metas.append(_FuncMeta(n_host + i, ftype, len(f.locals),
+                                        code))
 
         self.table: list[Optional[int]] = []
         if module.table is not None:
@@ -918,7 +940,6 @@ class Engine:
         code = meta.code
         pc = 0
         locals_ = args + meta.local_zeros
-        labels: list = []
         base = 0
         nresults = meta.nresults
         func_idx = meta.func_idx
@@ -967,47 +988,26 @@ class Engine:
                 mem[addr: addr + width] = (v & ins[3]).to_bytes(
                     width, "little"
                 )
-            elif c == C_BLOCK:
-                labels.append((ins[1], ins[2], len(vals), False))
-            elif c == C_LOOP:
-                labels.append((pc, 0, len(vals), True))
+            elif c == C_NOP:
+                pass
             elif c == C_IF:
-                cond = vals.pop()
-                labels.append((ins[2], ins[3], len(vals), False))
-                if not cond:
+                if not vals.pop():
                     pc = ins[1]
                     continue
-            elif c == C_ELSE:
-                pc = ins[1]
-                continue
-            elif c == C_END:
-                labels.pop()
             elif c == C_BR or c == C_BR_IF or c == C_BR_TABLE:
                 if c == C_BR_IF:
                     if not vals.pop():
                         pc += 1
                         continue
-                    depth = ins[1]
-                elif c == C_BR:
-                    depth = ins[1]
-                else:
+                elif c == C_BR_TABLE:
                     idx = vals.pop()
-                    targets, default = ins[1], ins[2]
-                    depth = targets[idx] if idx < len(targets) else default
-                L = len(labels)
-                if depth == L:  # the function's own label: return
-                    pc = len(code) - 1
-                    continue
-                cont, ar, h, isloop = labels[L - 1 - depth]
-                if ar:
-                    vals[h:] = vals[-ar:]
+                    ins = ins[1][idx] if idx < len(ins[1]) else ins[2]
+                _, pc, arity, height = ins
+                height += base
+                if arity:
+                    vals[height:] = vals[-arity:]
                 else:
-                    del vals[h:]
-                if isloop:
-                    del labels[L - 1 - depth:]
-                else:
-                    del labels[L - depth:]
-                pc = cont
+                    del vals[height:]
                 continue
             elif c == C_RETURN:
                 if nresults:
@@ -1018,8 +1018,7 @@ class Engine:
                     del vals[base:]
                 if not frames:
                     return vals, executed
-                (code, pc, locals_, labels, base, nresults,
-                 func_idx) = frames.pop()
+                code, pc, locals_, base, nresults, func_idx = frames.pop()
                 continue
             elif c == C_CALL or c == C_CALL_INDIRECT:
                 if c == C_CALL:
@@ -1029,7 +1028,7 @@ class Engine:
                     if elem >= len(table) or table[elem] is None:
                         raise _Trap(UNINIT_TABLE, func_idx, pc, executed)
                     target = table[elem]
-                    if func_types[target] != self.module.types[ins[1]]:
+                    if func_types[target] != ins[1]:
                         raise _Trap(INDIRECT_MISMATCH, func_idx, pc, executed)
                 if target < n_host:
                     fn, nargs, nres = host_funcs[target]
@@ -1052,8 +1051,7 @@ class Engine:
                         raise _Trap(STACK_EXHAUSTED, func_idx, pc, executed)
                     tmeta = metas[target - n_host]
                     frames.append(
-                        (code, pc + 1, locals_, labels, base,
-                         nresults, func_idx)
+                        (code, pc + 1, locals_, base, nresults, func_idx)
                     )
                     nargs = tmeta.nparams
                     if nargs:
@@ -1065,7 +1063,6 @@ class Engine:
                     code = tmeta.code
                     pc = 0
                     locals_ = newlocals
-                    labels = []
                     base = len(vals)
                     nresults = tmeta.nresults
                     func_idx = tmeta.func_idx
@@ -1108,8 +1105,6 @@ class Engine:
                 vals.append(start)
             elif c == C_UNREACHABLE:
                 raise _Trap(UNREACHABLE, func_idx, pc, executed)
-            elif c == C_NOP:
-                pass
             else:
                 raise AssertionError(f"bad compiled op {c}")
             pc += 1

@@ -46,18 +46,16 @@ class MultiValueUnsupported(UnsupportedFeature):
         super().__init__("multi-value")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SiteInfo:
     """Metadata attached to an inserted instruction by a pass.
 
-    ``function`` is filled in when the module-level pass finishes; ``id``
-    holds the canary value for oracle sites and the branch-site id for
-    coverage sites.
+    ``id`` holds the canary value for oracle sites and the branch-site id
+    for coverage sites.
     """
 
     kind: str
     id: int = 0
-    function: int = -1
 
 
 @dataclass(frozen=True)

@@ -43,8 +43,6 @@ class NoMemory(WasmError):
 class CoverageSite:
     position: int  # instruction offset in the uninstrumented body
     site_kind: str  # entry | if | else | loop | br_if | end
-    cur_location: int = -1  # assigned at instrumentation time
-    function: int = -1
 
 
 def mark_branch_sites(f: FunctionIR) -> list[CoverageSite]:
@@ -112,28 +110,34 @@ def emit_coverage_shim(
     ]
 
 
-def _emit_trace_init(base: int, counter_local: int,
-                     prev_global: int) -> list[Instr]:
-    """Zero the trace-bits region and reset the previous-location global.
+def zero_fill_loop(start: int, end: int, counter: int) -> list[Instr]:
+    """Zero [start, end) eight bytes at a time, the cursor in local
+    ``counter``, which ends at ``end``.
 
-    This exact instruction shape is recognized by the interpreter's
-    bulk-fill fast path; keep the two in sync.
+    The interpreter runs exactly this loop as one bulk-fill step.
     """
     return [
-        I("i32.const", base),
-        I("local.set", counter_local),
+        I("i32.const", start),
+        I("local.set", counter),
         I("loop", None),
-        I("local.get", counter_local),
+        I("local.get", counter),
         I("i64.const", 0),
         I("i64.store", 3, 0),
-        I("local.get", counter_local),
+        I("local.get", counter),
         I("i32.const", 8),
         I("i32.add"),
-        I("local.tee", counter_local),
-        I("i32.const", base + MAP_SIZE),
+        I("local.tee", counter),
+        I("i32.const", end),
         I("i32.lt_u"),
         I("br_if", 0),
         I("end"),
+    ]
+
+
+def _emit_trace_init(base: int, counter_local: int,
+                     prev_global: int) -> list[Instr]:
+    """Zero the trace-bits region and reset the previous-location global."""
+    return zero_fill_loop(base, base + MAP_SIZE, counter_local) + [
         I("i32.const", 0),
         I("global.set", prev_global),
     ]
@@ -224,18 +228,11 @@ def apply_coverage_pass(
         out.functions.append(
             FunctionIR(
                 init_type, ["i32"],
-                _emit_trace_init(
-                    trace_base,
-                    counter_local=_init_wrapper_local(out, init_type),
-                    prev_global=prev_global,
-                ) + [I("end")],
+                # the wrapper's only local, i32, is the counter
+                _emit_trace_init(trace_base, 0, prev_global) + [I("end")],
             )
         )
         out.exports.append(Export(INIT_WRAPPER_NAME, "func", init_idx))
 
     return out, collect_sites(out)
 
-
-def _init_wrapper_local(m: ModuleIR, type_idx: int) -> int:
-    # the wrapper has no params and exactly one i32 local
-    return len(m.types[type_idx].params)

@@ -61,7 +61,6 @@ def collect_sites(m: ModuleIR) -> SiteTable:
     for i, f in enumerate(m.functions):
         for off, instr in enumerate(f.body):
             if instr.site is not None:
-                instr.site.function = base + i
                 table.add(
                     Site(base + i, off, instr.site.kind, instr.site.id)
                 )

@@ -83,8 +83,6 @@ class _FuncChecker:
         self.ctrls.append(_Frame(op, end_types, len(self.vals)))
 
     def pop_ctrl(self) -> _Frame:
-        if not self.ctrls:
-            self.fail("unbalanced end")
         frame = self.ctrls[-1]
         for t in reversed(frame.end_types):
             self.pop(t)
@@ -111,7 +109,10 @@ class _FuncChecker:
             self.fail(f"{instr.op}: module has no memory")
 
     def run(self):
-        for instr in self.f.body:
+        for pc, instr in enumerate(self.f.body):
+            if not self.ctrls:
+                self.fail(f"instruction {pc} ({instr.op}) follows the "
+                          "function's end")
             self.step(instr)
         if self.ctrls:
             self.fail("function body not terminated by end")
@@ -154,8 +155,8 @@ class _FuncChecker:
             self.push_ctrl("if", () if bt is None else (bt,))
             return
         if op == "else":
-            frame = self.ctrls[-1] if self.ctrls else None
-            if frame is None or frame.op != "if":
+            frame = self.ctrls[-1]
+            if frame.op != "if":
                 self.fail("else without matching if")
             self.pop_ctrl()
             self.push_ctrl("else", frame.end_types)

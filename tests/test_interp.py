@@ -678,3 +678,156 @@ def test_fill_peephole_matches_the_step_path(start, end, fuel):
         out, _, mem = runs[0]
         assert out.trap_kind == MEM_OOB and out.instructions_executed == 743
         assert mem[start:] == bytes(65536 - start)
+
+
+# ------------------------------------------ branch targets and heights
+#
+# Each case leaves values below the branch that the branch must cut away,
+# or keep, at the height fixed when the body was compiled.
+
+def _caller_and_callee():
+    """``f`` leaves 100 and 200 on its stack while it calls a function
+    whose block branches with its own values on top."""
+    m = ModuleIR()
+    callee = m.add_type(FuncType(("i32",), ("i32",)))
+    caller = m.add_type(FuncType(("i32",), ("i32",)))
+    m.functions.append(FunctionIR(callee, [], [
+        I("block", "i32"), I("local.get", 0), I("i32.const", 6), I("br", 0),
+        I("end"), I("local.get", 0), I("i32.add"), I("end"),
+    ]))
+    m.functions.append(FunctionIR(caller, [], [
+        I("i32.const", 100), I("i32.const", 200), I("local.get", 0),
+        I("call", 0), I("i32.add"), I("i32.add"), I("end"),
+    ]))
+    m.exports.append(Export("f", "func", 1))
+    return m
+
+
+_OUTER_7_LOOP_AND_BLOCK = [
+    I("i32.const", 7),
+    I("block", None),
+    I("loop", None),
+    I("i32.const", 9),  # left below the br_table on every pass
+    I("local.get", 0), I("i32.const", 1), I("i32.sub"), I("local.tee", 0),
+    I("br_table", (1,), 0),  # 0 leaves the block, anything else loops
+    I("end"),
+    I("end"),
+    I("i32.const", 5), I("i32.add"),
+    I("end"),
+]
+
+_THEN_ARM_LEAVES_THE_BLOCK = [
+    I("block", "i32"),
+    I("i32.const", 11),
+    I("local.get", 0),
+    I("if", "i32"),
+    I("i32.const", 22), I("i32.const", 33), I("br", 1),
+    I("else"),
+    I("i32.const", 44),
+    I("end"),
+    I("i32.add"),
+    I("end"),
+    I("i32.const", 1), I("i32.add"),
+    I("end"),
+]
+
+
+@pytest.mark.parametrize("body,arg,want,executed", [
+    # br keeps its one value, drops 2 and 3 below it, and keeps the outer 1
+    ([I("i32.const", 1), I("block", "i32"), I("i32.const", 2),
+      I("i32.const", 3), I("i32.const", 4), I("br", 0), I("end"),
+      I("i32.add"), I("end")], 0, 1 + 4, 9),
+    # br_table to a loop and to a block: each pass drops its 9
+    (_OUTER_7_LOOP_AND_BLOCK, 3, 7 + 5, 27),
+    # a br_if back edge cuts to the loop's height, above the 40
+    ([I("i32.const", 40), I("loop", "i32"), I("local.get", 0),
+      I("i32.const", 1), I("i32.sub"), I("local.tee", 0), I("local.get", 0),
+      I("br_if", 0), I("end"), I("i32.add"), I("end")], 3, 40, 25),
+    # the then-arm branches out of the enclosing block, dropping 11 and 22
+    (_THEN_ARM_LEAVES_THE_BLOCK, 1, 33 + 1, 11),
+    (_THEN_ARM_LEAVES_THE_BLOCK, 0, 11 + 44 + 1, 11),
+])
+def test_branch_cuts_the_stack_to_its_static_height(body, arg, want,
+                                                    executed):
+    m = make_func_module(("i32",), ("i32",), body)
+    out, res = call(m, [arg])
+    assert out.status == "exit" and res == [want]
+    assert out.instructions_executed == executed
+
+
+def test_branch_height_counts_from_the_callee_frame():
+    m = _caller_and_callee()
+    out, res = call(m, [7])
+    assert out.status == "exit" and res == [100 + 200 + 6 + 7]
+    assert out.instructions_executed == 15
+
+
+def _effect_module(prefix):
+    """``f`` runs ``prefix`` above a 1, then a block whose branch keeps 5
+    and must drop 1000, then sums what is left: 1 + x + 5, where x is
+    what ``prefix`` leaves. A wrong static height after ``prefix`` keeps
+    the 1000 or drops x."""
+    m = ModuleIR()
+    m.memory = (1, None)
+    m.table = (1, 1)
+    m.types = [FuncType(("i32",), ("i32",)),
+               FuncType(("i32", "i32"), ("i32",))]  # type 1: func 1, add
+    m.functions.append(FunctionIR(0, [], [
+        I("i32.const", 1), *prefix,
+        I("block", "i32"), I("i32.const", 1000), I("i32.const", 5),
+        I("br", 0), I("end"),
+        I("i32.add"), I("i32.add"), I("end"),
+    ]))
+    m.functions.append(FunctionIR(1, [], [
+        I("local.get", 0), I("local.get", 1), I("i32.add"), I("end"),
+    ]))
+    m.globals.append(Global("i32", True, [I("i32.const", 2)]))
+    m.elems.append(ElemSegment([I("i32.const", 0)], [1]))
+    m.exports.append(Export("f", "func", 0))
+    return m
+
+
+@pytest.mark.parametrize("prefix,x", [
+    ([I("i32.const", 2), I("i32.const", 3), I("drop")], 2),
+    ([I("i32.const", 2), I("i32.const", 3), I("i32.const", 1),
+      I("select")], 2),
+    ([I("local.get", 0)], 2),
+    ([I("i32.const", 2), I("i32.const", 3), I("local.set", 0)], 2),
+    ([I("i32.const", 2), I("local.tee", 0)], 2),
+    ([I("global.get", 0)], 2),
+    ([I("i32.const", 2), I("i32.const", 3), I("global.set", 0)], 2),
+    ([I("memory.size")], 1),
+    ([I("i32.const", 0), I("memory.grow")], 1),
+    ([I("i32.const", 2), I("i32.const", 3), I("i32.add")], 5),
+    ([I("i32.const", 2), I("i32.const", 0), I("i32.const", 3),
+      I("i32.store", 2, 0)], 2),
+    ([I("i32.const", 2), I("i32.const", 0), I("br_if", 0)], 2),
+    ([I("i32.const", 2), I("i32.const", 3), I("call", 1)], 5),
+    ([I("i32.const", 2), I("i32.const", 3), I("i32.const", 0),
+      I("call_indirect", 1)], 5),
+    ([I("i32.const", 1), I("if", "i32"), I("i32.const", 2), I("else"),
+      I("i32.const", 4), I("end")], 2),
+    # the else arm starts at the if's height, not the then-arm's
+    ([I("i32.const", 0), I("if", "i32"), I("i32.const", 9), I("else"),
+      I("i32.const", 7), I("block", "i32"), I("i32.const", 1000),
+      I("i32.const", 2), I("br", 0), I("end"), I("i32.add"), I("end")], 9),
+])
+def test_every_stack_effect_reaches_the_branch_heights(prefix, x):
+    out, res = call(_effect_module(prefix), [2])
+    assert out.status == "exit" and res == [1 + x + 5]
+
+
+def test_fill_peephole_reads_the_store_offset():
+    # the same loop storing at offset 8 is not the trace init: it zeroes
+    # [start + 8, end + 8), as the step path does
+    m = _fill_module(1024, 2048, 1, True)
+    m.functions[0].body[5] = I("i64.store", 3, 8)
+    eng = Engine(m)
+    inst = eng.instantiate()
+    out, res = eng.call_export(inst, "f", [1024])
+    assert out.status == "exit" and res == [2048]
+    assert out.instructions_executed == 1413
+    mem = bytes(inst.memory)
+    assert mem[1016:1032] == b"\xff" * 16
+    assert mem[1032:2056] == bytes(1024)
+    assert mem[2056:2064] == b"\xff" * 8

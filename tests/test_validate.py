@@ -173,3 +173,11 @@ def test_call_argument_types():
         FunctionIR(caller_t, [], [I("i32.const", 1), I("call", 0), I("end")])
     )
     assert not validate_module(m).ok
+
+
+def test_instructions_after_the_function_end_rejected():
+    # the first would pop from an empty control stack
+    for body in ([I("end"), I("drop"), I("end")], [I("end"), I("nop")]):
+        rep = validate_module(_minimal(body))
+        assert not rep.ok
+        assert "instruction 1" in str(rep) and "function's end" in str(rep)
