@@ -106,9 +106,10 @@ def cmd_instrument(args) -> int:
                 m, CanaryConfig(sp_global=args.sp_global,
                                 rng_seed=args.canary_seed)
             )
+            # one check site per function that opens a frame
             print(
-                f"stack pass: {len(m.functions)} functions, "
-                f"{len(stack_sites)} check sites"
+                f"stack pass: {len(stack_sites)} of {len(m.functions)} "
+                f"functions have a frame, {len(stack_sites)} check sites"
             )
         if not args.no_coverage:
             m, _ = apply_coverage_pass(m, rng_seed=args.cov_seed)

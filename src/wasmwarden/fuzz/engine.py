@@ -136,6 +136,7 @@ class Fuzzer:
         self.rng = random.Random(self.config.rng_seed)
         self.queue: list[QueueEntry] = []
         self.crashes: list[CrashReport] = []
+        self._next_crash_id = 0
         self.path_map = VirginMap()
         self.crash_map = VirginMap()
         self.stats = CampaignStats()
@@ -213,17 +214,15 @@ class Fuzzer:
             (out / "queue" / f"id_{entry.id:06d}").write_bytes(data)
         return entry
 
-    def _record_crash(
-        self, data: bytes, outcome: ExecOutcome, trace: bytes,
-        parent: int, stage: str,
-    ) -> Optional[CrashReport]:
-        crash = classify_crash(outcome, self.sites)
-        oracle = _oracle_bucket(crash.kind)
-        self.stats.crashes_total += 1
+    def _new_crash(self, crash_id: int, data: bytes, outcome: ExecOutcome,
+                   trace: bytes, parent: int, stage: str,
+                   ) -> Optional[CrashReport]:
+        """Keep a crash whose trace is new to the crash map."""
         if self.crash_map.has_new_bits(classify_counts(trace)) == NO_NEW:
             return None
+        oracle = _oracle_bucket(classify_crash(outcome, self.sites).kind)
         report = CrashReport(
-            id=len(self.crashes), data=data, oracle=oracle,
+            id=crash_id, data=data, oracle=oracle,
             trap_kind=outcome.trap_kind,
             trap_function=outcome.trap_function,
             trap_offset=outcome.trap_offset,
@@ -234,13 +233,41 @@ class Fuzzer:
         self.stats.crashes_by_oracle[oracle] = (
             self.stats.crashes_by_oracle.get(oracle, 0) + 1
         )
+        return report
+
+    def _replay_crashes(self):
+        """Re-run the crash files already in the campaign directory, so a
+        resumed campaign neither reports them again nor reuses their ids."""
+        out = self.config.out_dir
+        if out is None:
+            return
+        for p in sorted((out / "crashes").glob("id_*")):
+            crash_id = int(p.name.split("_")[1])
+            self._next_crash_id = max(self._next_crash_id, crash_id + 1)
+            data = p.read_bytes()
+            outcome, trace = self.run_input(data)
+            if classify_crash(outcome, self.sites).is_crash:
+                self._new_crash(crash_id, data, outcome, trace, -1, "resume")
+            else:
+                log.warning("crashes/%s no longer crashes", p.name)
+
+    def _record_crash(
+        self, data: bytes, outcome: ExecOutcome, trace: bytes,
+        parent: int, stage: str,
+    ) -> Optional[CrashReport]:
+        self.stats.crashes_total += 1
+        report = self._new_crash(self._next_crash_id, data, outcome, trace,
+                                 parent, stage)
+        if report is None:
+            return None
+        self._next_crash_id += 1
         out = self.config.out_dir
         if out is not None:
-            name = f"id_{report.id:06d}_{oracle}"
+            name = f"id_{report.id:06d}_{report.oracle}"
             (out / "crashes" / name).write_bytes(data)
         log.info(
             "unique crash %d: %s (%s) at func %d offset %d",
-            report.id, oracle, outcome.trap_kind,
+            report.id, report.oracle, outcome.trap_kind,
             outcome.trap_function, outcome.trap_offset,
         )
         return report
@@ -295,6 +322,7 @@ class Fuzzer:
         self.stats.start_time = time.monotonic()
         self._write_setup()
         try:
+            self._replay_crashes()
             self.add_seeds(seeds)
             cursor = 0
             while not self._budget_exhausted():

@@ -1,8 +1,8 @@
 """Deterministic in-process interpreter for MVP Wasm with a WASI subset.
 
-The engine preprocesses a module once (validation, body compilation, a
-bulk-fill peephole); instances are cheap and isolated, each run is fuel
-metered, and traps are classified for crash triage.
+The engine preprocesses a module once (validation, body compilation);
+instances are cheap and isolated, each run is fuel metered, and traps are
+classified for crash triage.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Optional
 
 from .ir import PAGE, FuncType, ModuleIR, WasmError
 from .opcodes import MEM_ACCESS, SIGS, VALTYPE_WIDTH
-from .passes.coverage import ACCESSOR_NAME, MAP_SIZE, zero_fill_loop
+from .passes.coverage import ACCESSOR_NAME, MAP_SIZE
 from .passes.sites import ORACLE_KINDS, SiteTable
 from .validate import validate_module
 
@@ -416,7 +416,6 @@ C_MEMGROW = 19
 C_CONST = 20
 C_NUM1 = 21
 C_NUM2 = 22
-C_MEMFILL = 23
 
 _NOP = (C_NOP,)
 
@@ -549,37 +548,7 @@ def _compile_body(body, nresults: int, func_types: list[FuncType],
             code.append((C_IF, false_to.get(pc, end_of[pc])) if op == "if"
                         else _NOP)
 
-    _apply_fill_peephole(body, code)
     return code
-
-
-_FILL_SHAPE = tuple(instr.op for instr in zero_fill_loop(0, 8, 0))
-
-
-def _apply_fill_peephole(body, code):
-    """Replace each ``coverage.zero_fill_loop`` with a bulk-fill step.
-
-    The loop the coverage pass emits to clear the trace-bits region would
-    otherwise cost ~90k interpreted instructions per run. The replacement
-    is observationally identical: same memory effect, same final local
-    value, and fuel is charged as if every iteration had run. A fill that
-    would trap or run out of fuel part way acts as the loop's leading
-    ``i32.const`` instead, and the loop then runs step by step.
-    """
-    n = len(_FILL_SHAPE)
-    for i in range(len(body) - n + 1):
-        if (body[i + 2].op != "loop"
-                or tuple(instr.op for instr in body[i:i + n]) != _FILL_SHAPE):
-            continue
-        start, counter, end = (body[i].args[0], body[i + 1].args[0],
-                               body[i + 10].args[0])
-        if body[i:i + n] != zero_fill_loop(start, end, counter):
-            continue
-        start &= M32
-        end &= M32
-        if end > start and (end - start) % 8 == 0:
-            cost = 2 + 11 * ((end - start) // 8) + 1
-            code[i] = (C_MEMFILL, start, end, counter, cost, i + n)
 
 
 _WASI_MODULE = "wasi_snapshot_preview1"
@@ -1092,17 +1061,6 @@ class Engine:
                 else:
                     mem.extend(bytes(delta * PAGE))
                     vals.append(cur)
-            elif c == C_MEMFILL:
-                start, end, lidx, cost, skip = ins[1:]
-                if end <= len(mem) and executed - 1 + cost <= fuel:
-                    mem[start:end] = bytes(end - start)
-                    locals_[lidx] = end
-                    executed += cost - 1  # this step already counted 1
-                    pc = skip
-                    continue
-                # the loop would trap or run out of fuel part way: run it
-                # step by step, starting as its i32.const
-                vals.append(start)
             elif c == C_UNREACHABLE:
                 raise _Trap(UNREACHABLE, func_idx, pc, executed)
             else:

@@ -4,11 +4,14 @@ trace-bits region appended to linear memory, and an exported accessor.
 Each shim hashes the current branch-site id with the previous one,
 increments a one-byte counter at that index, and shifts the current id
 into the previous-location global so edge direction is preserved.
+
+The module does not clear the map: a fresh instance starts with zeroed
+memory and a zero previous location, and every run gets one, as AFL's
+host clears ``trace_bits`` before each run.
 """
 
 from __future__ import annotations
 
-import logging
 import random
 from dataclasses import dataclass
 from typing import Optional
@@ -28,11 +31,8 @@ from ..ir import (
 )
 from .sites import SiteTable, collect_sites
 
-log = logging.getLogger(__name__)
-
 MAP_SIZE = PAGE  # one-byte counters, AFL-compatible, in the page added
 ACCESSOR_NAME = "__fuzzm_trace_bits"
-INIT_WRAPPER_NAME = "__fuzzm_init"
 
 
 class NoMemory(WasmError):
@@ -110,39 +110,6 @@ def emit_coverage_shim(
     ]
 
 
-def zero_fill_loop(start: int, end: int, counter: int) -> list[Instr]:
-    """Zero [start, end) eight bytes at a time, the cursor in local
-    ``counter``, which ends at ``end``.
-
-    The interpreter runs exactly this loop as one bulk-fill step.
-    """
-    return [
-        I("i32.const", start),
-        I("local.set", counter),
-        I("loop", None),
-        I("local.get", counter),
-        I("i64.const", 0),
-        I("i64.store", 3, 0),
-        I("local.get", counter),
-        I("i32.const", 8),
-        I("i32.add"),
-        I("local.tee", counter),
-        I("i32.const", end),
-        I("i32.lt_u"),
-        I("br_if", 0),
-        I("end"),
-    ]
-
-
-def _emit_trace_init(base: int, counter_local: int,
-                     prev_global: int) -> list[Instr]:
-    """Zero the trace-bits region and reset the previous-location global."""
-    return zero_fill_loop(base, base + MAP_SIZE, counter_local) + [
-        I("i32.const", 0),
-        I("global.set", prev_global),
-    ]
-
-
 def _instrument_function(
     m: ModuleIR,
     f: FunctionIR,
@@ -181,8 +148,7 @@ def apply_coverage_pass(
     m: ModuleIR, rng_seed: Optional[int] = None
 ) -> tuple[ModuleIR, SiteTable]:
     """Instrument every defined function, grow memory by one page for the
-    trace bits, export the accessor, and hook initialization into
-    ``_start`` (or an exported wrapper when the module lacks one)."""
+    trace bits and export the accessor."""
     if m.memory is None:
         if m.imported("memory"):
             raise NoMemory("imported memories cannot be instrumented")
@@ -210,29 +176,6 @@ def apply_coverage_pass(
         FunctionIR(accessor_type, [], [I("global.get", trace_global), I("end")])
     )
     out.exports.append(Export(ACCESSOR_NAME, "func", accessor_idx))
-
-    start_export = out.export_map().get("_start")
-    if start_export is not None and start_export.kind == "func":
-        sf = out.defined_func(start_export.index)
-        counter = add_fresh_local(out, sf, "i32")
-        sf.body = (
-            _emit_trace_init(trace_base, counter, prev_global) + sf.body
-        )
-    else:
-        log.warning(
-            "coverage pass: no _start export; trace-bits init attached to "
-            "exported %s wrapper", INIT_WRAPPER_NAME,
-        )
-        init_type = out.add_type(FuncType((), ()))
-        init_idx = out.num_funcs
-        out.functions.append(
-            FunctionIR(
-                init_type, ["i32"],
-                # the wrapper's only local, i32, is the counter
-                _emit_trace_init(trace_base, 0, prev_global) + [I("end")],
-            )
-        )
-        out.exports.append(Export(INIT_WRAPPER_NAME, "func", init_idx))
 
     return out, collect_sites(out)
 

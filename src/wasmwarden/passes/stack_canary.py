@@ -1,7 +1,9 @@
 """Stack-canary pass: plant an 8-byte random canary at the base of each
 function's linear-memory frame, verify it at a single rewritten exit.
 
-Every defined function is rewritten to
+A function opens a frame in linear memory by writing the shadow stack
+pointer; one that never does has nothing to overflow and is left as it
+is. Every other defined function is rewritten to
 ``preamble ++ block ++ body-with-returns-redirected ++ end ++ postamble``:
 the preamble reserves 16 bytes below the shadow stack pointer and stores
 the canary there; original returns become branches to the wrapper end; the
@@ -108,8 +110,13 @@ def instrument_function_stack(
 def apply_stack_pass(
     m: ModuleIR, cfg: CanaryConfig | None = None
 ) -> tuple[ModuleIR, SiteTable]:
-    """Instrument every defined function; returns the new module and the
-    table of inserted trap sites (one per function, id = canary value)."""
+    """Instrument every defined function that opens a frame; returns the
+    new module and the table of inserted trap sites (one per such
+    function, id = canary value).
+
+    One canary is drawn per defined function in index order, framed or
+    not, so a function's canary depends only on the seed and its index.
+    """
     cfg = cfg or CanaryConfig()
     n_glob = m.num_globals
     if cfg.sp_global >= n_glob:
@@ -127,12 +134,15 @@ def apply_stack_pass(
     out = m.copy()
     new_funcs = []
     for f in out.functions:
-        ftype = out.types[f.type_idx]
         canary = (
             cfg.canary_value
             if cfg.canary_value is not None
             else rng.getrandbits(64)
         )
+        if I("global.set", cfg.sp_global) not in f.body:  # no frame
+            new_funcs.append(f)
+            continue
+        ftype = out.types[f.type_idx]
         result_type = ftype.results[0] if ftype.results else None
         new_funcs.append(
             instrument_function_stack(f, result_type, cfg, canary)

@@ -53,8 +53,24 @@ class _Frame:
         return () if self.op == "loop" else self.end_types
 
 
+class _ModuleIndex:
+    """What function bodies look up in a module, resolved once."""
+
+    def __init__(self, m: ModuleIR):
+        self.types = m.types
+        type_idxs = [im.desc for im in m.imported("func")]
+        type_idxs += [f.type_idx for f in m.functions]
+        # signature of every function index; None if its type index is bad
+        self.func_types = [m.types[i] if i < len(m.types) else None
+                           for i in type_idxs]
+        self.global_types = [im.desc for im in m.imported("global")]
+        self.global_types += [(g.valtype, g.mutable) for g in m.globals]
+        self.has_memory = m.memory is not None or bool(m.imported("memory"))
+        self.has_table = m.table is not None or bool(m.imported("table"))
+
+
 class _FuncChecker:
-    def __init__(self, m: ModuleIR, f: FunctionIR, ftype: FuncType):
+    def __init__(self, m: _ModuleIndex, f: FunctionIR, ftype: FuncType):
         self.m = m
         self.f = f
         self.locals = list(ftype.params) + list(f.locals)
@@ -105,7 +121,7 @@ class _FuncChecker:
         align, _offset = instr.args
         if (1 << align) > natural:
             self.fail(f"{instr.op}: alignment 2^{align} exceeds natural")
-        if self.m.memory is None and not self.m.imported("memory"):
+        if not self.m.has_memory:
             self.fail(f"{instr.op}: module has no memory")
 
     def run(self):
@@ -202,16 +218,18 @@ class _FuncChecker:
             return
         if op == "call":
             idx = instr.args[0]
-            if idx >= self.m.num_funcs:
+            if idx >= len(self.m.func_types):
                 self.fail(f"call: function index {idx} out of range")
-            ft = self.m.func_type(idx)
+            ft = self.m.func_types[idx]
+            if ft is None:
+                self.fail(f"call: function {idx} has an invalid type")
             for t in reversed(ft.params):
                 self.pop(t)
             for t in ft.results:
                 self.push(t)
             return
         if op == "call_indirect":
-            if self.m.table is None and not self.m.imported("table"):
+            if not self.m.has_table:
                 self.fail("call_indirect: module has no table")
             ti = instr.args[0]
             if ti >= len(self.m.types):
@@ -238,9 +256,9 @@ class _FuncChecker:
             return
         if op in ("global.get", "global.set"):
             idx = instr.args[0]
-            if idx >= self.m.num_globals:
+            if idx >= len(self.m.global_types):
                 self.fail(f"{op}: global index {idx} out of range")
-            t, mut = self.m.global_type(idx)
+            t, mut = self.m.global_types[idx]
             if op == "global.get":
                 self.push(t)
             else:
@@ -249,7 +267,7 @@ class _FuncChecker:
                 self.pop(t)
             return
         if op in ("memory.size", "memory.grow"):
-            if self.m.memory is None and not self.m.imported("memory"):
+            if not self.m.has_memory:
                 self.fail(f"{op}: module has no memory")
             if op == "memory.grow":
                 self.pop("i32")
@@ -288,6 +306,8 @@ def _check_const_expr(
 def validate_module(m: ModuleIR) -> ValidationReport:
     """Type-check a module; returns an empty report iff it is valid."""
     report = ValidationReport()
+    index = _ModuleIndex(m)
+    n_funcs = len(index.func_types)
 
     for i, im in enumerate(m.imports):
         if im.kind == "func" and im.desc >= len(m.types):
@@ -299,20 +319,20 @@ def validate_module(m: ModuleIR) -> ValidationReport:
             m, g.init, g.valtype, report, f"global {i}", n_imp_glob
         )
 
+    n_imp_func = m.num_imported_funcs
     for i, f in enumerate(m.functions):
-        if f.type_idx >= len(m.types):
+        ftype = index.func_types[n_imp_func + i]
+        if ftype is None:
             report.add(f"func {i}: type index {f.type_idx} out of range")
             continue
-        ftype = m.types[f.type_idx]
         try:
-            _FuncChecker(m, f, ftype).run()
+            _FuncChecker(index, f, ftype).run()
         except _Invalid as e:
-            fi = m.num_imported_funcs + i
-            report.add(f"func {fi}: {e}")
+            report.add(f"func {n_imp_func + i}: {e}")
 
     limits = {
-        "func": m.num_funcs,
-        "global": m.num_globals,
+        "func": n_funcs,
+        "global": len(index.global_types),
         "memory": (1 if m.memory is not None else 0)
         + len(m.imported("memory")),
         "table": (1 if m.table is not None else 0) + len(m.imported("table")),
@@ -327,21 +347,21 @@ def validate_module(m: ModuleIR) -> ValidationReport:
                        "out of range")
 
     if m.start is not None:
-        if m.start >= m.num_funcs:
+        if m.start >= n_funcs:
             report.add(f"start: function index {m.start} out of range")
-        elif m.func_type(m.start) != FuncType((), ()):
+        elif index.func_types[m.start] != FuncType((), ()):
             report.add("start: function signature must be () -> ()")
 
     for i, e in enumerate(m.elems):
-        if m.table is None and not m.imported("table"):
+        if not index.has_table:
             report.add(f"elem {i}: module has no table")
         _check_const_expr(m, e.offset, "i32", report, f"elem {i}", n_imp_glob)
         for fi in e.func_indices:
-            if fi >= m.num_funcs:
+            if fi >= n_funcs:
                 report.add(f"elem {i}: function index {fi} out of range")
 
     for i, d in enumerate(m.data_segments):
-        if m.memory is None and not m.imported("memory"):
+        if not index.has_memory:
             report.add(f"data {i}: module has no memory")
         _check_const_expr(m, d.offset, "i32", report, f"data {i}", n_imp_glob)
 

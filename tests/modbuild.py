@@ -402,6 +402,101 @@ def _exit_code_program() -> ModuleIR:
     return m
 
 
+# The two programs below open linear-memory frames the way clang's output
+# does: move the stack pointer down, keep the frame base in a local, and
+# move it back up before returning.
+
+def _open_frame(size: int, fp: int) -> list[Instr]:
+    return [I("global.get", 0), I("i32.const", size), I("i32.sub"),
+            I("local.tee", fp), I("global.set", 0)]
+
+
+def _close_frame(size: int, fp: int) -> list[Instr]:
+    return [I("local.get", fp), I("i32.const", size), I("i32.add"),
+            I("global.set", 0)]
+
+
+def _stack_buffer_program() -> ModuleIR:
+    """Copy 8 input bytes reversed into a stack buffer, then print the
+    index-weighted sum of the buffer."""
+    m = new_module()
+    # weigh(src): locals fp=1, i=2, acc=3
+    weigh_body = _open_frame(16, 1) + [
+        I("i32.const", 0), I("local.set", 2),
+        I("block", None),
+        I("loop", None),
+        I("local.get", 2), I("i32.const", 8), I("i32.ge_u"), I("br_if", 1),
+        I("local.get", 1), I("i32.const", 7), I("local.get", 2),
+        I("i32.sub"), I("i32.add"),
+        I("local.get", 0), I("local.get", 2), I("i32.add"),
+        I("i32.load8_u", 0, 0),
+        I("i32.store8", 0, 0),
+        I("local.get", 2), I("i32.const", 1), I("i32.add"),
+        I("local.set", 2),
+        I("br", 0),
+        I("end"),
+        I("end"),
+        I("i32.const", 0), I("local.set", 2),
+        I("i32.const", 0), I("local.set", 3),
+        I("block", None),
+        I("loop", None),
+        I("local.get", 2), I("i32.const", 8), I("i32.ge_u"), I("br_if", 1),
+        I("local.get", 3),
+        I("local.get", 1), I("local.get", 2), I("i32.add"),
+        I("i32.load8_u", 0, 0),
+        I("local.get", 2), I("i32.const", 1), I("i32.add"),
+        I("i32.mul"), I("i32.add"), I("local.set", 3),
+        I("local.get", 2), I("i32.const", 1), I("i32.add"),
+        I("local.set", 2),
+        I("br", 0),
+        I("end"),
+        I("end"),
+    ] + _close_frame(16, 1) + [I("local.get", 3), I("end")]
+    weigh = add_func(m, ("i32",), ("i32",), ("i32", "i32", "i32"),
+                     weigh_body)
+    body = read_stdin(maxlen=8) + [
+        I("i32.const", OUT_ADDR),
+        I("i32.const", INPUT_ADDR), I("call", weigh),
+        I("i32.store", 2, 0),
+    ] + write_stdout(4) + [I("end")]
+    add_start(m, body)
+    return m
+
+
+def _frame_callee_program() -> ModuleIR:
+    """Fold x through a callee eight times; the callee spills its
+    arguments to its frame and reloads them, as unoptimised code does."""
+    m = new_module()
+    # mix(x, k): local fp=2
+    mix_body = _open_frame(16, 2) + [
+        I("local.get", 2), I("local.get", 0), I("i32.store", 2, 12),
+        I("local.get", 2), I("local.get", 1), I("i32.store", 2, 8),
+        I("local.get", 2), I("i32.load", 2, 12),
+        I("i32.const", 31), I("i32.mul"),
+        I("local.get", 2), I("i32.load", 2, 8), I("i32.xor"),
+        I("local.set", 0),
+    ] + _close_frame(16, 2) + [I("local.get", 0), I("end")]
+    mix = add_func(m, ("i32", "i32"), ("i32",), ("i32",), mix_body)
+    # locals acc=0, i=1
+    body = read_stdin(maxlen=8) + load_x() + [
+        I("local.set", 0),
+        I("i32.const", 0), I("local.set", 1),
+        I("block", None),
+        I("loop", None),
+        I("local.get", 1), I("i32.const", 8), I("i32.ge_u"), I("br_if", 1),
+        I("local.get", 0), I("local.get", 1), I("call", mix),
+        I("local.set", 0),
+        I("local.get", 1), I("i32.const", 1), I("i32.add"),
+        I("local.set", 1),
+        I("br", 0),
+        I("end"),
+        I("end"),
+        I("i32.const", OUT_ADDR), I("local.get", 0), I("i32.store", 2, 0),
+    ] + write_stdout(4) + [I("end")]
+    add_start(m, body, locals_=("i32", "i32"))
+    return m
+
+
 def corpus() -> list[tuple[str, ModuleIR, list[bytes]]]:
     """Differential programs with benign inputs for each."""
     u32 = lambda *vals: struct.pack("<%dI" % len(vals), *vals)
@@ -462,4 +557,6 @@ def corpus() -> list[tuple[str, ModuleIR, list[bytes]]]:
     entries.append(
         ("victim_benign", victim_module(), [b"hello", b"42", b"42ABCDE"])
     )
+    entries.append(("stack_buffer", _stack_buffer_program(), list(pairs)))
+    entries.append(("frame_callee", _frame_callee_program(), list(pairs)))
     return entries

@@ -84,7 +84,8 @@ def test_run_crash_input_exits_ten(hardened, tmp_path, capsys):
 def test_run_fuel_exhaustion_exits_eleven(hardened, tmp_path):
     inp = tmp_path / "in"
     inp.write_bytes(b"hello")
-    assert main(["run", str(hardened), str(inp), "--fuel", "100"]) \
+    # the whole run takes 83 instructions
+    assert main(["run", str(hardened), str(inp), "--fuel", "50"]) \
         == EXIT_FUEL
 
 
@@ -150,6 +151,31 @@ def test_fuzz_resume_reuses_queue(hardened, tmp_path):
     code = main(["fuzz", str(hardened), "-o", str(out), "--resume",
                  "--execs", "500", "--fuel", "1000000"])
     assert code == EXIT_OK
+
+
+def test_fuzz_resume_keeps_crash_files(hardened, tmp_path):
+    # only havoc can lengthen the seed enough to overflow; campaign seed 2
+    # first finds a 9-byte crash, seed 3 a 23-byte one, which falls into a
+    # different loop-count bucket and so is a new crash after the resume
+    seeds = tmp_path / "seeds"
+    seeds.mkdir()
+    (seeds / "s0").write_bytes(b"42AAAAAA")
+    out = tmp_path / "campaign"
+    common = ["--execs", "4000", "--fuel", "1000000"]
+    assert main(["fuzz", str(hardened), "-o", str(out), "--seeds",
+                 str(seeds), "--seed", "2", *common]) == EXIT_OK
+    crashes = out / "crashes"
+    before = {p.name: p.read_bytes() for p in crashes.iterdir()}
+    assert len(before) == 1
+    assert main(["fuzz", str(hardened), "-o", str(out), "--resume",
+                 "--seed", "3", *common]) == EXIT_OK
+    after = {p.name: p.read_bytes() for p in crashes.iterdir()}
+    assert {n: after.get(n) for n in before} == before
+    new = [int(n.split("_")[1]) for n in after.keys() - before.keys()]
+    assert new and min(new) > max(int(n.split("_")[1]) for n in before)
+    assert len(set(after.values())) == len(after)
+    stats = json.loads((out / "stats.json").read_text())
+    assert stats["unique_crashes"] == len(after)
 
 
 def test_missing_file_is_usage_error(tmp_path):

@@ -1,12 +1,10 @@
 import pytest
 
 import modbuild
-from wasmwarden import Engine, RunLimits, WasiConfig, validate_module
-from wasmwarden.interp import _FILL_SHAPE, C_MEMFILL
+from wasmwarden import Engine, WasiConfig, validate_module
 from wasmwarden.ir import FuncType, FunctionIR, Global, I, ModuleIR
 from wasmwarden.passes.coverage import (
     ACCESSOR_NAME,
-    INIT_WRAPPER_NAME,
     MAP_SIZE,
     NoMemory,
     apply_coverage_pass,
@@ -168,31 +166,15 @@ def test_coverage_neutral_for_program_output():
             assert a.stdout == b.stdout and a.exit_code == b.exit_code, name
 
 
-def test_module_without_start_gets_init_wrapper():
+def test_module_without_start_validates_and_maps_zero():
     m = modbuild.bump_alloc_module()
     out, _ = apply_coverage_pass(m, rng_seed=5)
     assert validate_module(out).ok
-    exp = out.export_map()[INIT_WRAPPER_NAME]
+    exports = out.export_map()
+    assert exports[ACCESSOR_NAME].kind == "func"
+    assert "__fuzzm_init" not in exports
     eng = Engine(out)
-    inst = eng.instantiate()
-    o, _ = eng.call_export(inst, INIT_WRAPPER_NAME, [],
-                           RunLimits(fuel=200_000))
-    assert o.status == "exit"
-    assert len(eng.read_trace_bits(inst)) == MAP_SIZE
-
-
-@pytest.mark.parametrize("module,entry", [
-    (modbuild.branchy_module, "_start"),
-    (modbuild.bump_alloc_module, INIT_WRAPPER_NAME),
-])
-def test_trace_init_compiles_to_one_bulk_fill_step(module, entry):
-    # without the bulk step every exec would interpret ~90k instructions
-    m, _ = apply_coverage_pass(module(), rng_seed=5)
-    eng = Engine(m)
-    base = m.memory[0] * 65536 - MAP_SIZE
-    meta = eng.metas[m.export_map()[entry].index - eng.n_host]
-    assert meta.code[0][:3] == (C_MEMFILL, base, base + MAP_SIZE)
-    assert meta.code[0][-1] == len(_FILL_SHAPE)
+    assert eng.read_trace_bits(eng.instantiate()) == bytes(MAP_SIZE)
 
 
 def test_seeded_site_ids_reproducible():

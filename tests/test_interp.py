@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 import modbuild
 from wasmwarden import Engine, RunLimits, WasiConfig
 from wasmwarden.interp import (
-    C_MEMFILL,
     DIV_ZERO,
     INDIRECT_MISMATCH,
     INT_OVERFLOW,
@@ -632,13 +631,17 @@ def test_float_ops_match_numpy(name, data):
         assert got == [int(_NP_FLOAT[res](want).view(_NP_UINT[res]))]
 
 
-# ------------------------------------------------- zero-fill peephole
+# ------------------------------------------------------ zero-fill loops
+#
+# A loop that zeroes memory eight bytes at a time is the shape a bulk-fill
+# fast path would match. From a constant start it must run exactly as the
+# same loop from a parameter start, one step at a time.
 
-def _fill_module(start, end, pages, peephole):
-    """The coverage pass's zero-fill loop over [start, end), cursor in
-    local 1; returns the cursor. Without ``peephole`` the loop starts
-    from param 0 (holding ``start``), which the peephole does not match."""
-    first = I("i32.const", start) if peephole else I("local.get", 0)
+def _fill_module(start, end, pages, const_start):
+    """A zero-fill loop over [start, end), cursor in local 1; returns the
+    cursor. With ``const_start`` the loop starts from ``i32.const start``,
+    otherwise from param 0 (holding ``start``)."""
+    first = I("i32.const", start) if const_start else I("local.get", 0)
     body = [
         first, I("local.set", 1),
         I("loop", None),
@@ -659,7 +662,7 @@ def _fill_module(start, end, pages, peephole):
 
 
 @pytest.mark.parametrize("start,end,fuel", [
-    (1024, 2048, 100_000),   # in bounds: the bulk fill
+    (1024, 2048, 100_000),   # in bounds
     (1024, 2048, 1413),      # exactly enough fuel for the whole loop
     (1024, 2048, 1412),      # one instruction short
     (1024, 2048, 500),       # fuel runs out part way
@@ -667,17 +670,23 @@ def _fill_module(start, end, pages, peephole):
 ])
 def test_fill_peephole_matches_the_step_path(start, end, fuel):
     runs = []
-    for peephole in (True, False):
-        eng = Engine(_fill_module(start, end, 1, peephole))
-        assert (eng.metas[0].code[0][0] == C_MEMFILL) == peephole
+    for const_start in (True, False):
+        eng = Engine(_fill_module(start, end, 1, const_start))
         inst = eng.instantiate()
         out, res = eng.call_export(inst, "f", [start], RunLimits(fuel=fuel))
         runs.append((out, res, bytes(inst.memory)))
     assert runs[0] == runs[1]
+    out, res, mem = runs[0]
     if end > 65536:
-        out, _, mem = runs[0]
         assert out.trap_kind == MEM_OOB and out.instructions_executed == 743
         assert mem[start:] == bytes(65536 - start)
+    elif fuel >= 1413:
+        assert out.status == "exit" and res == [end]
+        assert out.instructions_executed == 1413
+        assert mem[start:end] == bytes(end - start)
+    else:
+        assert out.status == "fuel-exhausted"
+        assert out.instructions_executed == fuel
 
 
 # ------------------------------------------ branch targets and heights
@@ -818,8 +827,7 @@ def test_every_stack_effect_reaches_the_branch_heights(prefix, x):
 
 
 def test_fill_peephole_reads_the_store_offset():
-    # the same loop storing at offset 8 is not the trace init: it zeroes
-    # [start + 8, end + 8), as the step path does
+    # the same loop storing at offset 8 zeroes [start + 8, end + 8)
     m = _fill_module(1024, 2048, 1, True)
     m.functions[0].body[5] = I("i64.store", 3, 8)
     eng = Engine(m)

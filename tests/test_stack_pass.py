@@ -1,7 +1,15 @@
+import random
+
 import pytest
 
 import modbuild
-from wasmwarden import Engine, RunLimits, WasiConfig, classify_crash, validate_module
+from wasmwarden import (
+    Engine,
+    WasiConfig,
+    classify_crash,
+    encode_module,
+    validate_module,
+)
 from wasmwarden.ir import FuncType, FunctionIR, Global, I, ModuleIR
 from wasmwarden.passes.stack_canary import (
     FRAME_RESERVE,
@@ -14,6 +22,10 @@ from wasmwarden.passes.stack_canary import (
 )
 
 CFG = CanaryConfig(sp_global=0, canary_value=0x1122334455667788)
+
+
+# a write of the stack pointer marks a function as opening a frame
+FRAME = [I("global.get", 0), I("global.set", 0)]
 
 
 def _mod_with_body(body, results=(), locals_=()):
@@ -81,7 +93,8 @@ def test_return_rewritten_inside_nested_block():
 
 
 def test_exactly_one_exit_check_per_function():
-    m = _mod_with_body([I("return"), I("nop"), I("return"), I("end")])
+    m = _mod_with_body(FRAME + [I("return"), I("nop"), I("return"),
+                                I("end")])
     out, sites = apply_stack_pass(m, CFG)
     body = out.functions[0].body
     assert sum(1 for i in body if i.op == "unreachable") == 1
@@ -114,7 +127,7 @@ def test_sp_global_must_exist_and_be_mutable_i32():
 
 
 def test_seeded_canaries_are_reproducible():
-    m = _mod_with_body([I("end")])
+    m = _mod_with_body(FRAME + [I("end")])
     a, _ = apply_stack_pass(m, CanaryConfig(rng_seed=9))
     b, _ = apply_stack_pass(m, CanaryConfig(rng_seed=9))
     c, _ = apply_stack_pass(m, CanaryConfig(rng_seed=10))
@@ -123,11 +136,33 @@ def test_seeded_canaries_are_reproducible():
 
 
 def test_per_function_canaries_differ():
-    m = _mod_with_body([I("end")])
-    m.functions.append(FunctionIR(m.functions[0].type_idx, [], [I("end")]))
+    m = _mod_with_body(FRAME + [I("end")])
+    m.functions.append(FunctionIR(m.functions[0].type_idx, [],
+                                  FRAME + [I("end")]))
     out, sites = apply_stack_pass(m, CanaryConfig(rng_seed=1))
     ids = [s.id for s in sites]
     assert len(ids) == 2 and ids[0] != ids[1]
+
+
+def test_function_without_a_frame_is_left_unchanged():
+    body = [I("global.get", 0), I("drop"), I("i32.const", 7), I("return"),
+            I("end")]
+    m = _mod_with_body(body, ("i32",), ("i32",))
+    out, sites = apply_stack_pass(m, CanaryConfig(rng_seed=3))
+    assert out == m and len(sites) == 0
+    assert encode_module(out) == encode_module(m)
+
+
+def test_frame_function_keeps_its_draw_after_one_without_a_frame():
+    m = _mod_with_body([I("end")])
+    m.functions.append(FunctionIR(m.functions[0].type_idx, [],
+                                  FRAME + [I("end")]))
+    out, sites = apply_stack_pass(m, CanaryConfig(rng_seed=21))
+    rng = random.Random(21)
+    rng.getrandbits(64)  # the frameless function's draw goes unused
+    assert [s.id for s in sites] == [rng.getrandbits(64)]
+    assert out.functions[0] == m.functions[0]
+    assert out.functions[1] != m.functions[1]
 
 
 def test_overflow_victim_traps_only_when_hardened():

@@ -6,6 +6,7 @@ from wasmwarden.ir import (
     FunctionIR,
     Global,
     I,
+    Import,
     ModuleIR,
 )
 
@@ -92,6 +93,25 @@ def test_global_mutability():
     assert not validate_module(m).ok
     m.globals[0] = Global("i32", True, [I("i32.const", 0)])
     assert validate_module(m).ok
+
+
+def test_imports_come_first_in_the_index_spaces():
+    # function 0 and global 0 are imported; the defined ones follow
+    m = _minimal([I("global.get", 0), I("drop"),
+                  I("global.get", 1), I("call", 0), I("global.set", 1),
+                  I("end")])
+    m.imports.append(Import("env", "g", "global", ("i64", False)))
+    m.imports.append(Import("env", "f", "func",
+                            m.add_type(FuncType(("i32",), ("i32",)))))
+    m.globals.append(Global("i32", True, [I("i32.const", 0)]))
+    assert validate_module(m).ok, validate_module(m)
+    for bad in ([I("global.get", 0), I("global.set", 1)],  # i64 into i32
+                [I("i64.const", 0), I("global.set", 0)],   # immutable
+                [I("call", 0), I("drop")],                 # no argument
+                [I("call", 2)],                            # no function 2
+                [I("global.get", 2), I("drop")]):          # no global 2
+        m.functions[0].body = bad + [I("end")]
+        assert not validate_module(m).ok, bad
 
 
 def test_memory_ops_require_memory():
