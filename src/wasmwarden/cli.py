@@ -190,10 +190,11 @@ def cmd_cov(args) -> int:
     return EXIT_OK
 
 
-def _read_seeds(seeds_dir: str) -> list[bytes]:
-    path = Path(seeds_dir)
+def _read_inputs(path: Path, missing: str) -> list[bytes]:
+    """The files in ``path`` in name order; ``missing`` is the error when
+    there is no such directory."""
     if not path.is_dir():
-        print(f"error: seeds dir not found: {seeds_dir}", file=sys.stderr)
+        print(f"error: {missing}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
     return [p.read_bytes() for p in sorted(path.iterdir()) if p.is_file()]
 
@@ -231,14 +232,16 @@ def _campaign_worker(task) -> int:
 def cmd_fuzz(args) -> int:
     sites = _load_sites(args.binary, args.sites)
     out = Path(args.output)
+    # each job keeps its own campaign dir, and resumes from its own queue
+    dirs = ([out] if args.jobs <= 1
+            else [out / f"job_{k}" for k in range(args.jobs)])
     if args.resume:
-        queue_dir = out / "queue"
-        if not queue_dir.is_dir():
-            print(f"error: nothing to resume in {out}", file=sys.stderr)
-            return EXIT_USAGE
-        seeds = [p.read_bytes() for p in sorted(queue_dir.iterdir())]
+        seeds = [_read_inputs(d / "queue", f"nothing to resume in {d}")
+                 for d in dirs]
     else:
-        seeds = _read_seeds(args.seeds)
+        common = _read_inputs(Path(args.seeds),
+                              f"seeds dir not found: {args.seeds}")
+        seeds = [common] * len(dirs)
 
     def make_cfg(out_dir: Path, seed: int) -> FuzzConfig:
         argv = args.argv.split() if args.argv else ["prog"]
@@ -252,15 +255,14 @@ def cmd_fuzz(args) -> int:
         )
 
     if args.jobs <= 1:
-        return _run_campaign(args.binary, seeds, make_cfg(out, args.seed),
+        return _run_campaign(args.binary, seeds[0], make_cfg(out, args.seed),
                              sites)
 
     import multiprocessing as mp
 
     tasks = [
-        (args.binary, seeds, make_cfg(out / f"job_{k}", args.seed + k),
-         sites.to_json())
-        for k in range(args.jobs)
+        (args.binary, seeds[k], make_cfg(d, args.seed + k), sites.to_json())
+        for k, d in enumerate(dirs)
     ]
     with mp.Pool(args.jobs) as pool:
         codes = pool.map(_campaign_worker, tasks)
@@ -313,7 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--argv", default=None)
     pf.add_argument("--seed", type=int, default=0, help="campaign rng seed")
     pf.add_argument("--resume", action="store_true",
-                    help="re-seed from the campaign dir's queue")
+                    help="re-seed from the campaign dir's queue (with --jobs, "
+                         "each job from its own)")
     pf.add_argument("--jobs", type=int, default=1)
     pf.set_defaults(fn=cmd_fuzz)
 

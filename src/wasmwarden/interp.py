@@ -584,6 +584,7 @@ class Instance:
         self.memory = bytearray(min_pages * PAGE)
         self.mem_max = m.memory[1] if m.memory else 0
         self.globals = [engine.eval_const(g.init) for g in m.globals]
+        self.stdin_pos = 0
         self.stdout = bytearray()
         self.stderr = bytearray()
         self.rng = random.Random(wasi.rng_seed)
@@ -791,6 +792,13 @@ class Engine:
 
         self.exports = module.export_map()
         self.n_host = n_host
+        # the map base the coverage pass wrote into its accessor; None when
+        # the accessor is missing or not a constant
+        exp = self.exports.get(ACCESSOR_NAME)
+        body = (module.defined_func(exp.index).body
+                if exp and exp.kind == "func" and exp.index >= n_host else [])
+        is_const = [i.op for i in body] == ["i32.const", "end"]
+        self.trace_base = body[0].args[0] & M32 if is_const else None
 
     def eval_const(self, expr) -> int:
         """Bit pattern of a constant expression."""
@@ -800,9 +808,7 @@ class Engine:
         return instr.args[0] & _CONST_MASK[instr.op]
 
     def instantiate(self, wasi: WasiConfig | None = None) -> Instance:
-        inst = Instance(self, wasi or WasiConfig())
-        inst.stdin_pos = 0
-        return inst
+        return Instance(self, wasi or WasiConfig())
 
     # ------------------------------------------------------------------
     def run_start(self, inst: Instance,
@@ -839,17 +845,16 @@ class Engine:
         return outcome, [_from_bits(t, v) for t, v in zip(results, vals)]
 
     def read_trace_bits(self, inst: Instance) -> bytes:
-        if ACCESSOR_NAME not in self.exports:
-            raise AccessorMissing(f"module does not export {ACCESSOR_NAME}")
-        outcome, results = self.call_export(
-            inst, ACCESSOR_NAME, [], RunLimits(fuel=1000)
-        )
-        if outcome.status != "exit" or not results:
-            raise AccessorMissing("trace-bits accessor failed to run")
-        base = results[0]
+        base = self.trace_base
+        if base is None:
+            raise AccessorMissing(
+                f"module does not export {ACCESSOR_NAME} as a function "
+                "returning an i32.const"
+            )
         if base + MAP_SIZE > len(inst.memory):
             raise AccessorOutOfBounds(
-                f"accessor returned {base}, memory is {len(inst.memory)} bytes"
+                f"trace map at {base} ends past the "
+                f"{len(inst.memory)}-byte memory"
             )
         return bytes(inst.memory[base: base + MAP_SIZE])
 

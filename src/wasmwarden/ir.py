@@ -176,13 +176,6 @@ class ModuleIR:
     def num_globals(self) -> int:
         return self.num_imported_globals + len(self.globals)
 
-    def func_type(self, func_idx: int) -> FuncType:
-        """Signature of a function in the module function index space."""
-        imported = self.imported("func")
-        if func_idx < len(imported):
-            return self.types[imported[func_idx].desc]
-        return self.types[self.functions[func_idx - len(imported)].type_idx]
-
     def defined_func(self, func_idx: int) -> FunctionIR:
         n = self.num_imported_funcs
         if func_idx < n:
@@ -227,6 +220,12 @@ class ModuleIR:
             names=dict(self.names),
             custom_sections=list(self.custom_sections),
         )
+
+
+def signed(value: int, bits: int) -> int:
+    """The two's-complement reading of a ``bits``-wide bit pattern, the
+    form ``i32.const`` and ``i64.const`` immediates are encoded in."""
+    return value - (1 << bits) if value & (1 << (bits - 1)) else value
 
 
 def add_global(m: ModuleIR, valtype: str, mutable: bool, init: list[Instr]) -> int:

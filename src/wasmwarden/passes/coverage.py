@@ -3,7 +3,10 @@ trace-bits region appended to linear memory, and an exported accessor.
 
 Each shim hashes the current branch-site id with the previous one,
 increments a one-byte counter at that index, and shifts the current id
-into the previous-location global so edge direction is preserved.
+into the previous-location global so edge direction is preserved. The
+map's base, a multiple of ``MAP_SIZE``, is folded into each site's
+constant (``(base | cur) ^ prev == base + (cur ^ prev)``) and is what the
+accessor returns, as an ``i32.const`` the engine reads once.
 
 The module does not clear the map: a fresh instance starts with zeroed
 memory and a zero previous location, and every run gets one, as AFL's
@@ -28,6 +31,7 @@ from ..ir import (
     WasmError,
     add_fresh_local,
     add_global,
+    signed,
 )
 from .sites import SiteTable, collect_sites
 
@@ -81,24 +85,23 @@ def mark_branch_sites(f: FunctionIR) -> list[CoverageSite]:
 def emit_coverage_shim(
     cur_location: int,
     prev_global: int,
-    trace_global: int,
+    trace_base: int,
     scratch_local: int,
     site_kind: str = "",
 ) -> list[Instr]:
-    """13-instruction counter update: trace[cur ^ prev]++ then
-    prev = cur >> 1."""
+    """11-instruction counter update: trace[cur ^ prev]++ then
+    prev = cur >> 1, with the map at ``trace_base``."""
     assert 0 <= cur_location < MAP_SIZE
+    assert trace_base % MAP_SIZE == 0
     return [
         Instr(
             "i32.const",
-            (cur_location,),
+            (signed(trace_base | cur_location, 32),),
             site=SiteInfo(f"cov-{site_kind}" if site_kind else "cov",
                           id=cur_location),
         ),
         I("global.get", prev_global),
         I("i32.xor"),
-        I("global.get", trace_global),
-        I("i32.add"),
         I("local.tee", scratch_local),
         I("local.get", scratch_local),
         I("i32.load8_u", 0, 0),
@@ -115,7 +118,7 @@ def _instrument_function(
     f: FunctionIR,
     rng: random.Random,
     prev_global: int,
-    trace_global: int,
+    trace_base: int,
 ) -> FunctionIR:
     out = FunctionIR(f.type_idx, list(f.locals), list(f.body))
     sites = mark_branch_sites(out)
@@ -125,7 +128,7 @@ def _instrument_function(
     insert_after: dict[int, list[Instr]] = {}
     for site in sites:
         shim = emit_coverage_shim(
-            rng.randrange(MAP_SIZE), prev_global, trace_global, scratch,
+            rng.randrange(MAP_SIZE), prev_global, trace_base, scratch,
             site.site_kind,
         )
         if site.site_kind == "entry":
@@ -162,19 +165,18 @@ def apply_coverage_pass(
     out.memory = (orig_min + 1, None if orig_max is None else orig_max + 1)
 
     prev_global = add_global(out, "i32", True, [I("i32.const", 0)])
-    trace_global = add_global(out, "i32", True, [I("i32.const", trace_base)])
 
     out.functions = [
-        _instrument_function(out, f, rng, prev_global, trace_global)
+        _instrument_function(out, f, rng, prev_global, trace_base)
         for f in out.functions
     ]
 
     # accessor: () -> i32 returning the trace-bits base
     accessor_type = out.add_type(FuncType((), ("i32",)))
     accessor_idx = out.num_funcs
-    out.functions.append(
-        FunctionIR(accessor_type, [], [I("global.get", trace_global), I("end")])
-    )
+    out.functions.append(FunctionIR(
+        accessor_type, [], [I("i32.const", signed(trace_base, 32)), I("end")]
+    ))
     out.exports.append(Export(ACCESSOR_NAME, "func", accessor_idx))
 
     return out, collect_sites(out)

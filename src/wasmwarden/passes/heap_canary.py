@@ -28,6 +28,7 @@ from ..ir import (
     WasmError,
     add_fresh_local,
     returns_to_branches,
+    signed,
 )
 from .sites import SiteTable, collect_sites
 
@@ -102,10 +103,6 @@ def identify_heap_functions(
     return fn_map
 
 
-def _signed64(v: int) -> int:
-    return v - (1 << 64) if v & (1 << 63) else v
-
-
 def _alloc_preamble(
     m: ModuleIR, f: FunctionIR, kind: str, req_local: int
 ) -> list[Instr]:
@@ -154,7 +151,7 @@ def _alloc_preamble(
 def _alloc_postamble(
     req_local: int, ptr_local: int, canary: int
 ) -> list[Instr]:
-    can = _signed64(canary)
+    can = signed(canary, 64)
     return [
         I("local.set", ptr_local),
         # pass a failed allocation through untouched
@@ -186,7 +183,7 @@ def _alloc_postamble(
 
 
 def instrument_alloc_function(
-    m: ModuleIR, f: FunctionIR, kind: str, cfg: HeapConfig, canary: int
+    m: ModuleIR, f: FunctionIR, kind: str, canary: int
 ) -> FunctionIR:
     """Inflate the request, then write size + canaries around the payload
     the allocator hands back."""
@@ -211,19 +208,20 @@ def instrument_alloc_function(
     return out
 
 
-def dealloc_preamble(ptr_arg: int, canary: int) -> list[Instr]:
-    """Validate both canaries and rewind the pointer before the allocator
-    sees it. free(0) is legal, so a null argument skips everything."""
-    can = _signed64(canary)
+def dealloc_preamble(canary: int) -> list[Instr]:
+    """Validate both canaries and rewind the pointer, argument 0, before
+    the allocator sees it. free(0) is legal, so a null argument skips
+    everything."""
+    can = signed(canary, 64)
     return [
-        I("local.get", ptr_arg),
+        I("local.get", 0),
         I("if", None),
-        I("local.get", ptr_arg),
+        I("local.get", 0),
         I("i32.const", USER_OFFSET),
         I("i32.sub"),
-        I("local.set", ptr_arg),
+        I("local.set", 0),
         I("block", None),
-        I("local.get", ptr_arg),
+        I("local.get", 0),
         I("i64.load", 2, 4),
         I("i64.const", can),
         I("i64.eq"),
@@ -231,9 +229,9 @@ def dealloc_preamble(ptr_arg: int, canary: int) -> list[Instr]:
         Instr("unreachable", site=SiteInfo("heap-underflow", id=canary)),
         I("end"),
         I("block", None),
-        I("local.get", ptr_arg),
+        I("local.get", 0),
         I("i32.load", 2, 0),
-        I("local.get", ptr_arg),
+        I("local.get", 0),
         I("i32.add"),
         I("i64.load", 2, 12),
         I("i64.const", can),
@@ -246,15 +244,14 @@ def dealloc_preamble(ptr_arg: int, canary: int) -> list[Instr]:
 
 
 def instrument_dealloc_function(
-    m: ModuleIR, f: FunctionIR, kind: str, cfg: HeapConfig, canary: int
+    m: ModuleIR, f: FunctionIR, kind: str, canary: int
 ) -> FunctionIR:
     if m.types[f.type_idx] != _SIGS[kind]:
         raise SignatureMismatch(
             f"{kind} has signature {m.types[f.type_idx]}"
         )
-    out = FunctionIR(f.type_idx, list(f.locals), list(f.body))
-    out.body = dealloc_preamble(0, canary) + out.body
-    return out
+    return FunctionIR(f.type_idx, list(f.locals),
+                      dealloc_preamble(canary) + f.body)
 
 
 def apply_heap_pass(
@@ -282,14 +279,12 @@ def apply_heap_pass(
     out = m.copy()
     n_imp = out.num_imported_funcs
     for idx, kind, _pos in fn_map.allocs:
-        f = out.defined_func(idx)
         out.functions[idx - n_imp] = instrument_alloc_function(
-            out, f, kind, cfg, canary
+            out, out.defined_func(idx), kind, canary
         )
     # second so the realloc check precedes its inflation preamble
     for idx, kind, _pos in fn_map.deallocs:
-        f = out.defined_func(idx)
         out.functions[idx - n_imp] = instrument_dealloc_function(
-            out, f, kind, cfg, canary
+            out, out.defined_func(idx), kind, canary
         )
     return out, collect_sites(out).by_kind("heap-underflow", "heap-overflow")

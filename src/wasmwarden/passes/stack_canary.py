@@ -24,6 +24,7 @@ from ..ir import (
     SiteInfo,
     WasmError,
     returns_to_branches,
+    signed,
 )
 from .sites import SiteTable, collect_sites
 
@@ -41,10 +42,6 @@ class CanaryConfig:
     canary_value: Optional[int] = None  # fixed value; None = draw per function
 
 
-def _signed64(v: int) -> int:
-    return v - (1 << 64) if v & (1 << 63) else v
-
-
 def emit_inject_canary(cfg: CanaryConfig, canary: int) -> list[Instr]:
     """Reserve frame space and store the canary at the new stack base."""
     sp = cfg.sp_global
@@ -54,27 +51,24 @@ def emit_inject_canary(cfg: CanaryConfig, canary: int) -> list[Instr]:
         I("i32.sub"),
         I("global.set", sp),
         I("global.get", sp),
-        I("i64.const", _signed64(canary)),
+        I("i64.const", signed(canary, 64)),
         I("i64.store", 3, 0),
     ]
 
 
-def emit_validate_canary(
-    cfg: CanaryConfig, canary: int, result_arity: int
-) -> list[Instr]:
+def emit_validate_canary(cfg: CanaryConfig, canary: int) -> list[Instr]:
     """Compare the stored canary against the expected value; trap on
     mismatch, otherwise release the reserved space and return.
 
     The function's return value (if any) stays untouched on the operand
     stack underneath the check.
     """
-    del result_arity  # identical sequence for arity 0 and 1
     sp = cfg.sp_global
     return [
         I("block", None),
         I("global.get", sp),
         I("i64.load", 3, 0),
-        I("i64.const", _signed64(canary)),
+        I("i64.const", signed(canary, 64)),
         I("i64.eq"),
         I("br_if", 0),
         Instr("unreachable", site=SiteInfo("stack-canary", id=canary)),
@@ -101,7 +95,7 @@ def instrument_function_stack(
         + [I("block", result_type)]
         + returns_to_branches(f.body[:-1])
         + [I("end")]
-        + emit_validate_canary(cfg, canary, 1 if result_type else 0)
+        + emit_validate_canary(cfg, canary)
         + [I("end")]
     )
     return FunctionIR(f.type_idx, list(f.locals), body)

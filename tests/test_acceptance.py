@@ -204,11 +204,10 @@ def test_edge_index_arithmetic_against_scalar_oracle():
 
     m = ModuleIR()
     m.memory = (2, None)
-    m.globals.append(Global("i32", True, [I("i32.const", 0)]))      # prev
-    m.globals.append(Global("i32", True, [I("i32.const", 65536)]))  # base
+    m.globals.append(Global("i32", True, [I("i32.const", 0)]))  # prev
     ti = m.add_type(FuncType((), ()))
     for k, cur in enumerate(curs):
-        body = emit_coverage_shim(cur, prev_global=0, trace_global=1,
+        body = emit_coverage_shim(cur, prev_global=0, trace_base=65536,
                                   scratch_local=0) + [I("end")]
         m.functions.append(FunctionIR(ti, ["i32"], body))
         m.exports.append(Export(f"shim{k}", "func", k))

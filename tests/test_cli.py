@@ -178,5 +178,31 @@ def test_fuzz_resume_keeps_crash_files(hardened, tmp_path):
     assert stats["unique_crashes"] == len(after)
 
 
+def test_fuzz_jobs_resume_each_from_its_own_queue(hardened, tmp_path):
+    seeds = tmp_path / "seeds"
+    seeds.mkdir()
+    (seeds / "s0").write_bytes(b"42AAAAAA")
+    out = tmp_path / "campaign"
+    common = ["--jobs", "2", "--execs", "1500", "--fuel", "1000000"]
+    assert main(["fuzz", str(hardened), "-o", str(out), "--seeds",
+                 str(seeds), *common]) == EXIT_OK
+
+    def artifacts():
+        return {
+            p.relative_to(out).as_posix(): p.read_bytes()
+            for sub in ("queue", "crashes")
+            for p in out.glob(f"job_*/{sub}/*")
+        }
+
+    before = artifacts()
+    for k in (0, 1):
+        assert any(n.startswith(f"job_{k}/queue/") for n in before)
+    assert main(["fuzz", str(hardened), "-o", str(out), "--resume",
+                 *common]) == EXIT_OK
+    after = artifacts()
+    assert {n: after.get(n) for n in before} == before
+    assert not (out / "queue").exists()
+
+
 def test_missing_file_is_usage_error(tmp_path):
     assert main(["run", str(tmp_path / "nope.wasm")]) == EXIT_USAGE

@@ -1,8 +1,15 @@
 import pytest
 
 import modbuild
-from wasmwarden import Engine, WasiConfig, validate_module
-from wasmwarden.ir import FuncType, FunctionIR, Global, I, ModuleIR
+from wasmwarden import (
+    Engine,
+    WasiConfig,
+    encode_module,
+    parse_module,
+    validate_module,
+)
+from wasmwarden.interp import AccessorMissing, AccessorOutOfBounds
+from wasmwarden.ir import Export, FuncType, FunctionIR, Global, I, ModuleIR
 from wasmwarden.passes.coverage import (
     ACCESSOR_NAME,
     MAP_SIZE,
@@ -61,11 +68,13 @@ def test_br_table_targets_marked_via_their_ends():
     assert [s.position for s in sites[1:]] == [4, 5]
 
 
-def test_shim_is_thirteen_instructions_updating_the_edge_counter():
-    shim = emit_coverage_shim(0x40, prev_global=1, trace_global=2,
+def test_shim_is_eleven_instructions_updating_the_edge_counter():
+    base = 3 * MAP_SIZE
+    shim = emit_coverage_shim(0x40, prev_global=1, trace_base=base,
                               scratch_local=0)
-    assert len(shim) == 13
-    assert shim[0] == I("i32.const", 0x40)
+    assert len(shim) == 11
+    assert shim[0] == I("i32.const", base | 0x40)
+    assert shim[0].site.id == 0x40
     assert shim[-2] == I("i32.const", 0x20)  # prev = cur >> 1
     assert shim[-1] == I("global.set", 1)
 
@@ -74,14 +83,11 @@ def test_shim_arithmetic_in_memory():
     """cur=0x40 with prev=0x12 bumps trace[0x40 ^ 0x12] and shifts prev."""
     m = ModuleIR()
     m.memory = (2, None)
-    m.globals.append(Global("i32", True, [I("i32.const", 0x12)]))   # prev
-    m.globals.append(Global("i32", True, [I("i32.const", 65536)]))  # base
+    m.globals.append(Global("i32", True, [I("i32.const", 0x12)]))  # prev
     ti = m.add_type(FuncType((), ()))
-    body = emit_coverage_shim(0x40, prev_global=0, trace_global=1,
+    body = emit_coverage_shim(0x40, prev_global=0, trace_base=65536,
                               scratch_local=0) + [I("end")]
     m.functions.append(FunctionIR(ti, ["i32"], body))
-    from wasmwarden.ir import Export
-
     m.exports.append(Export("f", "func", 0))
     assert validate_module(m).ok
     eng = Engine(m)
@@ -116,7 +122,63 @@ def test_accessor_exported_and_not_instrumented():
     exp = m.export_map()[ACCESSOR_NAME]
     accessor = m.defined_func(exp.index)
     assert m.types[accessor.type_idx] == FuncType((), ("i32",))
-    assert accessor.body == [I("global.get", m.num_globals - 1), I("end")]
+    assert accessor.body == [I("i32.const", 2 * MAP_SIZE), I("end")]
+
+
+def test_pass_adds_only_the_previous_location_global():
+    m = modbuild.echo_module()
+    out, _ = apply_coverage_pass(m, rng_seed=5)
+    assert len(out.globals) == len(m.globals) + 1
+    assert out.globals[-1] == Global("i32", True, [I("i32.const", 0)])
+
+
+def test_trace_base_past_two_gib_encodes_as_a_signed_constant():
+    """A 32768-page memory puts the map at 2**31, which an i32.const
+    immediate holds only in its negative form. Not instantiated: the
+    memory would take 2 GiB."""
+    m = modbuild.echo_module()
+    m.memory = (32768, None)
+    out, _ = apply_coverage_pass(m, rng_seed=5)
+    assert validate_module(out).ok
+    assert parse_module(encode_module(out)) == out
+    accessor = out.defined_func(out.export_map()[ACCESSOR_NAME].index)
+    assert accessor.body[0] == I("i32.const", -(1 << 31))
+
+
+def _with_accessor(body, globals_=()):
+    """A two-page module exporting ``body`` as the trace-bits accessor."""
+    m = ModuleIR()
+    m.memory = (2, None)
+    m.globals.extend(globals_)
+    ti = m.add_type(FuncType((), ("i32",)))
+    m.functions.append(FunctionIR(ti, [], body))
+    m.exports.append(Export(ACCESSOR_NAME, "func", 0))
+    return m
+
+
+def test_read_trace_bits_without_accessor_raises_missing():
+    m = modbuild.echo_module()
+    eng = Engine(m)
+    with pytest.raises(AccessorMissing):
+        eng.read_trace_bits(eng.instantiate())
+
+
+def test_read_trace_bits_with_non_constant_accessor_raises_missing():
+    g = Global("i32", False, [I("i32.const", MAP_SIZE)])
+    eng = Engine(_with_accessor([I("global.get", 0), I("end")], [g]))
+    with pytest.raises(AccessorMissing):
+        eng.read_trace_bits(eng.instantiate())
+
+
+def test_read_trace_bits_past_end_of_memory_raises_out_of_bounds():
+    eng = Engine(_with_accessor([I("i32.const", 2 * MAP_SIZE), I("end")]))
+    with pytest.raises(AccessorOutOfBounds):
+        eng.read_trace_bits(eng.instantiate())
+    # the last map that fits is read
+    eng = Engine(_with_accessor([I("i32.const", MAP_SIZE), I("end")]))
+    inst = eng.instantiate()
+    inst.memory[MAP_SIZE + 7] = 3
+    assert eng.read_trace_bits(inst)[7] == 3
 
 
 def test_module_without_memory_is_rejected():

@@ -12,7 +12,6 @@ from wasmwarden.passes.heap_canary import (
     SignatureMismatch,
     apply_heap_pass,
     identify_heap_functions,
-    instrument_alloc_function,
 )
 
 # scratch cells the recording allocator writes its raw arguments to

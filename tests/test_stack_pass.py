@@ -51,7 +51,7 @@ def test_inject_sequence_exact():
 
 
 def test_validate_sequence_exact():
-    got = emit_validate_canary(CFG, 0xDEAD, 0)
+    got = emit_validate_canary(CFG, 0xDEAD)
     assert got == [
         I("block", None),
         I("global.get", 0),
