@@ -114,6 +114,10 @@ class CampaignStats:
         )
 
 
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
 def _oracle_bucket(kind: str) -> str:
     """Stats bucket for a crash class kind."""
     if kind in ("heap-underflow", "heap-overflow"):
@@ -212,7 +216,19 @@ class Fuzzer:
         out = self.config.out_dir
         if out is not None:
             (out / "queue" / f"id_{entry.id:06d}").write_bytes(data)
+            # a resumed campaign skips the stages an earlier one finished
+            marker = self._deterministic_marker(entry)
+            entry.deterministic_done = (
+                marker.is_file() and marker.read_text() == _sha256(data))
         return entry
+
+    def _deterministic_marker(self, entry: QueueEntry) -> Path:
+        """Written once ``entry`` has been through every deterministic
+        stage; it holds the entry's hash, so it cannot vouch for other
+        bytes that later take the same id. It lives outside ``queue/``,
+        which holds inputs only."""
+        return (self.config.out_dir / ".state" / "deterministic_done"
+                / f"id_{entry.id:06d}")
 
     def _new_crash(self, crash_id: int, data: bytes, outcome: ExecOutcome,
                    trace: bytes, parent: int, stage: str,
@@ -297,12 +313,16 @@ class Fuzzer:
 
     def _fuzz_entry(self, entry: QueueEntry) -> bool:
         if not entry.deterministic_done and not self.config.skip_deterministic:
-            entry.deterministic_done = True
             for stage in mut.DETERMINISTIC_STAGES:
                 for index in range(mut.stage_size(entry.data, stage)):
                     data = mut.mutate(entry.data, self.rng, stage, index=index)
                     if not self._process(data, entry.id, stage):
                         return False
+            entry.deterministic_done = True
+            if self.config.out_dir is not None:
+                marker = self._deterministic_marker(entry)
+                marker.parent.mkdir(parents=True, exist_ok=True)
+                marker.write_text(_sha256(entry.data))
         for _ in range(HAVOC_ROUNDS):
             if self.rng.random() < 0.2 and len(self.queue) > 1:
                 other = self.rng.choice(
@@ -346,7 +366,7 @@ class Fuzzer:
 
         self._module_bytes = encode_module(self.engine.module)
         setup = {
-            "module_sha256": hashlib.sha256(self._module_bytes).hexdigest(),
+            "module_sha256": _sha256(self._module_bytes),
             "rng_seed": self.config.rng_seed,
             "argv": self.config.argv,
             "fuel": self.config.limits.fuel,

@@ -3,6 +3,23 @@
 The engine preprocesses a module once (validation, body compilation);
 instances are cheap and isolated, each run is fuel metered, and traps are
 classified for crash triage.
+
+A body is a list of compiled tuples that ``Engine._run`` steps one at a
+time. Each straight-line run in it (two or more ops that neither branch
+nor call, entered only at its head) is also fused into one generated
+Python function, on its first execution rather than in ``Engine()``:
+stack slots become Python locals and the run costs one dispatch.
+Generated sources take their immediates as parameters, so runs of the
+same shape share one compiled template; templates are cached per
+``Engine``, never across engines.
+
+Fusing is exact. A run charges its length in fuel at once when that fits
+the budget; otherwise it is stepped, so fuel runs out on the same
+instruction with the same memory. Its ops do their effects in order, and
+one that traps reports its own pc and the count stepping would have
+reached. The integer ops are written once, as expressions (``_INT_EXPR``)
+that both paths use; the other numeric ops call the same ``_NUMERIC``
+function on both.
 """
 
 from __future__ import annotations
@@ -10,6 +27,7 @@ from __future__ import annotations
 import math
 import operator
 import random
+import re
 import struct
 from dataclasses import dataclass, field
 from typing import Optional
@@ -140,6 +158,7 @@ class _Fuel(Exception):
 class _NumTrap(Exception):
     def __init__(self, kind: str):
         self.kind = kind
+        self.at = 0  # a fused run sets the op's offset from its head
 
 
 # ---------------------------------------------------------------------------
@@ -250,24 +269,6 @@ def _rem_u(a, b):
     return a % b
 
 
-def _clz(v, bits):
-    return bits - v.bit_length()
-
-
-def _ctz(v, bits):
-    return (v & -v).bit_length() - 1 if v else bits
-
-
-def _rotl(a, n, bits, mask):
-    n %= bits
-    return ((a << n) | (a >> (bits - n))) & mask
-
-
-def _rotr(a, n, bits, mask):
-    n %= bits
-    return ((a >> n) | (a << (bits - n))) & mask
-
-
 def _fmin(a, b):
     if math.isnan(a) or math.isnan(b):
         return math.nan
@@ -314,42 +315,64 @@ def _trunc_to_int(x: float, lo: int, hi: int) -> int:
     return t
 
 
+def _int_exprs() -> dict[str, str]:
+    """Integer ops that are one Python expression over their operands
+    ``a`` and ``b``. The step lambdas are made from these strings and the
+    run compiler splices them in, so each op's semantics is written once.
+
+    A signed comparison flips the sign bits, which maps signed order onto
+    unsigned order; ``(a ^ S) - S`` is ``a`` read as signed.
+    """
+    ex: dict[str, str] = {}
+    for bits in (32, 64):
+        p = f"i{bits}"
+        m = f"0x{(1 << bits) - 1:X}"
+        s = f"0x{1 << (bits - 1):X}"
+        n = bits - 1  # shift counts are taken modulo the width
+        ex[f"{p}.eqz"] = "1 if a == 0 else 0"
+        ex[f"{p}.eq"] = "1 if a == b else 0"
+        ex[f"{p}.ne"] = "1 if a != b else 0"
+        for name, rel in (("lt", "<"), ("gt", ">"), ("le", "<="),
+                          ("ge", ">=")):
+            ex[f"{p}.{name}_u"] = f"1 if a {rel} b else 0"
+            ex[f"{p}.{name}_s"] = f"1 if (a ^ {s}) {rel} (b ^ {s}) else 0"
+        ex[f"{p}.clz"] = f"{bits} - a.bit_length()"
+        ex[f"{p}.ctz"] = f"(a & -a).bit_length() - 1 if a else {bits}"
+        ex[f"{p}.popcnt"] = "a.bit_count()"
+        for name, sym in (("add", "+"), ("sub", "-"), ("mul", "*")):
+            ex[f"{p}.{name}"] = f"(a {sym} b) & {m}"
+        for name, sym in (("and", "&"), ("or", "|"), ("xor", "^")):
+            ex[f"{p}.{name}"] = f"a {sym} b"
+        ex[f"{p}.shl"] = f"(a << (b & {n})) & {m}"
+        ex[f"{p}.shr_u"] = f"a >> (b & {n})"
+        ex[f"{p}.shr_s"] = f"(((a ^ {s}) - {s}) >> (b & {n})) & {m}"
+        ex[f"{p}.rotl"] = (f"((a << (b & {n})) | (a >> ({bits} - (b & {n}))))"
+                           f" & {m}")
+        ex[f"{p}.rotr"] = (f"((a >> (b & {n})) | (a << ({bits} - (b & {n}))))"
+                           f" & {m}")
+    ex["i32.wrap_i64"] = "a & 0xFFFFFFFF"
+    ex["i64.extend_i32_s"] = ("((a ^ 0x80000000) - 0x80000000)"
+                              " & 0xFFFFFFFFFFFFFFFF")
+    ex["i64.extend_i32_u"] = "a"
+    return ex
+
+
+_INT_EXPR = _int_exprs()
+
+
 def _build_numeric() -> dict[str, object]:
     """opname -> fn on bit patterns; its arity is in ``opcodes.SIGS``."""
-    ops: dict[str, object] = {}
+    ops: dict[str, object] = {
+        op: eval(f"lambda {'a, b' if len(SIGS[op][0]) == 2 else 'a'}: {ex}")
+        for op, ex in _INT_EXPR.items()
+    }
     put = ops.__setitem__
-    for bits, mask, sx in ((32, M32, _s32), (64, M64, _s64)):
+    for bits in (32, 64):
         p = f"i{bits}"
-        put(f"{p}.eqz", lambda a: 1 if a == 0 else 0)
-        put(f"{p}.eq", lambda a, c: 1 if a == c else 0)
-        put(f"{p}.ne", lambda a, c: 1 if a != c else 0)
-        put(f"{p}.lt_s", lambda a, c, s=sx: 1 if s(a) < s(c) else 0)
-        put(f"{p}.lt_u", lambda a, c: 1 if a < c else 0)
-        put(f"{p}.gt_s", lambda a, c, s=sx: 1 if s(a) > s(c) else 0)
-        put(f"{p}.gt_u", lambda a, c: 1 if a > c else 0)
-        put(f"{p}.le_s", lambda a, c, s=sx: 1 if s(a) <= s(c) else 0)
-        put(f"{p}.le_u", lambda a, c: 1 if a <= c else 0)
-        put(f"{p}.ge_s", lambda a, c, s=sx: 1 if s(a) >= s(c) else 0)
-        put(f"{p}.ge_u", lambda a, c: 1 if a >= c else 0)
-        put(f"{p}.clz", lambda a, n=bits: _clz(a, n))
-        put(f"{p}.ctz", lambda a, n=bits: _ctz(a, n))
-        put(f"{p}.popcnt", lambda a: a.bit_count())
-        put(f"{p}.add", lambda a, c, m=mask: (a + c) & m)
-        put(f"{p}.sub", lambda a, c, m=mask: (a - c) & m)
-        put(f"{p}.mul", lambda a, c, m=mask: (a * c) & m)
         put(f"{p}.div_s", lambda a, c, n=bits: _div_s(a, c, n))
-        put(f"{p}.div_u", lambda a, c: _div_u(a, c))
+        put(f"{p}.div_u", _div_u)
         put(f"{p}.rem_s", lambda a, c, n=bits: _rem_s(a, c, n))
-        put(f"{p}.rem_u", lambda a, c: _rem_u(a, c))
-        put(f"{p}.and", lambda a, c: a & c)
-        put(f"{p}.or", lambda a, c: a | c)
-        put(f"{p}.xor", lambda a, c: a ^ c)
-        put(f"{p}.shl", lambda a, c, n=bits, m=mask: (a << (c % n)) & m)
-        put(f"{p}.shr_u", lambda a, c, n=bits: a >> (c % n))
-        put(f"{p}.shr_s",
-            lambda a, c, n=bits, m=mask, s=sx: (s(a) >> (c % n)) & m)
-        put(f"{p}.rotl", lambda a, c, n=bits, m=mask: _rotl(a, c, n, m))
-        put(f"{p}.rotr", lambda a, c, n=bits, m=mask: _rotr(a, c, n, m))
+        put(f"{p}.rem_u", _rem_u)
 
     for p, val, to_bits, sign in (("f32", _f32, _f32_bits, 1 << 31),
                                   ("f64", _f64, _f64_bits, 1 << 63)):
@@ -384,9 +407,6 @@ def _build_numeric() -> dict[str, object]:
         put(f"f32.convert_{p}_u", _int_f32_bits)
         put(f"f64.convert_{p}_s", lambda a, s=sx: _f64_bits(s(a)))
         put(f"f64.convert_{p}_u", _f64_bits)
-    put("i32.wrap_i64", lambda a: a & M32)
-    put("i64.extend_i32_s", lambda a: _s32(a) & M64)
-    put("i64.extend_i32_u", lambda a: a)
     put("f32.demote_f64", lambda a: _f32_bits(_f64(a)))
     put("f64.promote_f32", lambda a: _f64_bits(_f32(a)))
     return ops
@@ -416,6 +436,8 @@ C_MEMGROW = 19
 C_CONST = 20
 C_NUM1 = 21
 C_NUM2 = 22
+# a fused run: (C_BLOCK, its function or None, length, the head's tuple)
+C_BLOCK = 23
 
 _NOP = (C_NOP,)
 
@@ -436,10 +458,12 @@ _WITH_ARGS = {
     "global.set": C_GLOBAL_SET,
 }
 
-# numeric ops compile to (C_NUM1 or C_NUM2, fn), by arity
+_NUMERIC = _build_numeric()
+
+# numeric ops compile to (C_NUM1 or C_NUM2, fn, op), by arity
 _PLAIN.update(
-    (op, (C_NUM1 if len(SIGS[op][0]) == 1 else C_NUM2, fn))
-    for op, fn in _build_numeric().items()
+    (op, (C_NUM1 if len(SIGS[op][0]) == 1 else C_NUM2, fn, op))
+    for op, fn in _NUMERIC.items()
 )
 
 _MASK = {t: (1 << 8 * width) - 1 for t, width in VALTYPE_WIDTH.items()}
@@ -464,6 +488,122 @@ _EFFECT.update({
 })
 
 
+# ops a fused run may hold: none of them branches or calls
+_FUSABLE = frozenset((
+    C_NOP, C_DROP, C_SELECT, C_LOCAL_GET, C_LOCAL_SET, C_LOCAL_TEE,
+    C_GLOBAL_GET, C_GLOBAL_SET, C_LOAD, C_STORE, C_CONST, C_NUM1, C_NUM2,
+))
+
+# the integer expressions with their operands as format fields
+_INT_FMT = {op: re.sub(r"\b([ab])\b", r"{\1}", ex)
+            for op, ex in _INT_EXPR.items()}
+
+# what a run's source refers to besides its factory's parameters
+_RUN_NAMES = {"_NumTrap": _NumTrap, "MEM_OOB": MEM_OOB,
+              "from_bytes": int.from_bytes}
+
+
+def _run_source(ops: list[tuple]) -> tuple[str, list]:
+    """Python source of a factory for one run of stepped tuples, and the
+    arguments to call it with.
+
+    ``make(p0, p1, ...)`` returns ``run(vals, L, G, mem)``, which does to
+    the operand stack, the locals, the globals and the memory what
+    stepping ``ops`` does. Stack slots are Python locals: values from
+    below the run are popped first, and the values the run leaves are
+    pushed once at the end. Immediates (constants, local and global
+    indices, memarg offsets, the numeric functions called) are the
+    factory's parameters, so runs that differ only in them share one
+    source. An op that traps raises ``_NumTrap`` with ``at`` set to its
+    offset in the run.
+    """
+    params: list = []
+    lines: list[str] = []
+    stack: list[str] = []  # what the run has pushed, as names
+    below: list[str] = []  # what it took from below, top first
+    may_trap = False
+
+    def param(value) -> str:
+        params.append(value)
+        return f"p{len(params) - 1}"
+
+    def pop() -> str:
+        if stack:
+            return stack.pop()
+        below.append(f"x{len(below)}")
+        return below[-1]
+
+    def push(expr: str):
+        name = f"v{len(lines)}"
+        lines.append(f"{name} = {expr}")
+        stack.append(name)
+
+    for k, ins in enumerate(ops):
+        c = ins[0]
+        if c == C_CONST:
+            stack.append(param(ins[1]))
+        elif c == C_LOCAL_GET:
+            push(f"L[{param(ins[1])}]")
+        elif c == C_LOCAL_SET:
+            lines.append(f"L[{param(ins[1])}] = {pop()}")
+        elif c == C_LOCAL_TEE:
+            stack.append(pop())
+            lines.append(f"L[{param(ins[1])}] = {stack[-1]}")
+        elif c == C_GLOBAL_GET:
+            push(f"G[{param(ins[1])}]")
+        elif c == C_GLOBAL_SET:
+            lines.append(f"G[{param(ins[1])}] = {pop()}")
+        elif c == C_DROP:
+            pop()
+        elif c == C_SELECT:
+            cond, b, a = pop(), pop(), pop()
+            push(f"{a} if {cond} else {b}")
+        elif c == C_NUM1 or c == C_NUM2:
+            b = pop() if c == C_NUM2 else ""
+            a = pop()
+            fmt = _INT_FMT.get(ins[2])
+            if fmt is not None:
+                push(fmt.format(a=a, b=b))
+            else:  # div, rem, trunc and the float ops
+                may_trap = True
+                lines.append(f"k = {k}")
+                push(f"{param(ins[1])}({a}{', ' + b if b else ''})")
+        elif c == C_LOAD or c == C_STORE:
+            may_trap = True
+            width = ins[2]
+            value = pop() if c == C_STORE else ""
+            lines += [f"k = {k}", f"a = {pop()} + {param(ins[1])}",
+                      f"if a + {width} > size: raise _NumTrap(MEM_OOB)"]
+            if c == C_STORE:
+                lines.append(f"mem[a] = {value} & 0xFF" if width == 1 else
+                             f"mem[a:a + {width}] = ({value} & {ins[3]:#x})"
+                             f".to_bytes({width}, 'little')")
+            elif ins[3]:  # sign-extends
+                push(f"from_bytes(mem[a:a + {width}], 'little', signed=True)"
+                     f" & {ins[4]:#x}")
+            else:  # zero-extends: the mask cannot clear a bit
+                push("mem[a]" if width == 1 else
+                     f"from_bytes(mem[a:a + {width}], 'little')")
+        # C_NOP: block, loop and end markers, nop, reinterprets
+
+    body = [f"{x} = vals.pop()" for x in below] + lines
+    if any(ins[0] == C_LOAD or ins[0] == C_STORE for ins in ops):
+        body.insert(0, "size = len(mem)")  # no op in a run grows memory
+    if len(stack) == 1:
+        body.append(f"vals.append({stack[0]})")
+    elif stack:
+        body.append(f"vals += ({', '.join(stack)})")
+    if may_trap:
+        body = (["try:"] + ["    " + line for line in body]
+                + ["except _NumTrap as t:", "    t.at = k", "    raise"])
+    src = "\n".join(
+        [f"def make({', '.join(f'p{i}' for i in range(len(params)))}):",
+         "    def run(vals, L, G, mem):"]
+        + ["        " + line for line in body or ["pass"]]
+        + ["    return run", ""])
+    return src, params
+
+
 class _FuncMeta:
     __slots__ = ("func_idx", "ftype", "nparams", "nresults", "local_zeros",
                  "code")
@@ -486,6 +626,11 @@ def _compile_body(body, nresults: int, func_types: list[FuncType],
     the frame's base and jumps to the ``end`` of a block or ``if``, to a
     ``loop``, or to the function's final ``end``, which returns.
     ``block``, ``loop`` and the other ends are no-ops costing one fuel.
+
+    Each maximal run of two or more ops that neither branch nor call,
+    cut before every branch target, becomes a fused run: its head's tuple
+    is wrapped in ``(C_BLOCK, None, length, tuple)`` and the rest keep
+    theirs. Control enters a run only at its head.
     """
     end_of = {}  # block, loop or if -> its end
     false_to = {}  # an if with an else -> where a false condition goes
@@ -504,6 +649,8 @@ def _compile_body(body, nresults: int, func_types: list[FuncType],
     labels = [((len(body) - 1, nresults, 0), nresults)]
     height = 0  # operand-stack height above the frame's base
     code: list[tuple] = []
+    entries = set()  # pcs a branch may jump to, loop heads among them
+    head = None  # where the current run starts
     for pc, instr in enumerate(body):
         op = instr.op
         a = instr.args
@@ -518,13 +665,15 @@ def _compile_body(body, nresults: int, func_types: list[FuncType],
             c, access = _MEMORY[op]
             code.append((c, a[1], *access))
         elif op == "br" or op == "br_if":
-            code.append((C_BR if op == "br" else C_BR_IF,
-                         *labels[-1 - a[0]][0]))
+            label = labels[-1 - a[0]][0]
+            entries.add(label[0])
+            code.append((C_BR if op == "br" else C_BR_IF, *label))
         elif op == "br_table":
             targets, default = a
-            code.append((C_BR_TABLE,
-                         tuple((C_BR, *labels[-1 - t][0]) for t in targets),
-                         (C_BR, *labels[-1 - default][0])))
+            brs = tuple((C_BR, *labels[-1 - t][0])
+                        for t in (*targets, default))
+            entries.update(br[1] for br in brs)
+            code.append((C_BR_TABLE, brs[:-1], brs[-1]))
         elif op == "call":
             ft = func_types[a[0]]
             height += len(ft.results) - len(ft.params)
@@ -535,6 +684,7 @@ def _compile_body(body, nresults: int, func_types: list[FuncType],
             code.append((C_CALL_INDIRECT, ft))
         elif op == "else":  # the then-arm is done: jump to the end
             (end, arity, height), _ = labels[-1]
+            entries.add(end)
             code.append((C_BR, end, arity, height))
         elif op == "end":
             height = labels.pop()[1]
@@ -545,10 +695,32 @@ def _compile_body(body, nresults: int, func_types: list[FuncType],
             label = ((pc, 0, height) if op == "loop"
                      else (end_of[pc], arity, height))
             labels.append((label, height + arity))
-            code.append((C_IF, false_to.get(pc, end_of[pc])) if op == "if"
-                        else _NOP)
+            if op == "loop":
+                entries.add(pc)
+            if op == "if":
+                false = false_to.get(pc, end_of[pc])
+                entries.add(false)
+                code.append((C_IF, false))
+            else:
+                code.append(_NOP)
 
-    return code
+        if code[-1][0] in _FUSABLE:
+            if head is None:
+                head = pc
+            elif pc in entries:
+                _fuse_later(code, head, pc)
+                head = pc
+        elif head is not None:
+            _fuse_later(code, head, pc)
+            head = None
+    return code  # a valid body ends in its final end, which is no run
+
+
+def _fuse_later(code: list[tuple], head: int, end: int):
+    """Mark ``code[head:end]`` as a run if it holds two or more ops; its
+    function is made the first time it runs."""
+    if end - head >= 2:
+        code[head] = (C_BLOCK, None, end - head, code[head])
 
 
 _WASI_MODULE = "wasi_snapshot_preview1"
@@ -587,7 +759,7 @@ class Instance:
         self.stdin_pos = 0
         self.stdout = bytearray()
         self.stderr = bytearray()
-        self.rng = random.Random(wasi.rng_seed)
+        self.rng: Optional[random.Random] = None  # made by random_get
         self.clock = 0
         self.start_ran = False
         for seg in m.data_segments:
@@ -711,6 +883,8 @@ def _wasi_proc_exit(inst, code):
 
 
 def _wasi_random_get(inst, buf, n):
+    if inst.rng is None:  # seeding costs ~7 us, so only modules that ask pay
+        inst.rng = random.Random(inst.wasi.rng_seed)
     inst.mem_write(buf, bytes(inst.rng.getrandbits(8) for _ in range(n)))
     return ERRNO_SUCCESS
 
@@ -792,6 +966,8 @@ class Engine:
 
         self.exports = module.export_map()
         self.n_host = n_host
+        # run source -> its compiled factory, filled as runs first execute
+        self._templates: dict[str, object] = {}
         # the map base the coverage pass wrote into its accessor; None when
         # the accessor is missing or not a constant
         exp = self.exports.get(ACCESSOR_NAME)
@@ -869,6 +1045,19 @@ class Engine:
             )
         return meta
 
+    def _fuse(self, code: list[tuple], head: int):
+        """Make the function of the run at ``head`` and put it in place."""
+        _, _, n, first = code[head]
+        src, params = _run_source([first, *code[head + 1: head + n]])
+        make = self._templates.get(src)
+        if make is None:
+            names = dict(_RUN_NAMES)
+            exec(compile(src, "<wasm run>", "exec"), names)
+            make = self._templates[src] = names["make"]
+        run = make(*params)
+        code[head] = (C_BLOCK, run, n, first)
+        return run
+
     def _execute(self, inst: Instance, calls: list[_FuncMeta], args: list,
                  limits: RunLimits) -> tuple[ExecOutcome, list]:
         """Run ``calls`` in order under one fuel budget; return how the run
@@ -921,9 +1110,24 @@ class Engine:
         while True:
             if executed >= fuel:
                 raise _Fuel()
-            executed += 1
             ins = code[pc]
             c = ins[0]
+            if c == C_BLOCK:
+                n = ins[2]
+                if executed + n <= fuel:
+                    run = ins[1] or self._fuse(code, pc)
+                    try:
+                        run(vals, locals_, glb, mem)
+                    except _NumTrap as t:
+                        raise _Trap(t.kind, func_idx, pc + t.at,
+                                    executed + t.at + 1)
+                    executed += n
+                    pc += n
+                    continue
+                # the fuel runs out inside the run: step it
+                ins = ins[3]
+                c = ins[0]
+            executed += 1
 
             if c == C_LOCAL_GET:
                 vals.append(locals_[ins[1]])

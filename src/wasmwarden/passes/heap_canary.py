@@ -60,9 +60,9 @@ class HeapConfig:
 
 @dataclass
 class HeapFnMap:
-    # (module function index, kind, size-arg / pointer-arg position)
-    allocs: list[tuple[int, str, int]] = field(default_factory=list)
-    deallocs: list[tuple[int, str, int]] = field(default_factory=list)
+    # (module function index, allocator kind)
+    allocs: list[tuple[int, str]] = field(default_factory=list)
+    deallocs: list[tuple[int, str]] = field(default_factory=list)
 
     def __bool__(self) -> bool:
         return bool(self.allocs or self.deallocs)
@@ -92,14 +92,14 @@ def identify_heap_functions(
 
     fn_map = HeapFnMap()
     if "malloc" in resolved:
-        fn_map.allocs.append((resolved["malloc"], "malloc", 0))
+        fn_map.allocs.append((resolved["malloc"], "malloc"))
     if "calloc" in resolved:
-        fn_map.allocs.append((resolved["calloc"], "calloc", 1))
+        fn_map.allocs.append((resolved["calloc"], "calloc"))
     if "realloc" in resolved:
-        fn_map.allocs.append((resolved["realloc"], "realloc", 1))
-        fn_map.deallocs.append((resolved["realloc"], "realloc", 0))
+        fn_map.allocs.append((resolved["realloc"], "realloc"))
+        fn_map.deallocs.append((resolved["realloc"], "realloc"))
     if "free" in resolved:
-        fn_map.deallocs.append((resolved["free"], "free", 0))
+        fn_map.deallocs.append((resolved["free"], "free"))
     return fn_map
 
 
@@ -278,12 +278,12 @@ def apply_heap_pass(
     )
     out = m.copy()
     n_imp = out.num_imported_funcs
-    for idx, kind, _pos in fn_map.allocs:
+    for idx, kind in fn_map.allocs:
         out.functions[idx - n_imp] = instrument_alloc_function(
             out, out.defined_func(idx), kind, canary
         )
     # second so the realloc check precedes its inflation preamble
-    for idx, kind, _pos in fn_map.deallocs:
+    for idx, kind in fn_map.deallocs:
         out.functions[idx - n_imp] = instrument_dealloc_function(
             out, out.defined_func(idx), kind, canary
         )

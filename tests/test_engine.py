@@ -7,6 +7,7 @@ import pytest
 import modbuild
 from wasmwarden.encoder import encode_module
 from wasmwarden.interp import RunLimits
+from wasmwarden.fuzz import mutate as mut
 from wasmwarden.fuzz import (
     AllSeedsInvalid,
     FuzzConfig,
@@ -159,3 +160,43 @@ def test_file_input_without_campaign_dir_leaves_cwd_untouched(
     assert len(set(paths)) == 1
     assert paths[0].parent != tmp_path
     assert not paths[0].parent.exists()
+
+
+def _resumed_stage_calls(out: Path, budget: int, monkeypatch):
+    """Run a victim campaign from ``AAAA`` into ``out`` for ``budget``
+    execs, then resume it from its queue. Returns whether entry 0 was
+    marked done before the resume, and the (input, stage) of every
+    deterministic ``mutate`` call the resumed campaign made."""
+    m, sites = instrumented_victim()
+    Fuzzer(m, sites, quick_cfg(out, max_execs=budget)).run([b"AAAA"])
+    marked = (out / ".state" / "deterministic_done" / "id_000000").is_file()
+    queue = [p.read_bytes() for p in sorted((out / "queue").iterdir())]
+    calls = []
+    real = mut.mutate
+
+    def spy(data, rng, stage, **kw):
+        if stage in mut.DETERMINISTIC_STAGES:
+            calls.append((data, stage))
+        return real(data, rng, stage, **kw)
+
+    monkeypatch.setattr(mut, "mutate", spy)
+    Fuzzer(m, sites, quick_cfg(out, max_execs=budget + 2000)).run(queue)
+    return marked, calls
+
+
+def test_resume_skips_finished_deterministic_stages(tmp_path, monkeypatch):
+    stages = sum(mut.stage_size(b"AAAA", s)
+                 for s in mut.DETERMINISTIC_STAGES)
+    # the seed's dry run, every stage of entry 0, then some havoc
+    marked, calls = _resumed_stage_calls(tmp_path, 1 + stages + 50,
+                                         monkeypatch)
+    assert marked
+    assert not any(data == b"AAAA" for data, _ in calls)
+    assert calls  # later entries still run their stages
+
+
+def test_resume_redoes_interrupted_deterministic_stages(tmp_path,
+                                                        monkeypatch):
+    marked, calls = _resumed_stage_calls(tmp_path, 20, monkeypatch)
+    assert not marked
+    assert (b"AAAA", "bitflip") in calls

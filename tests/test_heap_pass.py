@@ -181,7 +181,7 @@ def test_identify_precedence_override_beats_export():
     free_idx = m.export_map()["free"].index
     fn_map = identify_heap_functions(m, {"malloc": free_idx})
     mal = [e for e in fn_map.allocs if e[1] == "malloc"]
-    assert mal == [(free_idx, "malloc", 0)]
+    assert mal == [(free_idx, "malloc")]
 
 
 def test_identify_falls_back_to_name_section():

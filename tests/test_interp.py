@@ -363,20 +363,22 @@ def test_wasi_exit_code_is_not_a_crash():
     assert out.exit_code == 3
 
 
-def test_wasi_random_get_is_seeded():
+def _random_get_module():
     m = modbuild.new_module(imports=("fd_write",))
     body = [
         # random_get(64, 8) then write those 8 bytes
         I("i32.const", 64), I("i32.const", 8), I("call", 1), I("drop"),
     ] + modbuild.write_stdout(8, fd_write_idx=0) + [I("end")]
     ti = m.add_type(FuncType(("i32", "i32"), ("i32",)))
-    from wasmwarden.ir import Import
-
     m.imports.append(
         Import("wasi_snapshot_preview1", "random_get", "func", ti)
     )
     modbuild.add_start(m, body)
-    eng = Engine(m)
+    return m
+
+
+def test_wasi_random_get_is_seeded():
+    eng = Engine(_random_get_module())
     outs = []
     for _ in range(2):
         inst = eng.instantiate(WasiConfig(rng_seed=42))
@@ -384,6 +386,18 @@ def test_wasi_random_get_is_seeded():
     assert outs[0] == outs[1] and len(outs[0]) == 8
     inst = eng.instantiate(WasiConfig(rng_seed=43))
     assert eng.run_start(inst).stdout != outs[0]
+
+
+def test_wasi_rng_is_made_by_the_first_random_get():
+    eng = Engine(modbuild.echo_module())
+    inst = eng.instantiate(WasiConfig(stdin=b"hi", rng_seed=42))
+    assert eng.run_start(inst).status == "exit" and inst.rng is None
+    eng = Engine(_random_get_module())
+    inst = eng.instantiate(WasiConfig(rng_seed=42))
+    assert inst.rng is None
+    rng = random.Random(42)
+    assert eng.run_start(inst).stdout == bytes(
+        rng.getrandbits(8) for _ in range(8))
 
 
 def test_wasi_args_get():
