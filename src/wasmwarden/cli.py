@@ -24,7 +24,7 @@ from .passes.heap_canary import HeapConfig, apply_heap_pass
 from .passes.sites import ORACLE_KINDS, SiteTable, collect_sites
 from .passes.stack_canary import CanaryConfig, apply_stack_pass
 from .validate import validate_module
-from .fuzz.bitmap import classify_counts
+from .fuzz.bitmap import bucket_for_count
 from .fuzz.engine import (
     AllSeedsInvalid,
     FuzzConfig,
@@ -180,12 +180,12 @@ def cmd_cov(args) -> int:
     except WasmError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    counts = classify_counts(trace)
     edges = 0
     for idx, raw in enumerate(trace):
         if raw:
             edges += 1
-            print(f"{idx:5d} count={raw:3d} bucket=0x{counts[idx]:02x}")
+            print(f"{idx:5d} count={raw:3d} "
+                  f"bucket=0x{bucket_for_count(raw):02x}")
     print(f"total edges hit: {edges}")
     return EXIT_OK
 

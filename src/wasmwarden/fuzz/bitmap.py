@@ -1,11 +1,17 @@
 """Hit-count bucketing and novelty detection over the 64 KiB trace map.
 
-A trace is nearly all zeros, so both steps view the map as 8-byte words
-and touch only the nonzero ones: their cost follows the number of words
-hit, not the map size (AFL walks its map the same way).
+A trace is nearly all zeros. ``classify_counts`` views it as 8-byte words
+in place and finds the nonzero ones in the exec's only full scan (8192
+words); it buckets just those and returns them sparse, as word indices
+and bucketed words. ``VirginMap.has_new_bits`` then gathers, compares
+and merges its own words at those indices only. Beyond the one scan, the
+cost follows the number of words hit, not the map size (AFL walks its
+map the same way).
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,17 +34,26 @@ NEW_BUCKET = 1
 NEW_EDGE = 2
 
 
-def classify_counts(trace: bytes) -> np.ndarray:
-    """Map each raw counter to its one-hot bucket bit."""
+class Bucketed(NamedTuple):
+    """A bucketed trace, sparse: the map's nonzero 8-byte words only."""
+
+    index: np.ndarray  # word indices, ascending
+    words: np.ndarray  # uint64: each word's bytes mapped to bucket bits
+    size: int  # length of the whole map in bytes
+
+
+def classify_counts(trace: bytes | memoryview) -> Bucketed:
+    """Map each raw counter in ``trace`` (any bytes-like object, read in
+    place) to its one-hot bucket bit."""
     if len(trace) % 8:
         raise ValueError(
             f"trace length {len(trace)} is not a multiple of 8"
         )
     raw = np.frombuffer(trace, dtype=np.uint64)
+    # a bool mask's nonzero() is ~5x faster than a uint64 array's
     hit = (raw != 0).nonzero()[0]
-    out = np.zeros(len(raw), dtype=np.uint64)
-    out[hit] = _LUT[raw[hit].view(np.uint8)].view(np.uint64)
-    return out.view(np.uint8)
+    words = _LUT.take(raw[hit].view(np.uint8)).view(np.uint64)
+    return Bucketed(hit, words, len(trace))
 
 
 def bucket_for_count(count: int) -> int:
@@ -53,20 +68,18 @@ class VirginMap:
         self.seen = np.zeros(MAP_SIZE, dtype=np.uint8)
         self._seen_words = self.seen.view(np.uint64)
 
-    def has_new_bits(self, bucketed: np.ndarray) -> int:
+    def has_new_bits(self, bucketed: Bucketed) -> int:
         """NEW_EDGE if an index lights up for the first time, NEW_BUCKET if
         a known index gains a new bucket, else NO_NEW. Updates the
         accumulator."""
-        if len(bucketed) != MAP_SIZE:
+        if bucketed.size != MAP_SIZE:
             raise ValueError(
-                f"bucketed map has {len(bucketed)} entries, "
+                f"bucketed map covers {bucketed.size} bytes, "
                 f"expected {MAP_SIZE}"
             )
-        cur = np.ascontiguousarray(bucketed, dtype=np.uint8).view(np.uint64)
-        hit = (cur != 0).nonzero()[0]
-        words = cur[hit]
+        hit, words = bucketed.index, bucketed.words
         old = self._seen_words[hit]
-        if not (words & ~old).any():
+        if not np.count_nonzero(words & ~old):
             return NO_NEW
         new_edge = ((old.view(np.uint8) == 0)
                     & (words.view(np.uint8) != 0)).any()

@@ -158,8 +158,9 @@ class Fuzzer:
             self.config.out_dir = out
 
     # ------------------------------------------------------------------
-    def run_input(self, data: bytes) -> tuple[ExecOutcome, bytes]:
-        """Execute one input; returns the outcome and the raw trace bits."""
+    def run_input(self, data: bytes) -> tuple[ExecOutcome, memoryview]:
+        """Execute one input; returns the outcome and the raw trace bits,
+        a read-only view into the instance's memory."""
         argv = [a if a != "@@" else self._write_cur_input(data)
                 for a in self.config.argv]
         wasi = WasiConfig(
@@ -231,7 +232,7 @@ class Fuzzer:
                 / f"id_{entry.id:06d}")
 
     def _new_crash(self, crash_id: int, data: bytes, outcome: ExecOutcome,
-                   trace: bytes, parent: int, stage: str,
+                   trace: memoryview, parent: int, stage: str,
                    ) -> Optional[CrashReport]:
         """Keep a crash whose trace is new to the crash map."""
         if self.crash_map.has_new_bits(classify_counts(trace)) == NO_NEW:
@@ -268,7 +269,7 @@ class Fuzzer:
                 log.warning("crashes/%s no longer crashes", p.name)
 
     def _record_crash(
-        self, data: bytes, outcome: ExecOutcome, trace: bytes,
+        self, data: bytes, outcome: ExecOutcome, trace: memoryview,
         parent: int, stage: str,
     ) -> Optional[CrashReport]:
         self.stats.crashes_total += 1

@@ -751,25 +751,22 @@ class Instance:
     def __init__(self, engine: "Engine", wasi: WasiConfig):
         self.engine = engine
         self.wasi = wasi
-        m = engine.module
-        min_pages = m.memory[0] if m.memory else 0
-        self.memory = bytearray(min_pages * PAGE)
-        self.mem_max = m.memory[1] if m.memory else 0
-        self.globals = [engine.eval_const(g.init) for g in m.globals]
+        self.memory = bytearray(engine.mem_size)
+        self.mem_max = engine.mem_max
+        self.globals = engine.globals_init.copy()
         self.stdin_pos = 0
         self.stdout = bytearray()
         self.stderr = bytearray()
         self.rng: Optional[random.Random] = None  # made by random_get
         self.clock = 0
         self.start_ran = False
-        for seg in m.data_segments:
-            off = engine.eval_const(seg.offset)
-            if off + len(seg.data) > len(self.memory):
+        for off, data in engine.data_init:
+            if off + len(data) > len(self.memory):
                 raise InstantiationTrap(
-                    f"data segment [{off}, {off + len(seg.data)}) out of "
+                    f"data segment [{off}, {off + len(data)}) out of "
                     f"bounds for {len(self.memory)}-byte memory"
                 )
-            self.memory[off: off + len(seg.data)] = seg.data
+            self.memory[off: off + len(data)] = data
 
     # memory helpers used by host calls
     def mem_read(self, addr: int, n: int) -> bytes:
@@ -782,9 +779,6 @@ class Instance:
             raise _Trap(MEM_OOB)
         self.memory[addr: addr + len(data)] = data
 
-    def read_u32(self, addr: int) -> int:
-        return int.from_bytes(self.mem_read(addr, 4), "little")
-
     def write_u32(self, addr: int, value: int):
         self.mem_write(addr, (value & M32).to_bytes(4, "little"))
 
@@ -792,10 +786,12 @@ class Instance:
         self.mem_write(addr, (value & M64).to_bytes(8, "little"))
 
 
-def _iovs(inst: Instance, ptr: int, count: int):
-    for k in range(count):
-        base = ptr + 8 * k
-        yield inst.read_u32(base), inst.read_u32(base + 4)
+def _iovec(mem: bytearray, at: int) -> tuple[int, int]:
+    """The (buf, len) pair of the iovec at ``at``."""
+    if at + 8 > len(mem):
+        raise _Trap(MEM_OOB)
+    return (int.from_bytes(mem[at: at + 4], "little"),
+            int.from_bytes(mem[at + 4: at + 8], "little"))
 
 
 def _wasi_args_sizes_get(inst, argc_ptr, size_ptr):
@@ -833,9 +829,11 @@ def _wasi_environ_get(inst, env_ptr, buf_ptr):
 def _wasi_fd_read(inst, fd, iovs_ptr, iovs_len, nread_ptr):
     if fd != 0:
         return ERRNO_BADF
+    mem, stdin = inst.memory, inst.wasi.stdin
     total = 0
-    for buf, blen in _iovs(inst, iovs_ptr, iovs_len):
-        chunk = inst.wasi.stdin[inst.stdin_pos: inst.stdin_pos + blen]
+    for at in range(iovs_ptr, iovs_ptr + 8 * iovs_len, 8):
+        buf, blen = _iovec(mem, at)
+        chunk = stdin[inst.stdin_pos: inst.stdin_pos + blen]
         if chunk:
             inst.mem_write(buf, chunk)
             inst.stdin_pos += len(chunk)
@@ -854,7 +852,8 @@ def _wasi_fd_write(inst, fd, iovs_ptr, iovs_len, nwritten_ptr):
     else:
         return ERRNO_BADF
     total = 0
-    for buf, blen in _iovs(inst, iovs_ptr, iovs_len):
+    for at in range(iovs_ptr, iovs_ptr + 8 * iovs_len, 8):
+        buf, blen = _iovec(inst.memory, at)
         sink.extend(inst.mem_read(buf, blen))
         total += blen
     inst.write_u32(nwritten_ptr, total)
@@ -964,6 +963,14 @@ class Engine:
                 for k, fi in enumerate(elem.func_indices):
                     self.table[off + k] = fi
 
+        # what every instance starts from; a data segment out of bounds
+        # still traps at instantiate()
+        self.mem_size = module.memory[0] * PAGE if module.memory else 0
+        self.mem_max = module.memory[1] if module.memory else 0
+        self.globals_init = [self.eval_const(g.init) for g in module.globals]
+        self.data_init = [(self.eval_const(seg.offset), seg.data)
+                          for seg in module.data_segments]
+
         self.exports = module.export_map()
         self.n_host = n_host
         # run source -> its compiled factory, filled as runs first execute
@@ -1020,7 +1027,9 @@ class Engine:
         )
         return outcome, [_from_bits(t, v) for t, v in zip(results, vals)]
 
-    def read_trace_bits(self, inst: Instance) -> bytes:
+    def read_trace_bits(self, inst: Instance) -> memoryview:
+        """The trace map inside ``inst.memory``: a read-only view, no copy.
+        While the view lives, the memory cannot grow."""
         base = self.trace_base
         if base is None:
             raise AccessorMissing(
@@ -1032,7 +1041,7 @@ class Engine:
                 f"trace map at {base} ends past the "
                 f"{len(inst.memory)}-byte memory"
             )
-        return bytes(inst.memory[base: base + MAP_SIZE])
+        return memoryview(inst.memory)[base: base + MAP_SIZE].toreadonly()
 
     # ------------------------------------------------------------------
     def _callee(self, func_idx: int, nargs: int) -> _FuncMeta:

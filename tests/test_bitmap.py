@@ -39,10 +39,31 @@ def test_bucket_table_on_all_counter_values():
         assert bucket_for_count(count) == scalar_bucket(count), count
 
 
+def dense(bucketed) -> np.ndarray:
+    """The sparse bucketed trace laid out as one byte per counter."""
+    out = np.zeros(bucketed.size // 8, dtype=np.uint64)
+    out[bucketed.index] = bucketed.words
+    return out.view(np.uint8)
+
+
 def test_classify_counts_vectorised_matches_scalar():
     trace = bytes(range(256)) * 4
     got = classify_counts(trace)
-    assert list(got) == [scalar_bucket(c) for c in trace]
+    assert list(dense(got)) == [scalar_bucket(c) for c in trace]
+
+
+def test_classify_counts_returns_only_the_words_hit():
+    buf = bytearray(MAP_SIZE)
+    buf[3], buf[4], buf[MAP_SIZE - 1] = 1, 200, 9
+    got = classify_counts(memoryview(buf).toreadonly())
+    assert got.size == MAP_SIZE
+    assert list(got.index) == [0, MAP_SIZE // 8 - 1]
+    assert got.words.dtype == np.uint64
+    assert got.words.view(np.uint8).tolist() == [
+        0, 0, 0, 1, 128, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 16]
+    empty = classify_counts(bytes(MAP_SIZE))
+    assert len(empty.index) == len(empty.words) == 0
+    assert VirginMap().has_new_bits(empty) == NO_NEW
 
 
 def _trace(**at):
@@ -116,8 +137,9 @@ def test_classify_counts_rejects_partial_words():
 def test_has_new_bits_rejects_wrong_map_size():
     vm = VirginMap()
     for size in (0, 1024, MAP_SIZE - 8, MAP_SIZE + 8):
+        bucketed = classify_counts(bytes(size))  # a whole number of words
         with pytest.raises(ValueError):
-            vm.has_new_bits(np.zeros(size, dtype=np.uint8))
+            vm.has_new_bits(bucketed)
 
 
 # every count on either side of a bucket boundary
@@ -159,9 +181,11 @@ def test_word_skipping_matches_dense_reference(steps):
         hit = {i: scalar_bucket(buf[i]) for hits in groups for i, _ in hits}
 
         bucketed = classify_counts(bytes(buf))
-        assert bucketed.dtype == np.uint8 and len(bucketed) == MAP_SIZE
-        assert {int(i): int(bucketed[i])
-                for i in np.flatnonzero(bucketed)} == hit
+        assert bucketed.words.dtype == np.uint64
+        assert bucketed.size == MAP_SIZE
+        assert list(bucketed.index) == sorted({i // 8 for i in hit})
+        full = dense(bucketed)
+        assert {int(i): int(full[i]) for i in np.flatnonzero(full)} == hit
 
         expect = NO_NEW
         for i, b in hit.items():

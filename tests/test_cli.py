@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -12,6 +13,8 @@ from wasmwarden.cli import (
     main,
 )
 from wasmwarden.encoder import encode_module
+from wasmwarden.fuzz.bitmap import bucket_for_count
+from wasmwarden.passes.coverage import MAP_SIZE
 
 
 @pytest.fixture
@@ -95,6 +98,18 @@ def test_run_without_start_export_is_usage_error(tmp_path):
     assert main(["run", str(p)]) == EXIT_USAGE
 
 
+def _check_cov_lines(out: str) -> int:
+    """Each edge line shows its count's bucket; returns the edge total."""
+    *lines, total = out.strip().splitlines()
+    for line in lines:
+        idx, count, bucket = re.fullmatch(
+            r" *(\d+) count= *(\d+) bucket=0x([0-9a-f]{2})", line).groups()
+        assert 0 <= int(idx) < MAP_SIZE
+        assert int(bucket, 16) == bucket_for_count(int(count)) > 0
+    assert total == f"total edges hit: {len(lines)}"
+    return len(lines)
+
+
 def test_cov_dumps_edges(hardened, tmp_path, capsys):
     inp = tmp_path / "in"
     inp.write_bytes(b"hello")
@@ -103,6 +118,7 @@ def test_cov_dumps_edges(hardened, tmp_path, capsys):
     assert "total edges hit:" in out
     edges = int(out.strip().rsplit(" ", 1)[1])
     assert edges > 0
+    assert _check_cov_lines(out) == edges
 
 
 def test_cov_on_uninstrumented_binary_is_usage_error(victim_wasm, tmp_path):
@@ -118,6 +134,7 @@ def test_cov_output_differs_between_inputs(hardened, tmp_path, capsys):
         inp.write_bytes(data)
         main(["cov", str(hardened), str(inp)])
         dumps.append(capsys.readouterr().out)
+        _check_cov_lines(dumps[-1])
     assert dumps[0] != dumps[1]
 
 

@@ -181,6 +181,19 @@ def test_read_trace_bits_past_end_of_memory_raises_out_of_bounds():
     assert eng.read_trace_bits(inst)[7] == 3
 
 
+def test_read_trace_bits_is_a_read_only_view_of_instance_memory():
+    eng = Engine(_with_accessor([I("i32.const", MAP_SIZE), I("end")]))
+    inst = eng.instantiate()
+    trace = eng.read_trace_bits(inst)
+    assert trace.obj is inst.memory
+    assert trace.readonly and trace.nbytes == MAP_SIZE
+    with pytest.raises(TypeError):
+        trace[0] = 1
+    # no copy: a later write to the instance shows through
+    inst.memory[MAP_SIZE + 9] = 5
+    assert trace[9] == 5
+
+
 def test_module_without_memory_is_rejected():
     m = ModuleIR()
     ti = m.add_type(FuncType((), ()))

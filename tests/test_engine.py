@@ -53,6 +53,14 @@ def test_crashing_seed_is_rejected():
     assert e.value.crashing == [1]
 
 
+def test_run_input_returns_the_trace_in_place():
+    m, sites = instrumented_victim()
+    fz = Fuzzer(m, sites, quick_cfg())
+    _, trace = fz.run_input(b"hello")
+    assert isinstance(trace, memoryview) and trace.readonly
+    assert isinstance(trace.obj, bytearray) and any(trace)
+
+
 def test_constant_behavior_program_keeps_one_path():
     m = instrumented_echo()
     # echo's control flow does not depend on input *values*, only length;

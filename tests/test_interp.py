@@ -27,6 +27,7 @@ from wasmwarden.ir import (
     Global,
     I,
     Import,
+    PAGE,
     ModuleIR,
 )
 
@@ -342,6 +343,47 @@ def test_loop_counts_down():
     assert out.instructions_executed == 1000 * 7 + 3
 
 
+# -------------------------------------------------------- instantiate
+
+
+def _seeded_module(data_at=16, pages=1):
+    """A global initialised to 7 and b"seed" at ``data_at``; _start
+    overwrites both."""
+    m = make_func_module((), (), [I("end")], pages=pages)
+    m.globals.append(Global("i32", True, [I("i32.const", 7)]))
+    m.data_segments.append(DataSegment([I("i32.const", data_at)], b"seed"))
+    modbuild.add_start(m, [
+        I("i32.const", 99), I("global.set", 0),
+        I("i32.const", 16), I("i32.const", 0x58585858), I("i32.store", 2, 0),
+        I("end"),
+    ])
+    return m
+
+
+def test_data_segment_past_end_of_memory_traps_at_instantiate():
+    from wasmwarden.interp import InstantiationTrap
+
+    eng = Engine(_seeded_module(data_at=PAGE - 3))  # no trap yet
+    with pytest.raises(InstantiationTrap, match="out of bounds"):
+        eng.instantiate()
+    # the last segment that fits
+    inst = Engine(_seeded_module(data_at=PAGE - 4)).instantiate()
+    assert inst.memory[PAGE - 4:] == b"seed"
+
+
+def test_each_instance_starts_pristine():
+    eng = Engine(_seeded_module())
+    first = eng.instantiate()
+    assert eng.run_start(first).status == "exit"
+    assert first.globals == [99] and first.memory[16:20] == b"XXXX"
+    first.globals[0] = 5
+    first.memory[0:4] = b"dirt"
+    nxt = eng.instantiate()
+    assert nxt.globals == [7] and nxt.globals is not first.globals
+    assert nxt.memory == bytearray(16) + b"seed" + bytearray(PAGE - 20)
+    assert nxt.memory is not first.memory
+
+
 # -------------------------------------------------------------- WASI
 
 
@@ -351,6 +393,56 @@ def test_wasi_echo_roundtrip():
     out = eng.run_start(inst)
     assert out.status == "exit" and out.exit_code == 0
     assert out.stdout == b"hi there"
+
+
+IOVS = 32
+NREAD = 48
+
+
+def _fd_read(iovecs, stdin, at=IOVS, count=None):
+    """Run fd_read(stdin, at, count) with ``iovecs`` written at ``at``
+    when they fit; returns the outcome, the instance and nread."""
+    m = modbuild.new_module(imports=("fd_read",), pages=1)
+    if at + 8 * len(iovecs) <= PAGE:
+        m.data_segments.append(DataSegment(
+            [I("i32.const", at)],
+            b"".join(struct.pack("<II", *iov) for iov in iovecs)))
+    modbuild.add_start(m, [
+        I("i32.const", 0), I("i32.const", at),
+        I("i32.const", len(iovecs) if count is None else count),
+        I("i32.const", NREAD), I("call", 0), I("drop"), I("end"),
+    ])
+    eng = Engine(m)
+    inst = eng.instantiate(WasiConfig(stdin=stdin))
+    out = eng.run_start(inst)
+    return out, inst, int.from_bytes(inst.memory[NREAD:NREAD + 4], "little")
+
+
+def test_wasi_fd_read_fills_two_iovecs():
+    out, inst, nread = _fd_read([(100, 3), (200, 4)], b"abcdefgh")
+    assert out.status == "exit" and nread == 7 and inst.stdin_pos == 7
+    assert inst.memory[100:104] == b"abc\0"
+    assert inst.memory[200:205] == b"defg\0"
+
+
+def test_wasi_fd_read_short_stdin_stops_at_the_short_iovec():
+    out, inst, nread = _fd_read([(100, 3), (200, 4)], b"ab")
+    assert out.status == "exit" and nread == 2
+    assert inst.memory[100:103] == b"ab\0" and inst.memory[200] == 0
+    # the second descriptor would lie past the end of memory; a short
+    # read never gets to it
+    out, inst, nread = _fd_read([(100, 3)], b"ab", at=PAGE - 8, count=2)
+    assert out.status == "exit" and nread == 2
+
+
+def test_wasi_fd_read_iovec_past_end_of_memory_traps_at_the_call():
+    cases = [([], PAGE - 4, 1), ([], PAGE, 1), ([], 0xFFFFFFF8, 1),
+             ([(100, 3)], PAGE - 8, 2)]  # the second, after a full read
+    for iovecs, at, count in cases:
+        out, _, _ = _fd_read(iovecs, b"abcdef", at=at, count=count)
+        assert out.status == "trap" and out.trap_kind == MEM_OOB, at
+        # _start is function 1, after the import; the call is at offset 4
+        assert (out.trap_function, out.trap_offset) == (1, 4)
 
 
 def test_wasi_exit_code_is_not_a_crash():
