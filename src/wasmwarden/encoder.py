@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 from . import opcodes
-from .ir import FUNCREF, VALTYPE_BYTE, Instr, ModuleIR
-from .leb import write_sleb, write_uleb
+from .ir import EXTERNAL_KINDS, FUNCREF, VALTYPE_BYTE, Instr, ModuleIR
+from .leb import write_uleb
 from .parser import MAGIC, VERSION
 
 
@@ -20,39 +20,16 @@ def _limits(lim: tuple[int, int | None]) -> bytes:
     return b"\x01" + write_uleb(lo) + write_uleb(hi)
 
 
+# op name -> (its opcode byte, writer of its immediates)
+_ENCODE = {name: (bytes((byte,)), opcodes.IMMEDIATES[kind][1])
+           for byte, name, kind in opcodes._TABLE}
+
+_KIND_BYTE = {kind: bytes((b,)) for b, kind in enumerate(EXTERNAL_KINDS)}
+
+
 def encode_instr(instr: Instr) -> bytes:
-    op = opcodes.NAME_TO_BYTE[instr.op]
-    kind = opcodes.IMM_KIND[instr.op]
-    out = bytes([op])
-    a = instr.args
-    if kind == "":
-        return out
-    if kind == "u32":
-        return out + write_uleb(a[0])
-    if kind == "block":
-        bt = a[0]
-        return out + (b"\x40" if bt is None else bytes([VALTYPE_BYTE[bt]]))
-    if kind == "mem":
-        return out + write_uleb(a[0]) + write_uleb(a[1])
-    if kind == "i32":
-        return out + write_sleb(a[0], 32)
-    if kind == "i64":
-        return out + write_sleb(a[0], 64)
-    if kind == "f32":
-        return out + a[0].to_bytes(4, "little")
-    if kind == "f64":
-        return out + a[0].to_bytes(8, "little")
-    if kind == "brtable":
-        targets, default = a
-        body = write_uleb(len(targets))
-        for t in targets:
-            body += write_uleb(t)
-        return out + body + write_uleb(default)
-    if kind == "callind":
-        return out + write_uleb(a[0]) + b"\x00"
-    if kind == "memidx":
-        return out + b"\x00"
-    raise AssertionError(kind)
+    op, write = _ENCODE[instr.op]
+    return op + write(instr.args)
 
 
 def _expr(instrs: list[Instr]) -> bytes:
@@ -103,18 +80,16 @@ def encode_module(m: ModuleIR) -> bytes:
     if m.imports:
         items = []
         for im in m.imports:
-            b = _name(im.module) + _name(im.name)
+            b = _name(im.module) + _name(im.name) + _KIND_BYTE[im.kind]
             if im.kind == "func":
-                b += b"\x00" + write_uleb(im.desc)
+                b += write_uleb(im.desc)
             elif im.kind == "table":
-                b += b"\x01" + bytes([FUNCREF]) + _limits(im.desc)
+                b += bytes([FUNCREF]) + _limits(im.desc)
             elif im.kind == "memory":
-                b += b"\x02" + _limits(im.desc)
-            elif im.kind == "global":
-                vt, mut = im.desc
-                b += b"\x03" + bytes([VALTYPE_BYTE[vt], int(mut)])
+                b += _limits(im.desc)
             else:
-                raise AssertionError(im.kind)
+                vt, mut = im.desc
+                b += bytes([VALTYPE_BYTE[vt], int(mut)])
             items.append(b)
         out.extend(_section(2, _vec(items)))
         emit_customs(2)
@@ -144,9 +119,8 @@ def encode_module(m: ModuleIR) -> bytes:
         emit_customs(6)
 
     if m.exports:
-        kinds = {"func": 0, "table": 1, "memory": 2, "global": 3}
         items = [
-            _name(e.name) + bytes([kinds[e.kind]]) + write_uleb(e.index)
+            _name(e.name) + _KIND_BYTE[e.kind] + write_uleb(e.index)
             for e in m.exports
         ]
         out.extend(_section(7, _vec(items)))

@@ -9,7 +9,6 @@ from .engine import (
     Fuzzer,
     QueueEntry,
     SeedCrashes,
-    fuzz_loop,
 )
 
 __all__ = [
@@ -25,5 +24,4 @@ __all__ = [
     "Fuzzer",
     "QueueEntry",
     "SeedCrashes",
-    "fuzz_loop",
 ]

@@ -51,7 +51,6 @@ class FuzzConfig:
     max_seconds: Optional[float] = None
     limits: RunLimits = field(default_factory=RunLimits)
     argv: list[str] = field(default_factory=lambda: ["prog"])
-    env: dict[str, str] = field(default_factory=dict)
     stop_after_crashes: Optional[int] = None
     skip_deterministic: bool = False
 
@@ -144,7 +143,6 @@ class Fuzzer:
         self.path_map = VirginMap()
         self.crash_map = VirginMap()
         self.stats = CampaignStats()
-        self._module_bytes: Optional[bytes] = None
         self._last_flush = 0.0
         # holds .cur_input for `@@` when there is no campaign directory
         self._cur_input_dir: Optional[tempfile.TemporaryDirectory] = None
@@ -163,10 +161,8 @@ class Fuzzer:
         a read-only view into the instance's memory."""
         argv = [a if a != "@@" else self._write_cur_input(data)
                 for a in self.config.argv]
-        wasi = WasiConfig(
-            argv=argv, env=dict(self.config.env), stdin=data,
-            rng_seed=self.config.rng_seed,
-        )
+        wasi = WasiConfig(argv=argv, stdin=data,
+                          rng_seed=self.config.rng_seed)
         inst = self.engine.instantiate(wasi)
         outcome = self.engine.run_start(inst, self.config.limits)
         trace = self.engine.read_trace_bits(inst)
@@ -365,9 +361,8 @@ class Fuzzer:
             return
         from ..encoder import encode_module
 
-        self._module_bytes = encode_module(self.engine.module)
         setup = {
-            "module_sha256": _sha256(self._module_bytes),
+            "module_sha256": _sha256(encode_module(self.engine.module)),
             "rng_seed": self.config.rng_seed,
             "argv": self.config.argv,
             "fuel": self.config.limits.fuel,
@@ -391,14 +386,3 @@ class Fuzzer:
         if out is not None:
             (out / "stats.json").write_text(self.stats.to_json())
 
-
-def fuzz_loop(
-    module: ModuleIR,
-    seeds: list[bytes],
-    config: FuzzConfig | None = None,
-    sites: SiteTable | None = None,
-) -> tuple[CampaignStats, list[CrashReport]]:
-    """Run a campaign to its budget; returns final stats and unique crashes."""
-    fuzzer = Fuzzer(module, sites, config)
-    stats = fuzzer.run(seeds)
-    return stats, fuzzer.crashes

@@ -77,11 +77,13 @@ class NoEntryPoint(WasmError):
     pass
 
 
+MAX_PAGES = 1024  # memory.grow fails past this many pages
+MAX_CALL_DEPTH = 10_000  # calls nested below the entry; one more traps
+
+
 @dataclass
 class RunLimits:
     fuel: int = 50_000_000
-    max_pages: int = 1024
-    max_call_depth: int = 10_000
 
 
 @dataclass
@@ -102,10 +104,6 @@ class ExecOutcome:
     stdout: bytes = b""
     stderr: bytes = b""
     instructions_executed: int = 0
-
-    @property
-    def is_trap(self) -> bool:
-        return self.status == "trap"
 
 
 @dataclass(frozen=True)
@@ -477,17 +475,6 @@ _MEMORY = {
 }
 
 
-# operand-stack effect of each op, calls aside; control ops need none but
-# br_if's and if's pop, since the height is set at else and end and the
-# code after br, br_table, return or unreachable never runs
-_EFFECT = {op: len(outs) - len(ins) for op, (ins, outs) in SIGS.items()}
-_EFFECT.update({
-    "drop": -1, "select": -2, "local.get": 1, "local.set": -1,
-    "global.get": 1, "global.set": -1, "memory.size": 1, "br_if": -1,
-    "if": -1, "call_indirect": -1,
-})
-
-
 # ops a fused run may hold: none of them branches or calls
 _FUSABLE = frozenset((
     C_NOP, C_DROP, C_SELECT, C_LOCAL_GET, C_LOCAL_SET, C_LOCAL_TEE,
@@ -617,9 +604,10 @@ class _FuncMeta:
         self.code = code
 
 
-def _compile_body(body, nresults: int, func_types: list[FuncType],
-                  types: list[FuncType]) -> list[tuple]:
-    """Flat body of a validated function -> compiled tuples.
+def _compile_body(body, nresults: int, types: list[FuncType],
+                  blocks: dict[int, tuple]) -> list[tuple]:
+    """Flat body of a validated function -> compiled tuples. ``blocks`` is
+    the validator's record of the body's blocks (``ValidationReport.blocks``).
 
     A branch compiles to (code, target pc, arity, height): it keeps its top
     ``arity`` values, cuts the operand stack to ``height`` values above
@@ -632,29 +620,15 @@ def _compile_body(body, nresults: int, func_types: list[FuncType],
     is wrapped in ``(C_BLOCK, None, length, tuple)`` and the rest keep
     theirs. Control enters a run only at its head.
     """
-    end_of = {}  # block, loop or if -> its end
-    false_to = {}  # an if with an else -> where a false condition goes
-    stack = []
-    for pc, instr in enumerate(body):
-        op = instr.op
-        if op in ("block", "loop", "if"):
-            stack.append(pc)
-        elif op == "else":
-            false_to[stack[-1]] = pc + 1
-        elif op == "end" and stack:
-            end_of[stack.pop()] = pc
-
-    # per open label: (target pc, arity, height), and the height after its
-    # end; the outermost is the function's own label
-    labels = [((len(body) - 1, nresults, 0), nresults)]
-    height = 0  # operand-stack height above the frame's base
+    # per open label: (target pc, arity, height); the outermost is the
+    # function's own label
+    labels = [(len(body) - 1, nresults, 0)]
     code: list[tuple] = []
     entries = set()  # pcs a branch may jump to, loop heads among them
     head = None  # where the current run starts
     for pc, instr in enumerate(body):
         op = instr.op
         a = instr.args
-        height += _EFFECT.get(op, 0)
         if op in _PLAIN:
             code.append(_PLAIN[op])
         elif op in _WITH_ARGS:
@@ -665,40 +639,35 @@ def _compile_body(body, nresults: int, func_types: list[FuncType],
             c, access = _MEMORY[op]
             code.append((c, a[1], *access))
         elif op == "br" or op == "br_if":
-            label = labels[-1 - a[0]][0]
+            label = labels[-1 - a[0]]
             entries.add(label[0])
             code.append((C_BR if op == "br" else C_BR_IF, *label))
         elif op == "br_table":
             targets, default = a
-            brs = tuple((C_BR, *labels[-1 - t][0])
+            brs = tuple((C_BR, *labels[-1 - t])
                         for t in (*targets, default))
             entries.update(br[1] for br in brs)
             code.append((C_BR_TABLE, brs[:-1], brs[-1]))
         elif op == "call":
-            ft = func_types[a[0]]
-            height += len(ft.results) - len(ft.params)
             code.append((C_CALL, a[0]))
         elif op == "call_indirect":
-            ft = types[a[0]]
-            height += len(ft.results) - len(ft.params)
-            code.append((C_CALL_INDIRECT, ft))
+            code.append((C_CALL_INDIRECT, types[a[0]]))
         elif op == "else":  # the then-arm is done: jump to the end
-            (end, arity, height), _ = labels[-1]
-            entries.add(end)
-            code.append((C_BR, end, arity, height))
+            entries.add(labels[-1][0])
+            code.append((C_BR, *labels[-1]))
         elif op == "end":
-            height = labels.pop()[1]
+            labels.pop()
             code.append(_NOP if labels else (C_RETURN,))
         else:  # block, loop or if
-            arity = 0 if a[0] is None else 1
+            height, else_pc, end = blocks[pc]
             # a branch to a loop restarts it and, in MVP, carries no value
-            label = ((pc, 0, height) if op == "loop"
-                     else (end_of[pc], arity, height))
-            labels.append((label, height + arity))
             if op == "loop":
+                labels.append((pc, 0, height))
                 entries.add(pc)
+            else:
+                labels.append((end, 0 if a[0] is None else 1, height))
             if op == "if":
-                false = false_to.get(pc, end_of[pc])
+                false = end if else_pc is None else else_pc + 1
                 entries.add(false)
                 code.append((C_IF, false))
             else:
@@ -724,21 +693,6 @@ def _fuse_later(code: list[tuple], head: int, end: int):
 
 
 _WASI_MODULE = "wasi_snapshot_preview1"
-
-_WASI_SIGS = {
-    "args_get": FuncType(("i32", "i32"), ("i32",)),
-    "args_sizes_get": FuncType(("i32", "i32"), ("i32",)),
-    "environ_get": FuncType(("i32", "i32"), ("i32",)),
-    "environ_sizes_get": FuncType(("i32", "i32"), ("i32",)),
-    "fd_read": FuncType(("i32", "i32", "i32", "i32"), ("i32",)),
-    "fd_write": FuncType(("i32", "i32", "i32", "i32"), ("i32",)),
-    "fd_close": FuncType(("i32",), ("i32",)),
-    "fd_seek": FuncType(("i32", "i64", "i32", "i32"), ("i32",)),
-    "fd_fdstat_get": FuncType(("i32", "i32"), ("i32",)),
-    "proc_exit": FuncType(("i32",), ()),
-    "random_get": FuncType(("i32", "i32"), ("i32",)),
-    "clock_time_get": FuncType(("i32", "i64", "i32"), ("i32",)),
-}
 
 ERRNO_SUCCESS = 0
 ERRNO_BADF = 8
@@ -895,19 +849,25 @@ def _wasi_clock_time_get(inst, clock_id, precision, time_ptr):
     return ERRNO_SUCCESS
 
 
-_WASI_IMPL = {
-    "args_get": _wasi_args_get,
-    "args_sizes_get": _wasi_args_sizes_get,
-    "environ_get": _wasi_environ_get,
-    "environ_sizes_get": _wasi_environ_sizes_get,
-    "fd_read": _wasi_fd_read,
-    "fd_write": _wasi_fd_write,
-    "fd_close": _wasi_fd_close,
-    "fd_seek": _wasi_fd_seek,
-    "fd_fdstat_get": _wasi_fd_fdstat_get,
-    "proc_exit": _wasi_proc_exit,
-    "random_get": _wasi_random_get,
-    "clock_time_get": _wasi_clock_time_get,
+_I32 = ("i32",)
+
+# WASI function name -> (its signature, its implementation)
+_WASI = {
+    "args_get": (FuncType(("i32", "i32"), _I32), _wasi_args_get),
+    "args_sizes_get": (FuncType(("i32", "i32"), _I32), _wasi_args_sizes_get),
+    "environ_get": (FuncType(("i32", "i32"), _I32), _wasi_environ_get),
+    "environ_sizes_get": (FuncType(("i32", "i32"), _I32),
+                          _wasi_environ_sizes_get),
+    "fd_read": (FuncType(("i32", "i32", "i32", "i32"), _I32), _wasi_fd_read),
+    "fd_write": (FuncType(("i32", "i32", "i32", "i32"), _I32),
+                 _wasi_fd_write),
+    "fd_close": (FuncType(("i32",), _I32), _wasi_fd_close),
+    "fd_seek": (FuncType(("i32", "i64", "i32", "i32"), _I32), _wasi_fd_seek),
+    "fd_fdstat_get": (FuncType(("i32", "i32"), _I32), _wasi_fd_fdstat_get),
+    "proc_exit": (FuncType(("i32",), ()), _wasi_proc_exit),
+    "random_get": (FuncType(("i32", "i32"), _I32), _wasi_random_get),
+    "clock_time_get": (FuncType(("i32", "i64", "i32"), _I32),
+                       _wasi_clock_time_get),
 }
 
 
@@ -928,19 +888,19 @@ class Engine:
                 raise UnsupportedImport(
                     f"{im.module}.{im.name} ({im.kind} import)"
                 )
-            if im.module != _WASI_MODULE or im.name not in _WASI_IMPL:
+            row = _WASI.get(im.name) if im.module == _WASI_MODULE else None
+            if row is None:
                 raise UnsupportedImport(f"{im.module}.{im.name}")
-            expected = _WASI_SIGS[im.name]
+            expected, impl = row
             if module.types[im.desc] != expected:
                 raise UnsupportedImport(
                     f"{im.module}.{im.name}: signature mismatch"
                 )
             self.host_funcs.append(
-                (_WASI_IMPL[im.name], len(expected.params),
-                 len(expected.results))
+                (impl, len(expected.params), len(expected.results))
             )
 
-        # signature of every function index, for calls and call_indirect
+        # signature of every function index, for call_indirect
         self.func_types = [module.types[im.desc] for im in module.imports]
         self.func_types += [module.types[f.type_idx]
                             for f in module.functions]
@@ -948,8 +908,8 @@ class Engine:
         self.metas: list[_FuncMeta] = []
         for i, f in enumerate(module.functions):
             ftype = self.func_types[n_host + i]
-            code = _compile_body(f.body, len(ftype.results),
-                                 self.func_types, module.types)
+            code = _compile_body(f.body, len(ftype.results), module.types,
+                                 report.blocks[i])
             self.metas.append(_FuncMeta(n_host + i, ftype, len(f.locals),
                                         code))
 
@@ -1097,8 +1057,6 @@ class Engine:
     def _run(self, inst: Instance, meta: _FuncMeta, args: list,
              limits: RunLimits, executed: int):
         fuel = limits.fuel
-        max_depth = limits.max_call_depth
-        max_pages = limits.max_pages
         mem = inst.memory
         glb = inst.globals
         metas = self.metas
@@ -1234,7 +1192,7 @@ class Engine:
                     if nres:
                         vals.append(r & M32)
                 else:
-                    if len(frames) >= max_depth:
+                    if len(frames) >= MAX_CALL_DEPTH:
                         raise _Trap(STACK_EXHAUSTED, func_idx, pc, executed)
                     tmeta = metas[target - n_host]
                     frames.append(
@@ -1271,7 +1229,7 @@ class Engine:
                 delta = vals.pop()
                 cur = len(mem) // PAGE
                 new = cur + delta
-                cap = max_pages
+                cap = MAX_PAGES
                 if inst.mem_max is not None:
                     cap = min(cap, inst.mem_max)
                 if new > cap:

@@ -10,14 +10,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-VALTYPES = ("i32", "i64", "f32", "f64")
-
 PAGE = 65536  # bytes in a linear-memory page
 
 VALTYPE_BYTE = {"i32": 0x7F, "i64": 0x7E, "f32": 0x7D, "f64": 0x7C}
 BYTE_VALTYPE = {v: k for k, v in VALTYPE_BYTE.items()}
 
 FUNCREF = 0x70
+
+# import and export kinds; each one's byte in the binary is its index
+EXTERNAL_KINDS = ("func", "table", "memory", "global")
 
 
 class WasmError(Exception):

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from .ir import EncodingOverflow, MalformedBinary
 
-U32_MAX = 0xFFFFFFFF
-
 
 def read_uleb(buf: bytes, pos: int, bits: int = 32) -> tuple[int, int]:
     result = 0

@@ -1,18 +1,12 @@
-"""WebAssembly MVP opcode table: name <-> byte plus immediate kind.
+"""WebAssembly MVP opcode table: byte, name and immediate kind per op.
 
-Immediate kinds:
-    ""        no immediates
-    "block"   blocktype byte (0x40 empty or a valtype)
-    "u32"     one unsigned LEB128 (labels, function/local/global indices)
-    "brtable" vector of labels + default label
-    "callind" type index + reserved table byte
-    "mem"     memarg: align exponent + offset
-    "memidx"  reserved zero byte (memory.size / memory.grow)
-    "i32"     signed LEB128 constant (32-bit range)
-    "i64"     signed LEB128 constant (64-bit range)
-    "f32"     4 raw little-endian bytes (stored as bit pattern int)
-    "f64"     8 raw little-endian bytes (stored as bit pattern int)
+The immediate kinds, and the binary form of each, are the keys of
+``IMMEDIATES``: the parser and the encoder both take an op's immediates
+from there.
 """
+
+from .ir import BYTE_VALTYPE, VALTYPE_BYTE, UnsupportedFeature
+from .leb import write_sleb, write_uleb
 
 _TABLE = [
     # control
@@ -203,9 +197,70 @@ _TABLE = [
     (0xBF, "f64.reinterpret_i64", ""),
 ]
 
-BYTE_TO_NAME = {byte: name for byte, name, _ in _TABLE}
-NAME_TO_BYTE = {name: byte for byte, name, _ in _TABLE}
 IMM_KIND = {name: kind for _, name, kind in _TABLE}
+
+
+def _read_blocktype(r):
+    b = r.byte()
+    if b == 0x40:
+        return (None,)
+    vt = BYTE_VALTYPE.get(b)
+    if vt is None:
+        raise UnsupportedFeature("multi-value (block type)")
+    return (vt,)
+
+
+def _read_brtable(r):
+    targets = tuple(r.u32() for _ in range(r.u32()))
+    return targets, r.u32()
+
+
+def _write_brtable(args):
+    targets, default = args
+    return (write_uleb(len(targets)) + b"".join(map(write_uleb, targets))
+            + write_uleb(default))
+
+
+def _read_callind(r):
+    type_idx = r.u32()
+    if r.byte():
+        raise UnsupportedFeature("multiple tables")
+    return (type_idx,)
+
+
+def _read_memidx(r):
+    if r.byte():
+        raise UnsupportedFeature("multiple memories")
+    return ()
+
+
+# immediate kind -> (read, write). ``read(r)`` takes the parser's reader
+# and returns the op's ``Instr.args``; ``write(args)`` gives their bytes.
+IMMEDIATES = {
+    "": (lambda r: (), lambda a: b""),
+    # 0x40 (no result) or the result's value type
+    "block": (_read_blocktype, lambda a: b"\x40" if a[0] is None
+              else bytes((VALTYPE_BYTE[a[0]],))),
+    # a label, or a function, local or global index
+    "u32": (lambda r: (r.u32(),), lambda a: write_uleb(a[0])),
+    # a vector of labels, then the default label
+    "brtable": (_read_brtable, _write_brtable),
+    # a type index, then a table index that MVP fixes at 0
+    "callind": (_read_callind, lambda a: write_uleb(a[0]) + b"\x00"),
+    # memarg: alignment exponent, then offset
+    "mem": (lambda r: (r.u32(), r.u32()),
+            lambda a: write_uleb(a[0]) + write_uleb(a[1])),
+    # memory.size and memory.grow: a memory index that MVP fixes at 0
+    "memidx": (_read_memidx, lambda a: b"\x00"),
+    # signed LEB128 constants, in the two's-complement range of the type
+    "i32": (lambda r: (r.s32(),), lambda a: write_sleb(a[0], 32)),
+    "i64": (lambda r: (r.s64(),), lambda a: write_sleb(a[0], 64)),
+    # raw little-endian bytes, held as their bit pattern
+    "f32": (lambda r: (int.from_bytes(r.raw(4), "little"),),
+            lambda a: a[0].to_bytes(4, "little")),
+    "f64": (lambda r: (int.from_bytes(r.raw(8), "little"),),
+            lambda a: a[0].to_bytes(8, "little")),
+}
 
 VALTYPE_WIDTH = {"i32": 4, "i64": 8, "f32": 4, "f64": 8}  # bytes
 

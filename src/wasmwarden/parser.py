@@ -5,6 +5,7 @@ from __future__ import annotations
 from . import opcodes
 from .ir import (
     BYTE_VALTYPE,
+    EXTERNAL_KINDS,
     FUNCREF,
     CustomSection,
     DataSegment,
@@ -96,6 +97,24 @@ class _Reader:
             raise MalformedBinary(self.off() - 1, f"bad value type 0x{b:02x}")
         return vt
 
+    def globaltype(self) -> tuple[str, bool]:
+        vt = self.valtype()
+        mut = self.byte()
+        if mut > 1:
+            raise MalformedBinary(self.off() - 1, "bad mutability")
+        return vt, bool(mut)
+
+    def external_kind(self, what: str) -> str:
+        b = self.byte()
+        if b >= len(EXTERNAL_KINDS):
+            raise MalformedBinary(self.off() - 1, f"bad {what} kind")
+        return EXTERNAL_KINDS[b]
+
+    def tabletype(self) -> tuple[int, int | None]:
+        if self.byte() != FUNCREF:
+            raise UnsupportedFeature("non-funcref tables")
+        return self.limits()
+
     def limits(self) -> tuple[int, int | None]:
         flag = self.byte()
         if flag == 0:
@@ -111,86 +130,31 @@ class _Reader:
         raise MalformedBinary(self.off() - 1, f"bad limits flag 0x{flag:02x}")
 
 
-def _read_blocktype(r: _Reader):
-    b = r.byte()
-    if b == 0x40:
-        return None
-    vt = BYTE_VALTYPE.get(b)
-    if vt is not None:
-        return vt
-    raise UnsupportedFeature("multi-value (block type)")
+# opcode byte -> (op name, reader of its immediates)
+_DECODE = {byte: (name, opcodes.IMMEDIATES[kind][0])
+           for byte, name, kind in opcodes._TABLE}
 
 
-def _read_instr(r: _Reader) -> Instr:
-    op_byte = r.byte()
-    name = opcodes.BYTE_TO_NAME.get(op_byte)
-    if name is None:
-        feature = opcodes.POST_MVP_PREFIXES.get(op_byte)
-        if feature:
-            raise UnsupportedFeature(feature)
-        raise MalformedBinary(r.off() - 1, f"unknown opcode 0x{op_byte:02x}")
-    kind = opcodes.IMM_KIND[name]
-    if kind == "":
-        return Instr(name)
-    if kind == "u32":
-        return Instr(name, (r.u32(),))
-    if kind == "block":
-        return Instr(name, (_read_blocktype(r),))
-    if kind == "mem":
-        return Instr(name, (r.u32(), r.u32()))
-    if kind == "i32":
-        return Instr(name, (r.s32(),))
-    if kind == "i64":
-        return Instr(name, (r.s64(),))
-    if kind == "f32":
-        return Instr(name, (int.from_bytes(r.raw(4), "little"),))
-    if kind == "f64":
-        return Instr(name, (int.from_bytes(r.raw(8), "little"),))
-    if kind == "brtable":
-        n = r.u32()
-        targets = tuple(r.u32() for _ in range(n))
-        default = r.u32()
-        return Instr(name, (targets, default))
-    if kind == "callind":
-        type_idx = r.u32()
-        table = r.byte()
-        if table != 0:
-            raise UnsupportedFeature("multiple tables")
-        return Instr(name, (type_idx,))
-    if kind == "memidx":
-        mem = r.byte()
-        if mem != 0:
-            raise UnsupportedFeature("multiple memories")
-        return Instr(name)
-    raise AssertionError(kind)
-
-
-def _read_expr(r: _Reader) -> list[Instr]:
-    """Constant expression: instructions up to (excluding) the final end."""
-    out = []
-    depth = 0
-    while True:
-        instr = _read_instr(r)
-        if instr.op == "end":
-            if depth == 0:
-                return out
-            depth -= 1
-        elif instr.op in ("block", "loop", "if"):
-            depth += 1
-        out.append(instr)
-
-
-def _read_body(r: _Reader) -> list[Instr]:
-    """Function body: instructions including the terminal end."""
+def _read_instrs(r: _Reader) -> list[Instr]:
+    """A function body or constant expression: its instructions up to and
+    including the ``end`` that closes it."""
     out = []
     depth = 1
     while depth:
-        instr = _read_instr(r)
-        if instr.op in ("block", "loop", "if"):
-            depth += 1
-        elif instr.op == "end":
+        op_byte = r.byte()
+        entry = _DECODE.get(op_byte)
+        if entry is None:
+            feature = opcodes.POST_MVP_PREFIXES.get(op_byte)
+            if feature:
+                raise UnsupportedFeature(feature)
+            raise MalformedBinary(r.off() - 1,
+                                  f"unknown opcode 0x{op_byte:02x}")
+        name, read = entry
+        if name == "end":
             depth -= 1
-        out.append(instr)
+        elif name in ("block", "loop", "if"):
+            depth += 1
+        out.append(Instr(name, read(r)))
     return out
 
 
@@ -269,26 +233,16 @@ def parse_module(data: bytes) -> ModuleIR:
             for _ in range(r.u32()):
                 mod = r.name()
                 nm = r.name()
-                kind = r.byte()
-                if kind == 0:
-                    m.imports.append(Import(mod, nm, "func", r.u32()))
-                elif kind == 1:
-                    et = r.byte()
-                    if et != FUNCREF:
-                        raise UnsupportedFeature("non-funcref tables")
-                    m.imports.append(Import(mod, nm, "table", r.limits()))
-                elif kind == 2:
-                    m.imports.append(Import(mod, nm, "memory", r.limits()))
-                elif kind == 3:
-                    vt = r.valtype()
-                    mut = r.byte()
-                    if mut > 1:
-                        raise MalformedBinary(r.off() - 1, "bad mutability")
-                    m.imports.append(
-                        Import(mod, nm, "global", (vt, bool(mut)))
-                    )
+                kind = r.external_kind("import")
+                if kind == "func":
+                    desc = r.u32()
+                elif kind == "table":
+                    desc = r.tabletype()
+                elif kind == "memory":
+                    desc = r.limits()
                 else:
-                    raise MalformedBinary(r.off() - 1, "bad import kind")
+                    desc = r.globaltype()
+                m.imports.append(Import(mod, nm, kind, desc))
         elif sec_id == 3:
             func_type_indices = [r.u32() for _ in range(r.u32())]
         elif sec_id == 4:
@@ -296,10 +250,7 @@ def parse_module(data: bytes) -> ModuleIR:
             if count > 1:
                 raise UnsupportedFeature("multiple tables")
             if count:
-                et = r.byte()
-                if et != FUNCREF:
-                    raise UnsupportedFeature("non-funcref tables")
-                m.table = r.limits()
+                m.table = r.tabletype()
         elif sec_id == 5:
             count = r.u32()
             if count > 1:
@@ -308,19 +259,13 @@ def parse_module(data: bytes) -> ModuleIR:
                 m.memory = r.limits()
         elif sec_id == 6:
             for _ in range(r.u32()):
-                vt = r.valtype()
-                mut = r.byte()
-                if mut > 1:
-                    raise MalformedBinary(r.off() - 1, "bad mutability")
-                m.globals.append(Global(vt, bool(mut), _read_expr(r)))
+                vt, mut = r.globaltype()
+                m.globals.append(Global(vt, mut, _read_instrs(r)[:-1]))
         elif sec_id == 7:
-            kinds = {0: "func", 1: "table", 2: "memory", 3: "global"}
             for _ in range(r.u32()):
                 nm = r.name()
-                kind = r.byte()
-                if kind not in kinds:
-                    raise MalformedBinary(r.off() - 1, "bad export kind")
-                m.exports.append(Export(nm, kinds[kind], r.u32()))
+                kind = r.external_kind("export")
+                m.exports.append(Export(nm, kind, r.u32()))
         elif sec_id == 8:
             m.start = r.u32()
         elif sec_id == 9:
@@ -328,7 +273,7 @@ def parse_module(data: bytes) -> ModuleIR:
                 table_idx = r.u32()
                 if table_idx != 0:
                     raise UnsupportedFeature("multiple tables")
-                offset = _read_expr(r)
+                offset = _read_instrs(r)[:-1]
                 funcs = [r.u32() for _ in range(r.u32())]
                 m.elems.append(ElemSegment(offset, funcs))
         elif sec_id == 10:
@@ -348,7 +293,7 @@ def parse_module(data: bytes) -> ModuleIR:
                     if len(local_vec) + n > 1_000_000:
                         raise MalformedBinary(br.off(), "too many locals")
                     local_vec.extend([vt] * n)
-                body = _read_body(br)
+                body = _read_instrs(br)
                 if not br.eof():
                     raise MalformedBinary(
                         br.off(), "trailing bytes after function body"
@@ -361,7 +306,7 @@ def parse_module(data: bytes) -> ModuleIR:
                 mem_idx = r.u32()
                 if mem_idx != 0:
                     raise UnsupportedFeature("multiple memories")
-                offset = _read_expr(r)
+                offset = _read_instrs(r)[:-1]
                 n = r.u32()
                 m.data_segments.append(DataSegment(offset, r.raw(n)))
         if not r.eof():

@@ -55,7 +55,6 @@ class SignatureMismatch(WasmError):
 @dataclass
 class HeapConfig:
     rng_seed: Optional[int] = None
-    canary_value: Optional[int] = None
 
 
 @dataclass
@@ -271,11 +270,7 @@ def apply_heap_pass(
         log.warning("heap pass: no allocator functions found; no-op")
         return m, SiteTable()
 
-    rng = random.Random(cfg.rng_seed)
-    canary = (
-        cfg.canary_value if cfg.canary_value is not None
-        else rng.getrandbits(64)
-    )
+    canary = random.Random(cfg.rng_seed).getrandbits(64)
     out = m.copy()
     n_imp = out.num_imported_funcs
     for idx, kind in fn_map.allocs:

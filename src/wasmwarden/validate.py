@@ -17,6 +17,11 @@ UNKNOWN = "?"  # bottom type used below unreachable code
 @dataclass
 class ValidationReport:
     entries: list[str] = field(default_factory=list)
+    # per defined function: the pc of each block, loop and if -> (operand
+    # stack height at its entry, the pc of its else or None, the pc of its
+    # end); the height counts from the frame's base and, for an if, comes
+    # after its condition is popped
+    blocks: list[dict[int, tuple]] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -40,13 +45,16 @@ _SIGS = {op: (ins, outs, MEM_ACCESS[op][1] if op in MEM_ACCESS else 0)
 
 
 class _Frame:
-    __slots__ = ("op", "end_types", "height", "unreachable")
+    __slots__ = ("op", "end_types", "height", "unreachable", "pc", "else_pc")
 
-    def __init__(self, op: str, end_types: tuple[str, ...], height: int):
+    def __init__(self, op: str, end_types: tuple[str, ...], height: int,
+                 pc: int):
         self.op = op
         self.end_types = end_types
         self.height = height
         self.unreachable = False
+        self.pc = pc  # of the block, loop or if that opened it
+        self.else_pc = None
 
     def label_types(self) -> tuple[str, ...]:
         # loop labels branch to the header, which takes no values in MVP
@@ -76,7 +84,8 @@ class _FuncChecker:
         self.locals = list(ftype.params) + list(f.locals)
         self.results = ftype.results
         self.vals: list[str] = []
-        self.ctrls: list[_Frame] = [_Frame("func", ftype.results, 0)]
+        self.ctrls: list[_Frame] = [_Frame("func", ftype.results, 0, -1)]
+        self.blocks: dict[int, tuple] = {}
 
     def fail(self, msg: str):
         raise _Invalid(msg)
@@ -95,8 +104,8 @@ class _FuncChecker:
             self.fail(f"type mismatch: expected {expect}, got {actual}")
         return actual
 
-    def push_ctrl(self, op: str, end_types: tuple[str, ...]):
-        self.ctrls.append(_Frame(op, end_types, len(self.vals)))
+    def push_ctrl(self, op: str, end_types: tuple[str, ...], pc: int):
+        self.ctrls.append(_Frame(op, end_types, len(self.vals), pc))
 
     def pop_ctrl(self) -> _Frame:
         frame = self.ctrls[-1]
@@ -129,11 +138,11 @@ class _FuncChecker:
             if not self.ctrls:
                 self.fail(f"instruction {pc} ({instr.op}) follows the "
                           "function's end")
-            self.step(instr)
+            self.step(pc, instr)
         if self.ctrls:
             self.fail("function body not terminated by end")
 
-    def step(self, instr: Instr):
+    def step(self, pc: int, instr: Instr):
         op = instr.op
         sig = _SIGS.get(op)
         if sig is not None:
@@ -163,24 +172,27 @@ class _FuncChecker:
             return
         if op in ("block", "loop"):
             bt = instr.args[0]
-            self.push_ctrl(op, () if bt is None else (bt,))
+            self.push_ctrl(op, () if bt is None else (bt,), pc)
             return
         if op == "if":
             self.pop("i32")
             bt = instr.args[0]
-            self.push_ctrl("if", () if bt is None else (bt,))
+            self.push_ctrl("if", () if bt is None else (bt,), pc)
             return
         if op == "else":
             frame = self.ctrls[-1]
             if frame.op != "if":
                 self.fail("else without matching if")
             self.pop_ctrl()
-            self.push_ctrl("else", frame.end_types)
+            self.push_ctrl("else", frame.end_types, frame.pc)
+            self.ctrls[-1].else_pc = pc
             return
         if op == "end":
             frame = self.pop_ctrl()
             if frame.op == "if" and frame.end_types:
                 self.fail("if without else cannot produce a value")
+            if self.ctrls:  # not the function's own end
+                self.blocks[frame.pc] = (frame.height, frame.else_pc, pc)
             for t in frame.end_types:
                 self.push(t)
             return
@@ -324,11 +336,14 @@ def validate_module(m: ModuleIR) -> ValidationReport:
         ftype = index.func_types[n_imp_func + i]
         if ftype is None:
             report.add(f"func {i}: type index {f.type_idx} out of range")
+            report.blocks.append({})
             continue
+        checker = _FuncChecker(index, f, ftype)
         try:
-            _FuncChecker(index, f, ftype).run()
+            checker.run()
         except _Invalid as e:
             report.add(f"func {n_imp_func + i}: {e}")
+        report.blocks.append(checker.blocks)
 
     limits = {
         "func": n_funcs,

@@ -13,7 +13,6 @@ from wasmwarden.fuzz import (
     FuzzConfig,
     Fuzzer,
     SeedCrashes,
-    fuzz_loop,
 )
 from wasmwarden.passes import (
     CanaryConfig,
@@ -66,9 +65,10 @@ def test_constant_behavior_program_keeps_one_path():
     # echo's control flow does not depend on input *values*, only length;
     # fixed-length mutations keep a single path class
     cfg = quick_cfg(max_execs=500, skip_deterministic=True)
-    stats, crashes = fuzz_loop(m, [b"AAAA"], cfg)
+    fz = Fuzzer(m, None, cfg)
+    stats = fz.run([b"AAAA"])
     assert stats.execs == 500
-    assert crashes == []
+    assert fz.crashes == []
     assert stats.unique_paths <= 3  # length changes may add a couple
 
 
