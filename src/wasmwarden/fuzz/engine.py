@@ -1,5 +1,5 @@
 """Coverage-guided fuzzing campaign: queue management, novelty admission,
-crash triage, and on-disk campaign state."""
+crash and hang triage, and on-disk campaign state."""
 
 from __future__ import annotations
 
@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
 
+from .. import encoder
 from ..interp import (
     Engine,
     ExecOutcome,
@@ -87,6 +88,8 @@ class CampaignStats:
             "stack-canary": 0, "heap-canary": 0, "builtin": 0
         }
     )
+    hangs_total: int = 0
+    unique_hangs: int = 0
     edges_covered: int = 0
     start_time: float = 0.0
     elapsed: float = 0.0
@@ -105,6 +108,8 @@ class CampaignStats:
                 "unique_crashes": self.unique_crashes,
                 "crashes_total": self.crashes_total,
                 "crashes_by_oracle": self.crashes_by_oracle,
+                "hangs_total": self.hangs_total,
+                "unique_hangs": self.unique_hangs,
                 "edges_covered": self.edges_covered,
                 "elapsed_seconds": round(self.elapsed, 3),
                 "last_new_path_seconds": round(self.last_new_path, 3),
@@ -117,11 +122,50 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def module_sha256(m: ModuleIR) -> str:
+    """SHA-256 of ``m`` as a binary: the digest of the bytes
+    ``parse_module`` read it from, or of its encoding when it was built in
+    Python or returned by a pass. The two agree whenever the binary
+    round-trips. The recorded digest assumes the parsed module was not
+    changed in place since; nothing checks that, so code that does so must
+    clear ``m.source_sha256``."""
+    if m.source_sha256 is not None:
+        return m.source_sha256
+    return _sha256(encoder.encode_module(m))
+
+
 def _oracle_bucket(kind: str) -> str:
     """Stats bucket for a crash class kind."""
     if kind in ("heap-underflow", "heap-overflow"):
         return "heap-canary"
     return kind
+
+
+@dataclass
+class _Kept:
+    """The inputs a campaign keeps in ``<out>/<sub>/`` rather than in its
+    queue: one for each trace new to ``map``, numbered on from
+    ``next_id``."""
+    sub: str
+    map: VirginMap
+    next_id: int = 0
+
+    def keep(self, out: Optional[Path], data: bytes, trace: memoryview,
+             suffix: str = "", file_id: Optional[int] = None,
+             ) -> Optional[int]:
+        """The id ``data`` is kept under, or None when ``trace`` is not new
+        to the map. An input replayed from the directory keeps its
+        ``file_id``; any other takes the next id and is written to
+        ``<out>/<sub>/id_NNNNNN<suffix>``."""
+        if self.map.has_new_bits(classify_counts(trace)) == NO_NEW:
+            return None
+        if file_id is None:
+            file_id = self.next_id
+            self.next_id += 1
+            if out is not None:
+                (out / self.sub / f"id_{file_id:06d}{suffix}").write_bytes(
+                    data)
+        return file_id
 
 
 class Fuzzer:
@@ -139,9 +183,15 @@ class Fuzzer:
         self.rng = random.Random(self.config.rng_seed)
         self.queue: list[QueueEntry] = []
         self.crashes: list[CrashReport] = []
-        self._next_crash_id = 0
+        # the next queue id; a seed that hangs leaves its id unused
+        self._next_queue_id = 0
         self.path_map = VirginMap()
         self.crash_map = VirginMap()
+        self.hang_map = VirginMap()
+        self._crashes = _Kept("crashes", self.crash_map)
+        self._hangs = _Kept("hangs", self.hang_map)
+        # ids with a deterministic-stage marker on disk, listed once
+        self._done_markers: set[str] = set()
         self.stats = CampaignStats()
         self._last_flush = 0.0
         # holds .cur_input for `@@` when there is no campaign directory
@@ -151,9 +201,12 @@ class Fuzzer:
         out = self.config.out_dir
         if out is not None:
             out = Path(out)
-            (out / "queue").mkdir(parents=True, exist_ok=True)
-            (out / "crashes").mkdir(parents=True, exist_ok=True)
+            for sub in ("queue", "crashes", "hangs"):
+                (out / sub).mkdir(parents=True, exist_ok=True)
             self.config.out_dir = out
+            markers = out / ".state" / "deterministic_done"
+            if markers.is_dir():
+                self._done_markers = {p.name for p in markers.iterdir()}
 
     # ------------------------------------------------------------------
     def run_input(self, data: bytes) -> tuple[ExecOutcome, memoryview]:
@@ -188,7 +241,8 @@ class Fuzzer:
 
     # ------------------------------------------------------------------
     def add_seeds(self, seeds: list[bytes]):
-        """Dry-run every seed; a crashing seed aborts the campaign setup."""
+        """Dry-run every seed; a crashing seed aborts the campaign setup,
+        a hanging one is skipped."""
         if not seeds:
             raise AllSeedsInvalid("no seed inputs provided")
         crashing = []
@@ -198,6 +252,13 @@ class Fuzzer:
             if crash.is_crash:
                 crashing.append(i)
                 continue
+            if outcome.status == "fuel-exhausted":
+                log.warning("seed input %d exhausts its fuel; skipped", i)
+                self._record_hang(data, outcome, trace, -1, "seed")
+                # the seeds after it keep their ids, so a resumed queue
+                # is written back to the files it was read from
+                self._next_queue_id += 1
+                continue
             self.path_map.has_new_bits(classify_counts(trace))
             self._admit(data, parent=-1, stage="seed")
         if crashing:
@@ -206,17 +267,20 @@ class Fuzzer:
             raise AllSeedsInvalid("no usable seed inputs")
 
     def _admit(self, data: bytes, parent: int, stage: str) -> QueueEntry:
-        entry = QueueEntry(len(self.queue), data, parent, stage)
+        entry = QueueEntry(self._next_queue_id, data, parent, stage)
+        self._next_queue_id += 1
         self.queue.append(entry)
         self.stats.unique_paths = len(self.queue)
         self.stats.last_new_path = time.monotonic() - self.stats.start_time
         out = self.config.out_dir
         if out is not None:
-            (out / "queue" / f"id_{entry.id:06d}").write_bytes(data)
+            name = f"id_{entry.id:06d}"
+            (out / "queue" / name).write_bytes(data)
             # a resumed campaign skips the stages an earlier one finished
-            marker = self._deterministic_marker(entry)
             entry.deterministic_done = (
-                marker.is_file() and marker.read_text() == _sha256(data))
+                name in self._done_markers
+                and self._deterministic_marker(entry).read_text()
+                == _sha256(data))
         return entry
 
     def _deterministic_marker(self, entry: QueueEntry) -> Path:
@@ -227,13 +291,20 @@ class Fuzzer:
         return (self.config.out_dir / ".state" / "deterministic_done"
                 / f"id_{entry.id:06d}")
 
-    def _new_crash(self, crash_id: int, data: bytes, outcome: ExecOutcome,
-                   trace: memoryview, parent: int, stage: str,
-                   ) -> Optional[CrashReport]:
-        """Keep a crash whose trace is new to the crash map."""
-        if self.crash_map.has_new_bits(classify_counts(trace)) == NO_NEW:
-            return None
+    def _record_crash(
+        self, data: bytes, outcome: ExecOutcome, trace: memoryview,
+        parent: int, stage: str, file_id: Optional[int] = None,
+    ) -> Optional[CrashReport]:
+        """Count a crash, and keep it if its trace is new to the crash
+        map. A crash replayed from ``crashes/`` keeps its ``file_id`` and
+        is not counted again."""
+        if file_id is None:
+            self.stats.crashes_total += 1
         oracle = _oracle_bucket(classify_crash(outcome, self.sites).kind)
+        crash_id = self._crashes.keep(self.config.out_dir, data, trace,
+                                      f"_{oracle}", file_id)
+        if crash_id is None:
+            return None
         report = CrashReport(
             id=crash_id, data=data, oracle=oracle,
             trap_kind=outcome.trap_kind,
@@ -246,51 +317,66 @@ class Fuzzer:
         self.stats.crashes_by_oracle[oracle] = (
             self.stats.crashes_by_oracle.get(oracle, 0) + 1
         )
+        if file_id is None:
+            log.info(
+                "unique crash %d: %s (%s) at func %d offset %d",
+                report.id, report.oracle, outcome.trap_kind,
+                outcome.trap_function, outcome.trap_offset,
+            )
         return report
 
-    def _replay_crashes(self):
-        """Re-run the crash files already in the campaign directory, so a
-        resumed campaign neither reports them again nor reuses their ids."""
+    def _record_hang(
+        self, data: bytes, outcome: ExecOutcome, trace: memoryview,
+        parent: int, stage: str, file_id: Optional[int] = None,
+    ):
+        """Count an exec that ran out of fuel, and keep its input if its
+        trace is new to the hang map. A hang replayed from ``hangs/`` keeps
+        its ``file_id`` and is not counted again. A hang never enters the
+        queue: each havoc round on it would burn the whole fuel budget.
+        Takes the arguments of ``_record_crash``."""
+        if file_id is None:
+            self.stats.hangs_total += 1
+        if self._hangs.keep(self.config.out_dir, data, trace,
+                            file_id=file_id) is not None:
+            self.stats.unique_hangs += 1
+
+    def _recorder(self, outcome: ExecOutcome):
+        """The method that records an exec whose input stays out of the
+        queue: ``_record_crash`` or ``_record_hang``; None for any
+        other exec."""
+        if classify_crash(outcome, self.sites).is_crash:
+            return self._record_crash
+        if outcome.status == "fuel-exhausted":
+            return self._record_hang
+        return None
+
+    def _replay_kept(self):
+        """Re-run the crash and hang files already in the campaign
+        directory, so a resumed campaign neither reports them again nor
+        reuses their ids."""
         out = self.config.out_dir
         if out is None:
             return
-        for p in sorted((out / "crashes").glob("id_*")):
-            crash_id = int(p.name.split("_")[1])
-            self._next_crash_id = max(self._next_crash_id, crash_id + 1)
-            data = p.read_bytes()
-            outcome, trace = self.run_input(data)
-            if classify_crash(outcome, self.sites).is_crash:
-                self._new_crash(crash_id, data, outcome, trace, -1, "resume")
-            else:
-                log.warning("crashes/%s no longer crashes", p.name)
-
-    def _record_crash(
-        self, data: bytes, outcome: ExecOutcome, trace: memoryview,
-        parent: int, stage: str,
-    ) -> Optional[CrashReport]:
-        self.stats.crashes_total += 1
-        report = self._new_crash(self._next_crash_id, data, outcome, trace,
-                                 parent, stage)
-        if report is None:
-            return None
-        self._next_crash_id += 1
-        out = self.config.out_dir
-        if out is not None:
-            name = f"id_{report.id:06d}_{report.oracle}"
-            (out / "crashes" / name).write_bytes(data)
-        log.info(
-            "unique crash %d: %s (%s) at func %d offset %d",
-            report.id, report.oracle, outcome.trap_kind,
-            outcome.trap_function, outcome.trap_offset,
-        )
-        return report
+        for kept, record in ((self._crashes, self._record_crash),
+                             (self._hangs, self._record_hang)):
+            for p in sorted((out / kept.sub).glob("id_*")):
+                file_id = int(p.name.split("_")[1])
+                kept.next_id = max(kept.next_id, file_id + 1)
+                data = p.read_bytes()
+                outcome, trace = self.run_input(data)
+                if self._recorder(outcome) == record:
+                    record(data, outcome, trace, -1, "resume", file_id)
+                else:
+                    log.warning("%s/%s no longer reproduces", kept.sub,
+                                p.name)
 
     # ------------------------------------------------------------------
     def _process(self, data: bytes, parent: int, stage: str) -> bool:
         """Run one candidate; returns False when a budget is exhausted."""
         outcome, trace = self.run_input(data)
-        if classify_crash(outcome, self.sites).is_crash:
-            self._record_crash(data, outcome, trace, parent, stage)
+        record = self._recorder(outcome)
+        if record is not None:
+            record(data, outcome, trace, parent, stage)
         elif self.path_map.has_new_bits(classify_counts(trace)) != NO_NEW:
             self._admit(data, parent, stage)
         self._maybe_flush()
@@ -339,7 +425,7 @@ class Fuzzer:
         self.stats.start_time = time.monotonic()
         self._write_setup()
         try:
-            self._replay_crashes()
+            self._replay_kept()
             self.add_seeds(seeds)
             cursor = 0
             while not self._budget_exhausted():
@@ -359,10 +445,8 @@ class Fuzzer:
         out = self.config.out_dir
         if out is None:
             return
-        from ..encoder import encode_module
-
         setup = {
-            "module_sha256": _sha256(encode_module(self.engine.module)),
+            "module_sha256": module_sha256(self.engine.module),
             "rng_seed": self.config.rng_seed,
             "argv": self.config.argv,
             "fuel": self.config.limits.fuel,

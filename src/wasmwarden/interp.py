@@ -10,8 +10,9 @@ nor call, entered only at its head) is also fused into one generated
 Python function, on its first execution rather than in ``Engine()``:
 stack slots become Python locals and the run costs one dispatch.
 Generated sources take their immediates as parameters, so runs of the
-same shape share one compiled template; templates are cached per
-``Engine``, never across engines.
+same shape share one compiled template, bound to each run's immediates
+as its defaults; templates are cached per ``Engine``, never across
+engines.
 
 Fusing is exact. A run charges its length in fuel at once when that fits
 the budget; otherwise it is stepped, so fuel runs out on the same
@@ -30,6 +31,7 @@ import random
 import re
 import struct
 from dataclasses import dataclass, field
+from types import FunctionType
 from typing import Optional
 
 from .ir import PAGE, FuncType, ModuleIR, WasmError
@@ -485,22 +487,22 @@ _FUSABLE = frozenset((
 _INT_FMT = {op: re.sub(r"\b([ab])\b", r"{\1}", ex)
             for op, ex in _INT_EXPR.items()}
 
-# what a run's source refers to besides its factory's parameters
+# what a run's source refers to besides its parameters
 _RUN_NAMES = {"_NumTrap": _NumTrap, "MEM_OOB": MEM_OOB,
               "from_bytes": int.from_bytes}
 
 
 def _run_source(ops: list[tuple]) -> tuple[str, list]:
-    """Python source of a factory for one run of stepped tuples, and the
-    arguments to call it with.
+    """Python source of one run of stepped tuples, and the immediates to
+    bind to it.
 
-    ``make(p0, p1, ...)`` returns ``run(vals, L, G, mem)``, which does to
-    the operand stack, the locals, the globals and the memory what
-    stepping ``ops`` does. Stack slots are Python locals: values from
-    below the run are popped first, and the values the run leaves are
-    pushed once at the end. Immediates (constants, local and global
-    indices, memarg offsets, the numeric functions called) are the
-    factory's parameters, so runs that differ only in them share one
+    ``run(vals, L, G, mem, p0, p1, ...)`` does to the operand stack, the
+    locals, the globals and the memory what stepping ``ops`` does. Stack
+    slots are Python locals: values from below the run are popped first,
+    and the values the run leaves are pushed once at the end. Immediates
+    (constants, local and global indices, memarg offsets, the numeric
+    functions called) are the parameters ``p0, p1, ...``, which the
+    engine binds as defaults, so runs that differ only in them share one
     source. An op that traps raises ``_NumTrap`` with ``at`` set to its
     offset in the run.
     """
@@ -583,11 +585,9 @@ def _run_source(ops: list[tuple]) -> tuple[str, list]:
     if may_trap:
         body = (["try:"] + ["    " + line for line in body]
                 + ["except _NumTrap as t:", "    t.at = k", "    raise"])
-    src = "\n".join(
-        [f"def make({', '.join(f'p{i}' for i in range(len(params)))}):",
-         "    def run(vals, L, G, mem):"]
-        + ["        " + line for line in body or ["pass"]]
-        + ["    return run", ""])
+    args = ["vals", "L", "G", "mem"] + [f"p{i}" for i in range(len(params))]
+    src = "\n".join([f"def run({', '.join(args)}):"]
+                    + ["    " + line for line in body or ["pass"]] + [""])
     return src, params
 
 
@@ -901,9 +901,7 @@ class Engine:
             )
 
         # signature of every function index, for call_indirect
-        self.func_types = [module.types[im.desc] for im in module.imports]
-        self.func_types += [module.types[f.type_idx]
-                            for f in module.functions]
+        self.func_types = report.func_types
         n_host = len(self.host_funcs)
         self.metas: list[_FuncMeta] = []
         for i, f in enumerate(module.functions):
@@ -933,7 +931,7 @@ class Engine:
 
         self.exports = module.export_map()
         self.n_host = n_host
-        # run source -> its compiled factory, filled as runs first execute
+        # run source -> its template function, filled as runs first execute
         self._templates: dict[str, object] = {}
         # the map base the coverage pass wrote into its accessor; None when
         # the accessor is missing or not a constant
@@ -1018,12 +1016,13 @@ class Engine:
         """Make the function of the run at ``head`` and put it in place."""
         _, _, n, first = code[head]
         src, params = _run_source([first, *code[head + 1: head + n]])
-        make = self._templates.get(src)
-        if make is None:
+        template = self._templates.get(src)
+        if template is None:
             names = dict(_RUN_NAMES)
             exec(compile(src, "<wasm run>", "exec"), names)
-            make = self._templates[src] = names["make"]
-        run = make(*params)
+            template = self._templates[src] = names["run"]
+        run = FunctionType(template.__code__, template.__globals__, "run",
+                           tuple(params))
         code[head] = (C_BLOCK, run, n, first)
         return run
 

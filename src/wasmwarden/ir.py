@@ -155,6 +155,12 @@ class ModuleIR:
     data_segments: list[DataSegment] = field(default_factory=list)
     names: dict[int, str] = field(default_factory=dict)
     custom_sections: list[CustomSection] = field(default_factory=list)
+    # SHA-256 hex digest of the binary ``parse_module`` read this module
+    # from; None for a module built in Python. ``copy()`` drops it, so a
+    # pass's output has none. Code that changes a parsed module in place
+    # must set it to None.
+    source_sha256: Optional[str] = field(default=None, compare=False,
+                                         repr=False)
 
     # ---- index-space helpers -------------------------------------------
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 from . import opcodes
 from .ir import (
     BYTE_VALTYPE,
@@ -317,4 +319,5 @@ def parse_module(data: bytes) -> ModuleIR:
     for ti in func_type_indices:
         if ti >= len(m.types):
             raise MalformedBinary(0, f"function type index {ti} out of range")
+    m.source_sha256 = hashlib.sha256(data).hexdigest()
     return m

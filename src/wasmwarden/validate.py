@@ -22,6 +22,9 @@ class ValidationReport:
     # end); the height counts from the frame's base and, for an if, comes
     # after its condition is popped
     blocks: list[dict[int, tuple]] = field(default_factory=list)
+    # the signature of every function index, imported ones first; None
+    # where the type index is out of range
+    func_types: list[FuncType | None] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -317,8 +320,8 @@ def _check_const_expr(
 
 def validate_module(m: ModuleIR) -> ValidationReport:
     """Type-check a module; returns an empty report iff it is valid."""
-    report = ValidationReport()
     index = _ModuleIndex(m)
+    report = ValidationReport(func_types=index.func_types)
     n_funcs = len(index.func_types)
 
     for i, im in enumerate(m.imports):

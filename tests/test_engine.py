@@ -5,8 +5,10 @@ from pathlib import Path
 import pytest
 
 import modbuild
+import wasmwarden.encoder
 from wasmwarden.encoder import encode_module
-from wasmwarden.interp import RunLimits
+from wasmwarden.interp import Engine, RunLimits, WasiConfig
+from wasmwarden.parser import parse_module
 from wasmwarden.fuzz import mutate as mut
 from wasmwarden.fuzz import (
     AllSeedsInvalid,
@@ -14,9 +16,12 @@ from wasmwarden.fuzz import (
     Fuzzer,
     SeedCrashes,
 )
+from wasmwarden.fuzz.engine import module_sha256
 from wasmwarden.passes import (
     CanaryConfig,
+    HeapConfig,
     apply_coverage_pass,
+    apply_heap_pass,
     apply_stack_pass,
     collect_sites,
 )
@@ -208,3 +213,171 @@ def test_resume_redoes_interrupted_deterministic_stages(tmp_path,
     marked, calls = _resumed_stage_calls(tmp_path, 20, monkeypatch)
     assert not marked
     assert (b"AAAA", "bitflip") in calls
+
+
+# ------------------------------------------- the module hash in the setup
+
+def instrumented_alloc():
+    """The bump allocator with every pass applied."""
+    m, _ = apply_heap_pass(modbuild.bump_alloc_module(use_names=True),
+                           HeapConfig(rng_seed=1))
+    m, _ = apply_stack_pass(m, CanaryConfig(rng_seed=1))
+    m, _ = apply_coverage_pass(m, rng_seed=3)
+    return m
+
+
+def refuse_to_encode(monkeypatch):
+    def refuse(m):
+        raise AssertionError("the module was encoded")
+
+    monkeypatch.setattr(wasmwarden.encoder, "encode_module", refuse)
+
+
+@pytest.mark.parametrize("build", [lambda: instrumented_victim()[0],
+                                   instrumented_alloc])
+def test_parsed_module_is_hashed_without_encoding(build, tmp_path,
+                                                  monkeypatch):
+    raw = encode_module(build())
+    m = parse_module(raw)
+    assert encode_module(m) == raw
+    expected = hashlib.sha256(encode_module(m)).hexdigest()
+    refuse_to_encode(monkeypatch)
+    assert module_sha256(m) == expected
+    Fuzzer(m, None, quick_cfg(tmp_path))._write_setup()
+    setup = json.loads((tmp_path / "fuzzer_setup.json").read_text())
+    assert setup["module_sha256"] == expected
+
+
+def test_built_or_passed_module_is_hashed_by_encoding(monkeypatch):
+    built = modbuild.victim_module()
+    passed, _ = apply_coverage_pass(parse_module(encode_module(built)),
+                                    rng_seed=3)
+    real = wasmwarden.encoder.encode_module
+    encoded = []
+
+    def spy(m):
+        encoded.append(m)
+        return real(m)
+
+    # looked up in wasmwarden.encoder on every call
+    monkeypatch.setattr(wasmwarden.encoder, "encode_module", spy)
+    for m in (built, passed):
+        assert module_sha256(m) == hashlib.sha256(real(m)).hexdigest()
+    assert [id(m) for m in encoded] == [id(built), id(passed)]
+
+
+# ------------------------------------------------------------------ hangs
+
+# fuel for a victim run that reads its input and returns; an input that
+# starts with "42" runs the copy loop and needs several times more
+HANG_FUEL = 100
+
+
+def hang_cfg(tmp_path=None, **kw):
+    return quick_cfg(tmp_path, limits=RunLimits(fuel=HANG_FUEL), **kw)
+
+
+def test_fuel_budgets_of_the_hang_tests():
+    m, _ = instrumented_victim()
+    eng = Engine(m)
+
+    def executed(data):
+        out = eng.run_start(eng.instantiate(WasiConfig(stdin=data)))
+        assert out.status == "exit"
+        return out.instructions_executed
+
+    assert executed(b"4AAA") < HANG_FUEL < executed(b"42AA")
+
+
+def test_hang_is_counted_kept_and_never_queued(tmp_path):
+    m, sites = instrumented_victim()
+    fz = Fuzzer(m, sites, hang_cfg(tmp_path))
+    fz.stats.start_time = 0.0
+    fz.add_seeds([b"AAAA"])
+    for data in (b"42AA", b"42AA", b"42AB"):
+        fz._process(data, 0, "havoc")
+    assert len(fz.queue) == 1
+    assert (fz.stats.hangs_total, fz.stats.unique_hangs) == (3, 1)
+    assert [p.name for p in (tmp_path / "hangs").iterdir()] == ["id_000000"]
+    assert (tmp_path / "hangs" / "id_000000").read_bytes() == b"42AA"
+
+
+def test_campaign_keeps_hangs_out_of_the_queue(tmp_path):
+    m, sites = instrumented_victim()
+    fz = Fuzzer(m, sites, hang_cfg(tmp_path, max_execs=400))
+    # entry "4AAA" reaches "42AA" early in its arith8 stage
+    stats = fz.run([b"4AAA", b"AAAA"])
+    assert stats.unique_hangs >= 1
+    assert stats.hangs_total >= stats.unique_hangs
+    hangs = sorted((tmp_path / "hangs").iterdir())
+    assert len(hangs) == stats.unique_hangs
+    eng = Engine(m)
+
+    def status(p):
+        inst = eng.instantiate(WasiConfig(stdin=p.read_bytes()))
+        return eng.run_start(inst, RunLimits(fuel=HANG_FUEL)).status
+
+    assert all(status(p) == "exit" for p in (tmp_path / "queue").iterdir())
+    assert all(status(p) == "fuel-exhausted" for p in hangs)
+    on_disk = json.loads((tmp_path / "stats.json").read_text())
+    assert on_disk["hangs_total"] == stats.hangs_total
+    assert on_disk["unique_hangs"] == stats.unique_hangs
+
+
+def test_hanging_seed_is_skipped(tmp_path, caplog):
+    m, sites = instrumented_victim()
+    fz = Fuzzer(m, sites, hang_cfg(tmp_path, max_execs=10))
+    fz.run([b"42AA", b"AAAA"])
+    assert fz.queue[0].data == b"AAAA"
+    assert "seed input 0 exhausts its fuel" in caplog.text
+    assert (tmp_path / "hangs" / "id_000000").read_bytes() == b"42AA"
+
+
+def test_campaign_whose_only_seed_hangs_is_refused():
+    m, sites = instrumented_victim()
+    with pytest.raises(AllSeedsInvalid):
+        Fuzzer(m, sites, hang_cfg(max_execs=10)).run([b"42AA"])
+
+
+def test_resume_numbers_new_hangs_after_the_ones_on_disk(tmp_path, caplog):
+    m, sites = instrumented_victim()
+    (tmp_path / "hangs").mkdir()
+    (tmp_path / "hangs" / "id_000004").write_bytes(b"old")
+    fz = Fuzzer(m, sites, hang_cfg(tmp_path))
+    fz.stats.start_time = 0.0
+    fz._replay_kept()
+    assert "hangs/id_000004 no longer reproduces" in caplog.text
+    fz.add_seeds([b"AAAA"])
+    fz._process(b"42AA", 0, "havoc")
+    assert (tmp_path / "hangs" / "id_000004").read_bytes() == b"old"
+    assert (tmp_path / "hangs" / "id_000005").read_bytes() == b"42AA"
+
+
+def test_resume_keeps_queue_ids_and_saved_hangs(tmp_path):
+    """A queue entry that hangs under the resumed campaign's fuel leaves
+    every queue file as it was, and a hang already in ``hangs/`` is not
+    written again."""
+    m, sites = instrumented_victim()
+    queue_dir = tmp_path / "queue"
+    queue_dir.mkdir()
+    before = {f"id_{i:06d}": data
+              for i, data in enumerate([b"AAAA", b"42AA", b"4AAA"])}
+    for name, data in before.items():
+        (queue_dir / name).write_bytes(data)
+
+    def resume():
+        queue = [p.read_bytes() for p in sorted(queue_dir.iterdir())]
+        # the budget ends the campaign once the seeds have run
+        fz = Fuzzer(m, sites, hang_cfg(tmp_path, max_execs=1))
+        stats = fz.run(queue)
+        assert [e.id for e in fz.queue] == [0, 2]
+        assert {p.name: p.read_bytes() for p in queue_dir.iterdir()} == before
+        hangs = {p.name: p.read_bytes()
+                 for p in (tmp_path / "hangs").iterdir()}
+        assert hangs == {"id_000000": b"42AA"}
+        return stats
+
+    first = resume()
+    assert (first.hangs_total, first.unique_hangs) == (1, 1)
+    second = resume()  # replays hangs/id_000000 before the queue
+    assert (second.hangs_total, second.unique_hangs) == (1, 1)

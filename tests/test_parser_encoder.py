@@ -1,3 +1,4 @@
+import hashlib
 import struct
 
 import pytest
@@ -29,6 +30,16 @@ def test_roundtrip_fixpoint_on_corpus():
         assert m2 == m
         # second encode is byte-identical (fixpoint)
         assert encode_module(m2) == raw
+
+
+def test_parse_records_the_digest_of_its_input_outside_equality():
+    built = modbuild.victim_module()
+    raw = encode_module(built)
+    parsed = parse_module(raw)
+    assert parsed.source_sha256 == hashlib.sha256(raw).hexdigest()
+    assert built.source_sha256 is None
+    assert parsed.copy().source_sha256 is None  # a pass's output has none
+    assert parsed == built and repr(parsed) == repr(built)
 
 
 def test_roundtrip_many_functions_crosses_leb_boundary():
