@@ -190,15 +190,6 @@ def cmd_cov(args) -> int:
     return EXIT_OK
 
 
-def _read_inputs(path: Path, missing: str) -> list[bytes]:
-    """The files in ``path`` in name order; ``missing`` is the error when
-    there is no such directory."""
-    if not path.is_dir():
-        print(f"error: {missing}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-    return [p.read_bytes() for p in sorted(path.iterdir()) if p.is_file()]
-
-
 def _run_campaign(binary: str, seeds: list[bytes], cfg: FuzzConfig,
                   sites: SiteTable, quiet: bool = False) -> int:
     m = _load_module(binary)
@@ -232,16 +223,24 @@ def _campaign_worker(task) -> int:
 def cmd_fuzz(args) -> int:
     sites = _load_sites(args.binary, args.sites)
     out = Path(args.output)
-    # each job keeps its own campaign dir, and resumes from its own queue
+    # each job keeps its own campaign dir, and a campaign goes on from
+    # the files in its dir
     dirs = ([out] if args.jobs <= 1
             else [out / f"job_{k}" for k in range(args.jobs)])
     if args.resume:
-        seeds = [_read_inputs(d / "queue", f"nothing to resume in {d}")
-                 for d in dirs]
+        seeds = []
+        for d in dirs:
+            if not (d / "queue").is_dir():
+                print(f"error: nothing to resume in {d}", file=sys.stderr)
+                return EXIT_USAGE
     else:
-        common = _read_inputs(Path(args.seeds),
-                              f"seeds dir not found: {args.seeds}")
-        seeds = [common] * len(dirs)
+        seeds_dir = Path(args.seeds)
+        if not seeds_dir.is_dir():
+            print(f"error: seeds dir not found: {args.seeds}",
+                  file=sys.stderr)
+            return EXIT_USAGE
+        seeds = [p.read_bytes() for p in sorted(seeds_dir.iterdir())
+                 if p.is_file()]
 
     def make_cfg(out_dir: Path, seed: int) -> FuzzConfig:
         argv = args.argv.split() if args.argv else ["prog"]
@@ -255,13 +254,13 @@ def cmd_fuzz(args) -> int:
         )
 
     if args.jobs <= 1:
-        return _run_campaign(args.binary, seeds[0], make_cfg(out, args.seed),
+        return _run_campaign(args.binary, seeds, make_cfg(out, args.seed),
                              sites)
 
     import multiprocessing as mp
 
     tasks = [
-        (args.binary, seeds[k], make_cfg(d, args.seed + k), sites.to_json())
+        (args.binary, seeds, make_cfg(d, args.seed + k), sites.to_json())
         for k, d in enumerate(dirs)
     ]
     with mp.Pool(args.jobs) as pool:
@@ -315,8 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--argv", default=None)
     pf.add_argument("--seed", type=int, default=0, help="campaign rng seed")
     pf.add_argument("--resume", action="store_true",
-                    help="re-seed from the campaign dir's queue (with --jobs, "
-                         "each job from its own)")
+                    help="go on with the campaign dir's files and no new "
+                         "seeds (with --jobs, each job with its own)")
     pf.add_argument("--jobs", type=int, default=1)
     pf.set_defaults(fn=cmd_fuzz)
 

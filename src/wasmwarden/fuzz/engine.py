@@ -33,9 +33,9 @@ STATS_FLUSH_EVERY = 1.0  # seconds
 
 
 class SeedCrashes(WasmError):
-    def __init__(self, crashing: list[int]):
+    def __init__(self, crashing: list[int], what: str = "seed input(s)"):
         super().__init__(
-            f"seed input(s) {crashing} crash the target before fuzzing starts"
+            f"{what} {crashing} crash the target before fuzzing starts"
         )
         self.crashing = crashing
 
@@ -143,8 +143,8 @@ def _oracle_bucket(kind: str) -> str:
 
 @dataclass
 class _Kept:
-    """The inputs a campaign keeps in ``<out>/<sub>/`` rather than in its
-    queue: one for each trace new to ``map``, numbered on from
+    """The inputs a campaign keeps in ``<out>/<sub>/``: one for each trace
+    new to ``map`` (and, in the queue, every seed), numbered on from
     ``next_id``."""
     sub: str
     map: VirginMap
@@ -152,12 +152,13 @@ class _Kept:
 
     def keep(self, out: Optional[Path], data: bytes, trace: memoryview,
              suffix: str = "", file_id: Optional[int] = None,
-             ) -> Optional[int]:
+             always: bool = False) -> Optional[int]:
         """The id ``data`` is kept under, or None when ``trace`` is not new
-        to the map. An input replayed from the directory keeps its
-        ``file_id``; any other takes the next id and is written to
-        ``<out>/<sub>/id_NNNNNN<suffix>``."""
-        if self.map.has_new_bits(classify_counts(trace)) == NO_NEW:
+        to the map and ``always`` is not set. An input replayed from the
+        directory keeps its ``file_id``; any other takes the next id and is
+        written to ``<out>/<sub>/id_NNNNNN<suffix>``."""
+        if (self.map.has_new_bits(classify_counts(trace)) == NO_NEW
+                and not always):
             return None
         if file_id is None:
             file_id = self.next_id
@@ -183,11 +184,11 @@ class Fuzzer:
         self.rng = random.Random(self.config.rng_seed)
         self.queue: list[QueueEntry] = []
         self.crashes: list[CrashReport] = []
-        # the next queue id; a seed that hangs leaves its id unused
-        self._next_queue_id = 0
         self.path_map = VirginMap()
         self.crash_map = VirginMap()
         self.hang_map = VirginMap()
+        # the owners of the ids in the campaign directory
+        self._queue = _Kept("queue", self.path_map)
         self._crashes = _Kept("crashes", self.crash_map)
         self._hangs = _Kept("hangs", self.hang_map)
         # ids with a deterministic-stage marker on disk, listed once
@@ -241,47 +242,31 @@ class Fuzzer:
 
     # ------------------------------------------------------------------
     def add_seeds(self, seeds: list[bytes]):
-        """Dry-run every seed; a crashing seed aborts the campaign setup,
-        a hanging one is skipped."""
-        if not seeds:
-            raise AllSeedsInvalid("no seed inputs provided")
-        crashing = []
-        for i, data in enumerate(seeds):
-            outcome, trace = self.run_input(data)
-            crash = classify_crash(outcome, self.sites)
-            if crash.is_crash:
-                crashing.append(i)
-                continue
-            if outcome.status == "fuel-exhausted":
-                log.warning("seed input %d exhausts its fuel; skipped", i)
-                self._record_hang(data, outcome, trace, -1, "seed")
-                # the seeds after it keep their ids, so a resumed queue
-                # is written back to the files it was read from
-                self._next_queue_id += 1
-                continue
-            self.path_map.has_new_bits(classify_counts(trace))
-            self._admit(data, parent=-1, stage="seed")
+        """Dry-run every seed and queue it after the highest queue id in
+        use; a crashing seed aborts the campaign setup, and a hanging one
+        or one whose bytes are already queued is skipped."""
+        queued = {e.data for e in self.queue}
+        crashing = [i for i, data in enumerate(seeds) if data not in queued
+                    and not self._seed(data, f"seed input {i}")]
         if crashing:
             raise SeedCrashes(crashing)
         if not self.queue:
-            raise AllSeedsInvalid("no usable seed inputs")
+            raise AllSeedsInvalid("no usable seed inputs" if seeds
+                                  else "no seed inputs provided")
 
-    def _admit(self, data: bytes, parent: int, stage: str) -> QueueEntry:
-        entry = QueueEntry(self._next_queue_id, data, parent, stage)
-        self._next_queue_id += 1
-        self.queue.append(entry)
-        self.stats.unique_paths = len(self.queue)
-        self.stats.last_new_path = time.monotonic() - self.stats.start_time
-        out = self.config.out_dir
-        if out is not None:
-            name = f"id_{entry.id:06d}"
-            (out / "queue" / name).write_bytes(data)
-            # a resumed campaign skips the stages an earlier one finished
-            entry.deterministic_done = (
-                name in self._done_markers
-                and self._deterministic_marker(entry).read_text()
-                == _sha256(data))
-        return entry
+    def _seed(self, data: bytes, name: str,
+              file_id: Optional[int] = None) -> bool:
+        """Run one seed and queue it whatever its trace; False when it
+        crashes. A queue file replayed as a seed keeps its ``file_id``. A
+        seed that hangs is kept as a hang and skipped."""
+        outcome, trace = self.run_input(data)
+        if outcome.status == "trap":
+            return False
+        if outcome.status == "fuel-exhausted":
+            log.warning("%s exhausts its fuel; skipped", name)
+            file_id = None  # a new hang, numbered in hangs/
+        self._triage(data, outcome, trace, -1, "seed", file_id)
+        return True
 
     def _deterministic_marker(self, entry: QueueEntry) -> Path:
         """Written once ``entry`` has been through every deterministic
@@ -291,94 +276,95 @@ class Fuzzer:
         return (self.config.out_dir / ".state" / "deterministic_done"
                 / f"id_{entry.id:06d}")
 
-    def _record_crash(
-        self, data: bytes, outcome: ExecOutcome, trace: memoryview,
-        parent: int, stage: str, file_id: Optional[int] = None,
-    ) -> Optional[CrashReport]:
-        """Count a crash, and keep it if its trace is new to the crash
-        map. A crash replayed from ``crashes/`` keeps its ``file_id`` and
-        is not counted again."""
-        if file_id is None:
-            self.stats.crashes_total += 1
-        oracle = _oracle_bucket(classify_crash(outcome, self.sites).kind)
-        crash_id = self._crashes.keep(self.config.out_dir, data, trace,
-                                      f"_{oracle}", file_id)
-        if crash_id is None:
-            return None
-        report = CrashReport(
-            id=crash_id, data=data, oracle=oracle,
-            trap_kind=outcome.trap_kind,
-            trap_function=outcome.trap_function,
-            trap_offset=outcome.trap_offset,
-            parent=parent, stage=stage,
-        )
-        self.crashes.append(report)
-        self.stats.unique_crashes = len(self.crashes)
-        self.stats.crashes_by_oracle[oracle] = (
-            self.stats.crashes_by_oracle.get(oracle, 0) + 1
-        )
-        if file_id is None:
-            log.info(
-                "unique crash %d: %s (%s) at func %d offset %d",
-                report.id, report.oracle, outcome.trap_kind,
-                outcome.trap_function, outcome.trap_offset,
-            )
-        return report
-
-    def _record_hang(
+    def _triage(
         self, data: bytes, outcome: ExecOutcome, trace: memoryview,
         parent: int, stage: str, file_id: Optional[int] = None,
     ):
-        """Count an exec that ran out of fuel, and keep its input if its
-        trace is new to the hang map. A hang replayed from ``hangs/`` keeps
-        its ``file_id`` and is not counted again. A hang never enters the
-        queue: each havoc round on it would burn the whole fuel budget.
-        Takes the arguments of ``_record_crash``."""
-        if file_id is None:
-            self.stats.hangs_total += 1
-        if self._hangs.keep(self.config.out_dir, data, trace,
-                            file_id=file_id) is not None:
-            self.stats.unique_hangs += 1
-
-    def _recorder(self, outcome: ExecOutcome):
-        """The method that records an exec whose input stays out of the
-        queue: ``_record_crash`` or ``_record_hang``; None for any
-        other exec."""
-        if classify_crash(outcome, self.sites).is_crash:
-            return self._record_crash
-        if outcome.status == "fuel-exhausted":
-            return self._record_hang
-        return None
+        """Count one exec and keep its input by how it ended: a trap in
+        ``crashes/``, a fuel exhaustion in ``hangs/``, an exit in
+        ``queue/`` when its trace is new to the path map, or always for a
+        seed. A hang never enters the queue: each havoc round on it would
+        burn the whole fuel budget. A crash or hang replayed from its
+        directory keeps its ``file_id`` and is not counted again, and so
+        does a queue file replayed as a seed."""
+        out = self.config.out_dir
+        status = outcome.status
+        if status == "exit":
+            entry_id = self._queue.keep(out, data, trace, "", file_id,
+                                        stage == "seed")
+            if entry_id is None:
+                return
+            entry = QueueEntry(entry_id, data, parent, stage)
+            self.queue.append(entry)
+            self.stats.unique_paths = len(self.queue)
+            self.stats.last_new_path = (time.monotonic()
+                                        - self.stats.start_time)
+            # a resumed campaign skips the stages an earlier one finished
+            entry.deterministic_done = (
+                f"id_{entry_id:06d}" in self._done_markers
+                and self._deterministic_marker(entry).read_text()
+                == _sha256(data))
+        elif status == "trap":
+            if file_id is None:
+                self.stats.crashes_total += 1
+            oracle = _oracle_bucket(classify_crash(outcome, self.sites).kind)
+            crash_id = self._crashes.keep(out, data, trace, f"_{oracle}",
+                                          file_id)
+            if crash_id is None:
+                return
+            self.crashes.append(CrashReport(
+                crash_id, data, oracle, outcome.trap_kind,
+                outcome.trap_function, outcome.trap_offset, parent, stage))
+            self.stats.unique_crashes = len(self.crashes)
+            self.stats.crashes_by_oracle[oracle] += 1
+            if file_id is None:
+                log.info("unique crash %d: %s (%s) at func %d offset %d",
+                         crash_id, oracle, outcome.trap_kind,
+                         outcome.trap_function, outcome.trap_offset)
+        else:  # fuel-exhausted
+            if file_id is None:
+                self.stats.hangs_total += 1
+            if self._hangs.keep(out, data, trace, "", file_id) is not None:
+                self.stats.unique_hangs += 1
 
     def _replay_kept(self):
-        """Re-run the crash and hang files already in the campaign
-        directory, so a resumed campaign neither reports them again nor
-        reuses their ids."""
+        """Re-run the files already in the campaign directory, each under
+        its own id: first ``crashes/`` and ``hangs/``, whose files are not
+        reported again, then ``queue/``, whose files are seeds. No file is
+        written again, and new files are numbered after the highest id."""
         out = self.config.out_dir
         if out is None:
             return
-        for kept, record in ((self._crashes, self._record_crash),
-                             (self._hangs, self._record_hang)):
+        crashing = []
+        for kept, status in ((self._crashes, "trap"),
+                             (self._hangs, "fuel-exhausted"),
+                             (self._queue, "exit")):
             for p in sorted((out / kept.sub).glob("id_*")):
-                file_id = int(p.name.split("_")[1])
+                name = f"{kept.sub}/{p.name}"
+                digits = p.name[3:].split("_")[0]
+                if not (digits.isascii() and digits.isdigit()):
+                    log.warning("%s has no id in its name; skipped", name)
+                    continue
+                file_id = int(digits)
                 kept.next_id = max(kept.next_id, file_id + 1)
                 data = p.read_bytes()
+                if kept is self._queue:
+                    if not self._seed(data, name, file_id):
+                        crashing.append(file_id)
+                    continue
                 outcome, trace = self.run_input(data)
-                if self._recorder(outcome) == record:
-                    record(data, outcome, trace, -1, "resume", file_id)
+                if outcome.status == status:
+                    self._triage(data, outcome, trace, -1, "resume", file_id)
                 else:
-                    log.warning("%s/%s no longer reproduces", kept.sub,
-                                p.name)
+                    log.warning("%s no longer reproduces", name)
+        if crashing:
+            raise SeedCrashes(crashing, "queue file id(s)")
 
     # ------------------------------------------------------------------
     def _process(self, data: bytes, parent: int, stage: str) -> bool:
         """Run one candidate; returns False when a budget is exhausted."""
         outcome, trace = self.run_input(data)
-        record = self._recorder(outcome)
-        if record is not None:
-            record(data, outcome, trace, parent, stage)
-        elif self.path_map.has_new_bits(classify_counts(trace)) != NO_NEW:
-            self._admit(data, parent, stage)
+        self._triage(data, outcome, trace, parent, stage)
         self._maybe_flush()
         return not self._budget_exhausted()
 

@@ -39,7 +39,6 @@ class SpGlobalMissing(WasmError):
 class CanaryConfig:
     sp_global: int = 0  # global index of the shadow stack pointer
     rng_seed: Optional[int] = None
-    canary_value: Optional[int] = None  # fixed value; None = draw per function
 
 
 def emit_inject_canary(cfg: CanaryConfig, canary: int) -> list[Instr]:
@@ -128,11 +127,7 @@ def apply_stack_pass(
     out = m.copy()
     new_funcs = []
     for f in out.functions:
-        canary = (
-            cfg.canary_value
-            if cfg.canary_value is not None
-            else rng.getrandbits(64)
-        )
+        canary = rng.getrandbits(64)
         if I("global.set", cfg.sp_global) not in f.body:  # no frame
             new_funcs.append(f)
             continue

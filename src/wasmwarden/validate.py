@@ -65,19 +65,30 @@ class _Frame:
 
 
 class _ModuleIndex:
-    """What function bodies look up in a module, resolved once."""
+    """What a module's index spaces hold, resolved once."""
 
     def __init__(self, m: ModuleIR):
         self.types = m.types
-        type_idxs = [im.desc for im in m.imported("func")]
-        type_idxs += [f.type_idx for f in m.functions]
+        imported = {"func": [], "table": [], "memory": [], "global": []}
+        for im in m.imports:
+            imported[im.kind].append(im.desc)
+        self.num_imported_funcs = len(imported["func"])
+        self.num_imported_globals = len(imported["global"])
+        type_idxs = imported["func"] + [f.type_idx for f in m.functions]
         # signature of every function index; None if its type index is bad
         self.func_types = [m.types[i] if i < len(m.types) else None
                            for i in type_idxs]
-        self.global_types = [im.desc for im in m.imported("global")]
-        self.global_types += [(g.valtype, g.mutable) for g in m.globals]
-        self.has_memory = m.memory is not None or bool(m.imported("memory"))
-        self.has_table = m.table is not None or bool(m.imported("table"))
+        self.global_types = imported["global"] + [
+            (g.valtype, g.mutable) for g in m.globals]
+        # the size of each index space an export can name
+        self.sizes = {
+            "func": len(self.func_types),
+            "global": len(self.global_types),
+            "memory": len(imported["memory"]) + (m.memory is not None),
+            "table": len(imported["table"]) + (m.table is not None),
+        }
+        self.has_memory = self.sizes["memory"] > 0
+        self.has_table = self.sizes["table"] > 0
 
 
 class _FuncChecker:
@@ -292,8 +303,8 @@ class _FuncChecker:
 
 
 def _check_const_expr(
-    m: ModuleIR, expr: list[Instr], expect: str, report: ValidationReport,
-    ctx: str, num_visible_globals: int,
+    index: _ModuleIndex, expr: list[Instr], expect: str,
+    report: ValidationReport, ctx: str,
 ):
     if len(expr) != 1:
         report.add(f"{ctx}: constant expression must be a single instruction")
@@ -306,10 +317,10 @@ def _check_const_expr(
         return
     if instr.op == "global.get":
         idx = instr.args[0]
-        if idx >= num_visible_globals:
+        if idx >= index.num_imported_globals:
             report.add(f"{ctx}: init refers to non-imported global {idx}")
             return
-        t, mut = m.global_type(idx)
+        t, mut = index.global_types[idx]
         if mut:
             report.add(f"{ctx}: init refers to mutable global {idx}")
         if t != expect:
@@ -328,13 +339,10 @@ def validate_module(m: ModuleIR) -> ValidationReport:
         if im.kind == "func" and im.desc >= len(m.types):
             report.add(f"import {i}: type index {im.desc} out of range")
 
-    n_imp_glob = m.num_imported_globals
     for i, g in enumerate(m.globals):
-        _check_const_expr(
-            m, g.init, g.valtype, report, f"global {i}", n_imp_glob
-        )
+        _check_const_expr(index, g.init, g.valtype, report, f"global {i}")
 
-    n_imp_func = m.num_imported_funcs
+    n_imp_func = index.num_imported_funcs
     for i, f in enumerate(m.functions):
         ftype = index.func_types[n_imp_func + i]
         if ftype is None:
@@ -348,19 +356,12 @@ def validate_module(m: ModuleIR) -> ValidationReport:
             report.add(f"func {n_imp_func + i}: {e}")
         report.blocks.append(checker.blocks)
 
-    limits = {
-        "func": n_funcs,
-        "global": len(index.global_types),
-        "memory": (1 if m.memory is not None else 0)
-        + len(m.imported("memory")),
-        "table": (1 if m.table is not None else 0) + len(m.imported("table")),
-    }
     seen_names = set()
     for e in m.exports:
         if e.name in seen_names:
             report.add(f"duplicate export name {e.name!r}")
         seen_names.add(e.name)
-        if e.index >= limits[e.kind]:
+        if e.index >= index.sizes[e.kind]:
             report.add(f"export {e.name!r}: {e.kind} index {e.index} "
                        "out of range")
 
@@ -373,7 +374,7 @@ def validate_module(m: ModuleIR) -> ValidationReport:
     for i, e in enumerate(m.elems):
         if not index.has_table:
             report.add(f"elem {i}: module has no table")
-        _check_const_expr(m, e.offset, "i32", report, f"elem {i}", n_imp_glob)
+        _check_const_expr(index, e.offset, "i32", report, f"elem {i}")
         for fi in e.func_indices:
             if fi >= n_funcs:
                 report.add(f"elem {i}: function index {fi} out of range")
@@ -381,6 +382,6 @@ def validate_module(m: ModuleIR) -> ValidationReport:
     for i, d in enumerate(m.data_segments):
         if not index.has_memory:
             report.add(f"data {i}: module has no memory")
-        _check_const_expr(m, d.offset, "i32", report, f"data {i}", n_imp_glob)
+        _check_const_expr(index, d.offset, "i32", report, f"data {i}")
 
     return report

@@ -195,6 +195,88 @@ def test_fuzz_resume_keeps_crash_files(hardened, tmp_path):
     assert stats["unique_crashes"] == len(after)
 
 
+def _campaign_files(out):
+    """Every file in the campaign's queue, crashes and hangs: its inode,
+    modification time and bytes, by path."""
+    files = {}
+    for sub in ("queue", "crashes", "hangs"):
+        for p in (out / sub).iterdir():
+            st = p.stat()
+            files[f"{sub}/{p.name}"] = (st.st_ino, st.st_mtime_ns,
+                                        p.read_bytes())
+    return files
+
+
+def test_fuzz_resume_rewrites_no_file(hardened, tmp_path):
+    # campaign seed 2 keeps a crash (see above); the resume at fuel 100
+    # keeps hangs, and the last resume replays all three kinds of file
+    seeds = tmp_path / "seeds"
+    seeds.mkdir()
+    (seeds / "s0").write_bytes(b"42AAAAAA")
+    out = tmp_path / "campaign"
+    before = {}
+    for args in (["--seeds", str(seeds), "--seed", "2", "--execs", "4000",
+                  "--fuel", "1000000"],
+                 ["--resume", "--execs", "1", "--fuel", "100"],
+                 ["--resume", "--execs", "500", "--fuel", "1000000"]):
+        assert main(["fuzz", str(hardened), "-o", str(out), *args]) \
+            == EXIT_OK
+        after = _campaign_files(out)
+        assert {n: after.get(n) for n in before} == before
+        before = after
+    for sub in ("queue", "crashes", "hangs"):
+        assert any(n.startswith(sub + "/") for n in before)
+
+
+def test_fuzz_resume_after_a_hanging_seed_keeps_the_queue(hardened,
+                                                          tmp_path):
+    # at fuel 100 the seed "42AA" hangs and "AAAA" does not
+    seeds = tmp_path / "seeds"
+    seeds.mkdir()
+    (seeds / "s0").write_bytes(b"42AA")
+    (seeds / "s1").write_bytes(b"AAAA")
+    out = tmp_path / "campaign"
+    assert main(["fuzz", str(hardened), "-o", str(out), "--seeds",
+                 str(seeds), "--execs", "400", "--fuel", "100"]) == EXIT_OK
+    queue = out / "queue"
+    before = {p.name: p.read_bytes() for p in queue.iterdir()}
+    assert len(before) >= 2
+    assert main(["fuzz", str(hardened), "-o", str(out), "--resume",
+                 "--execs", "1", "--fuel", "100"]) == EXIT_OK
+    after = {p.name: p.read_bytes() for p in queue.iterdir()}
+    assert after == before
+    assert len(set(after.values())) == len(after)
+
+
+def test_fuzz_new_seeds_are_queued_after_the_old_queue(hardened, tmp_path):
+    first, second = tmp_path / "s1", tmp_path / "s2"
+    for d, data in ((first, [b"A" * 16]),
+                    (second, [b"A" * 16, b"second seed"])):
+        d.mkdir()
+        for k, seed in enumerate(data):
+            (d / f"s{k}").write_bytes(seed)
+    out = tmp_path / "campaign"
+    common = ["fuzz", str(hardened), "-o", str(out), "--fuel", "1000000"]
+    assert main([*common, "--seeds", str(first), "--execs", "1000"]) \
+        == EXIT_OK
+    queue = out / "queue"
+    before = {p.name: p.read_bytes() for p in queue.iterdir()}
+    assert main([*common, "--seeds", str(second), "--execs", "1"]) \
+        == EXIT_OK
+    after = {p.name: p.read_bytes() for p in queue.iterdir()}
+    assert {n: after.get(n) for n in before} == before
+    new = after.keys() - before.keys()
+    assert [after[n] for n in new] == [b"second seed"]
+    assert min(new) > max(before)
+
+
+def test_fuzz_resume_of_nothing_is_usage_error(hardened, tmp_path):
+    out = tmp_path / "campaign"
+    assert main(["fuzz", str(hardened), "-o", str(out), "--resume"]) \
+        == EXIT_USAGE
+    assert not out.exists()
+
+
 def test_fuzz_jobs_resume_each_from_its_own_queue(hardened, tmp_path):
     seeds = tmp_path / "seeds"
     seeds.mkdir()

@@ -131,7 +131,7 @@ def test_duplicate_crash_signatures_are_collapsed():
     crasher = b"42" + b"A" * 21
     for _ in range(5):
         outcome, trace = fz.run_input(crasher)
-        fz._record_crash(crasher, outcome, trace, parent=0, stage="t")
+        fz._triage(crasher, outcome, trace, parent=0, stage="t")
     assert fz.stats.crashes_total == 5
     assert fz.stats.unique_crashes == 1
 
@@ -183,7 +183,6 @@ def _resumed_stage_calls(out: Path, budget: int, monkeypatch):
     m, sites = instrumented_victim()
     Fuzzer(m, sites, quick_cfg(out, max_execs=budget)).run([b"AAAA"])
     marked = (out / ".state" / "deterministic_done" / "id_000000").is_file()
-    queue = [p.read_bytes() for p in sorted((out / "queue").iterdir())]
     calls = []
     real = mut.mutate
 
@@ -193,7 +192,7 @@ def _resumed_stage_calls(out: Path, budget: int, monkeypatch):
         return real(data, rng, stage, **kw)
 
     monkeypatch.setattr(mut, "mutate", spy)
-    Fuzzer(m, sites, quick_cfg(out, max_execs=budget + 2000)).run(queue)
+    Fuzzer(m, sites, quick_cfg(out, max_execs=budget + 2000)).run([])
     return marked, calls
 
 
@@ -366,10 +365,9 @@ def test_resume_keeps_queue_ids_and_saved_hangs(tmp_path):
         (queue_dir / name).write_bytes(data)
 
     def resume():
-        queue = [p.read_bytes() for p in sorted(queue_dir.iterdir())]
-        # the budget ends the campaign once the seeds have run
+        # the budget ends the campaign once the queue has been replayed
         fz = Fuzzer(m, sites, hang_cfg(tmp_path, max_execs=1))
-        stats = fz.run(queue)
+        stats = fz.run([])
         assert [e.id for e in fz.queue] == [0, 2]
         assert {p.name: p.read_bytes() for p in queue_dir.iterdir()} == before
         hangs = {p.name: p.read_bytes()
@@ -381,3 +379,33 @@ def test_resume_keeps_queue_ids_and_saved_hangs(tmp_path):
     assert (first.hangs_total, first.unique_hangs) == (1, 1)
     second = resume()  # replays hangs/id_000000 before the queue
     assert (second.hangs_total, second.unique_hangs) == (1, 1)
+
+
+def test_queue_file_that_now_crashes_is_refused_by_its_id(tmp_path):
+    m, sites = instrumented_victim()
+    queue_dir = tmp_path / "queue"
+    queue_dir.mkdir()
+    (queue_dir / "id_000000").write_bytes(b"AAAA")
+    (queue_dir / "id_000003").write_bytes(b"42" + b"A" * 21)
+    with pytest.raises(SeedCrashes) as e:
+        Fuzzer(m, sites, quick_cfg(tmp_path)).run([])
+    assert e.value.crashing == [3]
+    assert "queue file id(s) [3]" in str(e.value)
+
+
+def test_kept_file_without_an_id_is_skipped(tmp_path, caplog):
+    m, sites = instrumented_victim()
+    # a crashing input, so that a queue file read as a seed would show
+    crasher = b"42" + b"A" * 21
+    names = ["crashes/id_x_builtin", "hangs/id_", "queue/id_1a",
+             "queue/id_\u00b2"]
+    for name in names:
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_bytes(crasher)
+    fz = Fuzzer(m, sites, quick_cfg(tmp_path, max_execs=5))
+    fz.run([b"AAAA"])
+    assert [e.id for e in fz.queue] == [0]
+    assert fz.crashes == []
+    for name in names:
+        assert f"{name} has no id in its name; skipped" in caplog.text
+        assert (tmp_path / name).read_bytes() == crasher

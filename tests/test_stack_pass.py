@@ -21,7 +21,7 @@ from wasmwarden.passes.stack_canary import (
     instrument_function_stack,
 )
 
-CFG = CanaryConfig(sp_global=0, canary_value=0x1122334455667788)
+CFG = CanaryConfig(sp_global=0, rng_seed=1)
 
 
 # a write of the stack pointer marks a function as opening a frame
