@@ -16,7 +16,14 @@ import sys
 from pathlib import Path
 
 from .encoder import encode_module
-from .interp import Engine, RunLimits, WasiConfig, classify_crash
+from .interp import (
+    INPUT_PATH,
+    Engine,
+    RunLimits,
+    WasiConfig,
+    classify_crash,
+    exec_argv,
+)
 from .ir import MalformedBinary, UnsupportedFeature, WasmError
 from .parser import parse_module
 from .passes.coverage import ACCESSOR_NAME, apply_coverage_pass
@@ -94,32 +101,28 @@ def cmd_instrument(args) -> int:
         )
         return EXIT_USAGE
 
-    try:
-        if not args.no_heap_canaries:
-            overrides = _parse_overrides(args.alloc + args.dealloc)
-            m, heap_sites = apply_heap_pass(
-                m, HeapConfig(rng_seed=args.canary_seed), overrides
-            )
-            print(f"heap pass: {len(heap_sites)} check sites")
-        if not args.no_stack_canaries:
-            m, stack_sites = apply_stack_pass(
-                m, CanaryConfig(sp_global=args.sp_global,
-                                rng_seed=args.canary_seed)
-            )
-            # one check site per function that opens a frame
-            print(
-                f"stack pass: {len(stack_sites)} of {len(m.functions)} "
-                f"functions have a frame, {len(stack_sites)} check sites"
-            )
-        if not args.no_coverage:
-            m, _ = apply_coverage_pass(m, rng_seed=args.cov_seed)
-            n_cov = sum(
-                1 for s in collect_sites(m) if s.kind.startswith("cov")
-            )
-            print(f"coverage pass: {n_cov} branch sites")
-    except WasmError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    if not args.no_heap_canaries:
+        overrides = _parse_overrides(args.alloc + args.dealloc)
+        m, heap_sites = apply_heap_pass(
+            m, HeapConfig(rng_seed=args.canary_seed), overrides
+        )
+        print(f"heap pass: {len(heap_sites)} check sites")
+    if not args.no_stack_canaries:
+        m, stack_sites = apply_stack_pass(
+            m, CanaryConfig(sp_global=args.sp_global,
+                            rng_seed=args.canary_seed)
+        )
+        # one check site per function that opens a frame
+        print(
+            f"stack pass: {len(stack_sites)} of {len(m.functions)} "
+            f"functions have a frame, {len(stack_sites)} check sites"
+        )
+    if not args.no_coverage:
+        m, _ = apply_coverage_pass(m, rng_seed=args.cov_seed)
+        n_cov = sum(
+            1 for s in collect_sites(m) if s.kind.startswith("cov")
+        )
+        print(f"coverage pass: {n_cov} branch sites")
 
     report = validate_module(m)
     if not report.ok:
@@ -134,23 +137,24 @@ def cmd_instrument(args) -> int:
     return EXIT_OK
 
 
-def _make_wasi(args, data: bytes) -> WasiConfig:
-    argv = args.argv.split() if args.argv else ["prog"]
-    argv = [a if a != "@@" else args.input for a in argv]
-    return WasiConfig(argv=argv, stdin=data)
+def _argv_template(args) -> list[str]:
+    return args.argv.split() if args.argv else ["prog"]
+
+
+def _exec(args):
+    """Run ``args.input`` (empty when not given) on ``args.binary`` as a
+    campaign runs an input: on stdin, under ``--argv`` and ``--fuel``.
+    Returns the engine, the instance and the outcome."""
+    engine = Engine(_load_module(args.binary))
+    data = Path(args.input).read_bytes() if args.input else b""
+    inst = engine.instantiate(
+        WasiConfig(exec_argv(_argv_template(args)), data))
+    return engine, inst, engine.run_start(inst, RunLimits(fuel=args.fuel))
 
 
 def cmd_run(args) -> int:
-    m = _load_module(args.binary)
-    data = Path(args.input).read_bytes() if args.input else b""
     sites = _load_sites(args.binary, args.sites)
-    try:
-        engine = Engine(m)
-        inst = engine.instantiate(_make_wasi(args, data))
-        outcome = engine.run_start(inst, RunLimits(fuel=args.fuel))
-    except WasmError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    _, _, outcome = _exec(args)
     sys.stdout.buffer.write(outcome.stdout)
     sys.stdout.buffer.flush()
     sys.stderr.buffer.write(outcome.stderr)
@@ -170,18 +174,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_cov(args) -> int:
-    m = _load_module(args.binary)
-    data = Path(args.input).read_bytes() if args.input else b""
-    try:
-        engine = Engine(m)
-        inst = engine.instantiate(_make_wasi(args, data))
-        engine.run_start(inst, RunLimits(fuel=args.fuel))
-        trace = engine.read_trace_bits(inst)
-    except WasmError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    engine, inst, _ = _exec(args)
     edges = 0
-    for idx, raw in enumerate(trace):
+    for idx, raw in enumerate(engine.read_trace_bits(inst)):
         if raw:
             edges += 1
             print(f"{idx:5d} count={raw:3d} "
@@ -228,12 +223,12 @@ def cmd_fuzz(args) -> int:
     dirs = ([out] if args.jobs <= 1
             else [out / f"job_{k}" for k in range(args.jobs)])
     if args.resume:
-        seeds = []
         for d in dirs:
             if not (d / "queue").is_dir():
                 print(f"error: nothing to resume in {d}", file=sys.stderr)
                 return EXIT_USAGE
-    else:
+    seeds = []
+    if args.seeds is not None:
         seeds_dir = Path(args.seeds)
         if not seeds_dir.is_dir():
             print(f"error: seeds dir not found: {args.seeds}",
@@ -243,14 +238,13 @@ def cmd_fuzz(args) -> int:
                  if p.is_file()]
 
     def make_cfg(out_dir: Path, seed: int) -> FuzzConfig:
-        argv = args.argv.split() if args.argv else ["prog"]
         return FuzzConfig(
             out_dir=out_dir,
             rng_seed=seed,
             max_execs=args.execs,
             max_seconds=args.time,
             limits=RunLimits(fuel=args.fuel),
-            argv=argv,
+            argv=_argv_template(args),
         )
 
     if args.jobs <= 1:
@@ -300,7 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="sites sidecar (default: <binary>.sites.json)")
     pr.add_argument("--fuel", type=int, default=RunLimits.fuel)
     pr.add_argument("--argv", default=None,
-                    help='argv template, e.g. "prog @@"')
+                    help='argv template, e.g. "prog @@"; @@ stands for '
+                         f'{INPUT_PATH}, and the input is on stdin')
     pr.set_defaults(fn=cmd_run)
 
     pf = sub.add_parser("fuzz", help="coverage-guided fuzzing campaign")
@@ -314,8 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--argv", default=None)
     pf.add_argument("--seed", type=int, default=0, help="campaign rng seed")
     pf.add_argument("--resume", action="store_true",
-                    help="go on with the campaign dir's files and no new "
-                         "seeds (with --jobs, each job with its own)")
+                    help="require the campaign dir to hold a queue "
+                         "already (with --jobs, each job its own)")
     pf.add_argument("--jobs", type=int, default=1)
     pf.set_defaults(fn=cmd_fuzz)
 
@@ -338,6 +333,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.fn(args)
     except SystemExit as e:
         return int(e.code or 0)
+    except WasmError as e:  # a module the passes or the engine refuse
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -7,7 +7,6 @@ import hashlib
 import json
 import logging
 import random
-import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -20,6 +19,7 @@ from ..interp import (
     RunLimits,
     WasiConfig,
     classify_crash,
+    exec_argv,
 )
 from ..ir import ModuleIR, WasmError
 from ..passes.sites import SiteTable
@@ -30,6 +30,9 @@ log = logging.getLogger(__name__)
 
 HAVOC_ROUNDS = 256  # rng-driven mutations per queue cycle entry
 STATS_FLUSH_EVERY = 1.0  # seconds
+# one empty file per queue entry whose deterministic stages are done,
+# named by the SHA-256 of its bytes; outside queue/, which holds inputs only
+DONE_MARKERS = Path(".state", "deterministic_done")
 
 
 class SeedCrashes(WasmError):
@@ -180,6 +183,7 @@ class Fuzzer:
     ):
         self.config = config or FuzzConfig()
         self.engine = Engine(module)
+        self._argv = exec_argv(self.config.argv)
         self.sites = sites or SiteTable()
         self.rng = random.Random(self.config.rng_seed)
         self.queue: list[QueueEntry] = []
@@ -191,12 +195,10 @@ class Fuzzer:
         self._queue = _Kept("queue", self.path_map)
         self._crashes = _Kept("crashes", self.crash_map)
         self._hangs = _Kept("hangs", self.hang_map)
-        # ids with a deterministic-stage marker on disk, listed once
+        # the names in DONE_MARKERS, listed once
         self._done_markers: set[str] = set()
         self.stats = CampaignStats()
         self._last_flush = 0.0
-        # holds .cur_input for `@@` when there is no campaign directory
-        self._cur_input_dir: Optional[tempfile.TemporaryDirectory] = None
         self.on_stats: Optional[Callable[[CampaignStats], None]] = None
 
         out = self.config.out_dir
@@ -205,7 +207,7 @@ class Fuzzer:
             for sub in ("queue", "crashes", "hangs"):
                 (out / sub).mkdir(parents=True, exist_ok=True)
             self.config.out_dir = out
-            markers = out / ".state" / "deterministic_done"
+            markers = out / DONE_MARKERS
             if markers.is_dir():
                 self._done_markers = {p.name for p in markers.iterdir()}
 
@@ -213,32 +215,11 @@ class Fuzzer:
     def run_input(self, data: bytes) -> tuple[ExecOutcome, memoryview]:
         """Execute one input; returns the outcome and the raw trace bits,
         a read-only view into the instance's memory."""
-        argv = [a if a != "@@" else self._write_cur_input(data)
-                for a in self.config.argv]
-        wasi = WasiConfig(argv=argv, stdin=data,
-                          rng_seed=self.config.rng_seed)
-        inst = self.engine.instantiate(wasi)
+        inst = self.engine.instantiate(WasiConfig(self._argv, data))
         outcome = self.engine.run_start(inst, self.config.limits)
         trace = self.engine.read_trace_bits(inst)
         self.stats.execs += 1
         return outcome, trace
-
-    def _write_cur_input(self, data: bytes) -> str:
-        out = self.config.out_dir
-        if out is None:
-            if self._cur_input_dir is None:
-                self._cur_input_dir = tempfile.TemporaryDirectory(
-                    prefix="wasmwarden-")
-            out = Path(self._cur_input_dir.name)
-        p = out / ".cur_input"
-        p.write_bytes(data)
-        return str(p)
-
-    def close(self):
-        """Remove the private `.cur_input` directory, if one was made."""
-        if self._cur_input_dir is not None:
-            self._cur_input_dir.cleanup()
-            self._cur_input_dir = None
 
     # ------------------------------------------------------------------
     def add_seeds(self, seeds: list[bytes]):
@@ -268,14 +249,6 @@ class Fuzzer:
         self._triage(data, outcome, trace, -1, "seed", file_id)
         return True
 
-    def _deterministic_marker(self, entry: QueueEntry) -> Path:
-        """Written once ``entry`` has been through every deterministic
-        stage; it holds the entry's hash, so it cannot vouch for other
-        bytes that later take the same id. It lives outside ``queue/``,
-        which holds inputs only."""
-        return (self.config.out_dir / ".state" / "deterministic_done"
-                / f"id_{entry.id:06d}")
-
     def _triage(
         self, data: bytes, outcome: ExecOutcome, trace: memoryview,
         parent: int, stage: str, file_id: Optional[int] = None,
@@ -300,10 +273,7 @@ class Fuzzer:
             self.stats.last_new_path = (time.monotonic()
                                         - self.stats.start_time)
             # a resumed campaign skips the stages an earlier one finished
-            entry.deterministic_done = (
-                f"id_{entry_id:06d}" in self._done_markers
-                and self._deterministic_marker(entry).read_text()
-                == _sha256(data))
+            entry.deterministic_done = _sha256(data) in self._done_markers
         elif status == "trap":
             if file_id is None:
                 self.stats.crashes_total += 1
@@ -380,7 +350,10 @@ class Fuzzer:
             return True
         return False
 
-    def _fuzz_entry(self, entry: QueueEntry) -> bool:
+    def _fuzz_entry(self, pos: int) -> bool:
+        """Fuzz the entry at queue position ``pos``; returns False when a
+        budget is exhausted."""
+        entry = self.queue[pos]
         if not entry.deterministic_done and not self.config.skip_deterministic:
             for stage in mut.DETERMINISTIC_STAGES:
                 for index in range(mut.stage_size(entry.data, stage)):
@@ -389,14 +362,15 @@ class Fuzzer:
                         return False
             entry.deterministic_done = True
             if self.config.out_dir is not None:
-                marker = self._deterministic_marker(entry)
-                marker.parent.mkdir(parents=True, exist_ok=True)
-                marker.write_text(_sha256(entry.data))
+                markers = self.config.out_dir / DONE_MARKERS
+                markers.mkdir(parents=True, exist_ok=True)
+                (markers / _sha256(entry.data)).touch()
         for _ in range(HAVOC_ROUNDS):
             if self.rng.random() < 0.2 and len(self.queue) > 1:
-                other = self.rng.choice(
-                    [e for e in self.queue if e.id != entry.id]
-                )
+                # a partner other than the entry itself, drawn as
+                # rng.choice draws from the queue without it
+                i = self.rng.randrange(len(self.queue) - 1)
+                other = self.queue[i + (i >= pos)]
                 data = mut.mutate(entry.data, self.rng, "splice",
                                   other=other.data)
                 stage = "splice"
@@ -410,17 +384,13 @@ class Fuzzer:
     def run(self, seeds: list[bytes]) -> CampaignStats:
         self.stats.start_time = time.monotonic()
         self._write_setup()
-        try:
-            self._replay_kept()
-            self.add_seeds(seeds)
-            cursor = 0
-            while not self._budget_exhausted():
-                entry = self.queue[cursor % len(self.queue)]
-                cursor += 1
-                if not self._fuzz_entry(entry):
-                    break
-        finally:
-            self.close()
+        self._replay_kept()
+        self.add_seeds(seeds)
+        cursor = 0
+        while not self._budget_exhausted():
+            if not self._fuzz_entry(cursor % len(self.queue)):
+                break
+            cursor += 1
         self.stats.elapsed = time.monotonic() - self.stats.start_time
         self.stats.edges_covered = self.path_map.edge_count()
         self._flush_stats()

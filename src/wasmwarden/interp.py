@@ -90,10 +90,23 @@ class RunLimits:
 
 @dataclass
 class WasiConfig:
+    """What a run sees of its host: its argv, its stdin and the seed of
+    ``random_get``. The environment is always empty."""
     argv: list[str] = field(default_factory=lambda: ["prog"])
-    env: dict[str, str] = field(default_factory=dict)
     stdin: bytes = b""
     rng_seed: int = 0
+
+
+# what `@@` in an argv template stands for: the input is always on stdin,
+# and no input file is written, as the WASI subset has no `path_open`
+INPUT_PATH = "/dev/stdin"
+
+
+def exec_argv(template: list[str]) -> list[str]:
+    """The argv that ``fuzz``, ``run`` and ``cov`` all pass the target for
+    ``template``: each ``@@`` (AFL's name for the input file) becomes
+    ``INPUT_PATH``."""
+    return [INPUT_PATH if a == "@@" else a for a in template]
 
 
 @dataclass
@@ -765,18 +778,12 @@ def _wasi_args_get(inst, argv_ptr, buf_ptr):
 
 
 def _wasi_environ_sizes_get(inst, count_ptr, size_ptr):
-    entries = [f"{k}={v}" for k, v in inst.wasi.env.items()]
-    inst.write_u32(count_ptr, len(entries))
-    inst.write_u32(size_ptr, sum(len(e.encode()) + 1 for e in entries))
+    inst.write_u32(count_ptr, 0)
+    inst.write_u32(size_ptr, 0)
     return ERRNO_SUCCESS
 
 
 def _wasi_environ_get(inst, env_ptr, buf_ptr):
-    for i, (k, v) in enumerate(inst.wasi.env.items()):
-        raw = f"{k}={v}".encode() + b"\x00"
-        inst.write_u32(env_ptr + 4 * i, buf_ptr)
-        inst.mem_write(buf_ptr, raw)
-        buf_ptr += len(raw)
     return ERRNO_SUCCESS
 
 

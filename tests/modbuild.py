@@ -156,6 +156,25 @@ def victim_module() -> ModuleIR:
     return m
 
 
+def rng_match_module() -> ModuleIR:
+    """Traps when the first stdin byte equals the first byte that
+    ``random_get`` returns."""
+    m = new_module(imports=("fd_read",))
+    ti = m.add_type(FuncType(("i32", "i32"), ("i32",)))
+    m.imports.append(Import(WASI, "random_get", "func", ti))
+    body = read_stdin(maxlen=1) + [
+        I("i32.const", OUT_ADDR), I("i32.const", 1), I("call", 1),
+        I("drop"),
+        I("i32.const", INPUT_ADDR), I("i32.load8_u", 0, 0),
+        I("i32.const", OUT_ADDR), I("i32.load8_u", 0, 0),
+        I("i32.eq"),
+        I("if", None), I("unreachable"), I("end"),
+        I("end"),
+    ]
+    add_start(m, body)
+    return m
+
+
 def branchy_module() -> ModuleIR:
     """3-branch demo: first input byte picks one of 4 outputs."""
     m = new_module()

@@ -14,6 +14,7 @@ from wasmwarden.cli import (
 )
 from wasmwarden.encoder import encode_module
 from wasmwarden.fuzz.bitmap import bucket_for_count
+from wasmwarden.interp import INPUT_PATH, Engine
 from wasmwarden.passes.coverage import MAP_SIZE
 
 
@@ -153,6 +154,15 @@ def test_fuzz_small_campaign(hardened, tmp_path, capsys):
     assert (out / "queue" / "id_000000").exists()
 
 
+def test_fuzz_on_uninstrumented_binary_is_usage_error(victim_wasm,
+                                                      tmp_path):
+    seeds = tmp_path / "seeds"
+    seeds.mkdir()
+    (seeds / "s0").write_bytes(b"AAAA")
+    assert main(["fuzz", str(victim_wasm), "-o", str(tmp_path / "c"),
+                 "--seeds", str(seeds), "--execs", "10"]) == EXIT_USAGE
+
+
 def test_fuzz_requires_seeds_or_resume(hardened, tmp_path):
     assert main(["fuzz", str(hardened), "-o", str(tmp_path / "c")]) \
         == EXIT_USAGE
@@ -248,7 +258,10 @@ def test_fuzz_resume_after_a_hanging_seed_keeps_the_queue(hardened,
     assert len(set(after.values())) == len(after)
 
 
-def test_fuzz_new_seeds_are_queued_after_the_old_queue(hardened, tmp_path):
+def _check_new_seeds_queued_after_the_old_queue(hardened, tmp_path,
+                                                *flags):
+    """A second campaign in the same directory, given ``flags``, keeps
+    every queue file and queues only the new seed bytes, after them."""
     first, second = tmp_path / "s1", tmp_path / "s2"
     for d, data in ((first, [b"A" * 16]),
                     (second, [b"A" * 16, b"second seed"])):
@@ -261,13 +274,22 @@ def test_fuzz_new_seeds_are_queued_after_the_old_queue(hardened, tmp_path):
         == EXIT_OK
     queue = out / "queue"
     before = {p.name: p.read_bytes() for p in queue.iterdir()}
-    assert main([*common, "--seeds", str(second), "--execs", "1"]) \
-        == EXIT_OK
+    assert main([*common, "--seeds", str(second), "--execs", "1",
+                 *flags]) == EXIT_OK
     after = {p.name: p.read_bytes() for p in queue.iterdir()}
     assert {n: after.get(n) for n in before} == before
     new = after.keys() - before.keys()
     assert [after[n] for n in new] == [b"second seed"]
     assert min(new) > max(before)
+
+
+def test_fuzz_new_seeds_are_queued_after_the_old_queue(hardened, tmp_path):
+    _check_new_seeds_queued_after_the_old_queue(hardened, tmp_path)
+
+
+def test_fuzz_resume_queues_new_seeds(hardened, tmp_path):
+    _check_new_seeds_queued_after_the_old_queue(hardened, tmp_path,
+                                                "--resume")
 
 
 def test_fuzz_resume_of_nothing_is_usage_error(hardened, tmp_path):
@@ -301,6 +323,47 @@ def test_fuzz_jobs_resume_each_from_its_own_queue(hardened, tmp_path):
     after = artifacts()
     assert {n: after.get(n) for n in before} == before
     assert not (out / "queue").exists()
+
+
+def test_run_replays_every_crash_of_a_seeded_campaign(tmp_path):
+    # the target traps when its input's first byte equals the first byte
+    # of its WASI RNG, which no campaign setting seeds
+    target = tmp_path / "rng.wasm"
+    target.write_bytes(encode_module(modbuild.rng_match_module()))
+    hardened = tmp_path / "rng.fuzz.wasm"
+    assert main(["instrument", str(target), "-o", str(hardened)]) == EXIT_OK
+    seeds = tmp_path / "seeds"
+    seeds.mkdir()
+    (seeds / "s0").write_bytes(b"A")
+    out = tmp_path / "campaign"
+    assert main(["fuzz", str(hardened), "-o", str(out), "--seeds",
+                 str(seeds), "--seed", "5", "--execs", "3000"]) == EXIT_OK
+    crashes = sorted((out / "crashes").iterdir())
+    assert crashes
+    for p in crashes:
+        assert main(["run", str(hardened), str(p)]) == EXIT_CRASH, p.name
+
+
+def test_run_cov_and_fuzz_pass_the_same_argv(hardened, tmp_path,
+                                             monkeypatch):
+    argvs = set()
+    instantiate = Engine.instantiate
+
+    def spy(self, wasi=None):
+        argvs.add(tuple(wasi.argv))
+        return instantiate(self, wasi)
+
+    monkeypatch.setattr(Engine, "instantiate", spy)
+    seeds = tmp_path / "seeds"
+    seeds.mkdir()
+    inp = seeds / "s0"
+    inp.write_bytes(b"hello")
+    argv = ["--argv", "prog @@"]
+    assert main(["run", str(hardened), str(inp), *argv]) == EXIT_OK
+    assert main(["cov", str(hardened), str(inp), *argv]) == EXIT_OK
+    assert main(["fuzz", str(hardened), "-o", str(tmp_path / "campaign"),
+                 "--seeds", str(seeds), "--execs", "20", *argv]) == EXIT_OK
+    assert argvs == {("prog", INPUT_PATH)}
 
 
 def test_missing_file_is_usage_error(tmp_path):

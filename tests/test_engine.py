@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 import modbuild
 import wasmwarden.encoder
 from wasmwarden.encoder import encode_module
-from wasmwarden.interp import Engine, RunLimits, WasiConfig
+from wasmwarden.interp import INPUT_PATH, Engine, RunLimits, WasiConfig
 from wasmwarden.parser import parse_module
 from wasmwarden.fuzz import mutate as mut
 from wasmwarden.fuzz import (
@@ -156,23 +157,38 @@ def test_file_input_without_campaign_dir_leaves_cwd_untouched(
     m, sites = instrumented_victim()
     cfg = quick_cfg(max_execs=200, argv=["prog", "@@"])
     fz = Fuzzer(m, sites, cfg)
-    paths = []
+    argvs = []
     instantiate = fz.engine.instantiate
 
     def spy(wasi):
-        path = Path(wasi.argv[1])
-        assert path.read_bytes() == wasi.stdin
-        paths.append(path)
+        argvs.append(wasi.argv)
         return instantiate(wasi)
 
     fz.engine.instantiate = spy
     stats = fz.run([b"A" * 16])
     assert stats.execs == 200
     assert list(tmp_path.iterdir()) == []
-    # one private file per campaign, removed when the campaign ends
-    assert len(set(paths)) == 1
-    assert paths[0].parent != tmp_path
-    assert not paths[0].parent.exists()
+    # `@@` names stdin, which holds the input; no file is written for it
+    assert {tuple(a) for a in argvs} == {("prog", INPUT_PATH)}
+
+
+def test_file_input_campaign_writes_only_its_artifacts(tmp_path,
+                                                       monkeypatch):
+    for d in ("cwd", "tmp"):
+        (tmp_path / d).mkdir()
+    monkeypatch.chdir(tmp_path / "cwd")
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+    m, sites = instrumented_victim()
+    out = tmp_path / "campaign"
+    cfg = quick_cfg(out, max_execs=200, argv=["prog", "@@"])
+    Fuzzer(m, sites, cfg).run([b"A" * 16])
+    assert list((tmp_path / "cwd").iterdir()) == []
+    assert list((tmp_path / "tmp").iterdir()) == []
+    kept = ("queue/", "crashes/", "hangs/", ".state/deterministic_done/")
+    for p in out.rglob("*"):
+        name = p.relative_to(out).as_posix()
+        assert (p.is_dir() or name.startswith(kept)
+                or name in ("stats.json", "fuzzer_setup.json")), name
 
 
 def _resumed_stage_calls(out: Path, budget: int, monkeypatch):
@@ -182,7 +198,8 @@ def _resumed_stage_calls(out: Path, budget: int, monkeypatch):
     deterministic ``mutate`` call the resumed campaign made."""
     m, sites = instrumented_victim()
     Fuzzer(m, sites, quick_cfg(out, max_execs=budget)).run([b"AAAA"])
-    marked = (out / ".state" / "deterministic_done" / "id_000000").is_file()
+    marked = (out / ".state" / "deterministic_done"
+              / hashlib.sha256(b"AAAA").hexdigest()).is_file()
     calls = []
     real = mut.mutate
 

@@ -492,17 +492,17 @@ def test_wasi_rng_is_made_by_the_first_random_get():
         rng.getrandbits(8) for _ in range(8))
 
 
-def test_wasi_args_get():
+def _sizes_get(name: str, wasi: WasiConfig) -> tuple[int, int]:
+    """The two u32 answers of the WASI call ``name`` (``args_sizes_get``
+    or ``environ_sizes_get``): the entry count and the total bytes."""
     m = modbuild.new_module(imports=("fd_write",))
     from wasmwarden.ir import Import
 
     t2 = m.add_type(FuncType(("i32", "i32"), ("i32",)))
-    m.imports.insert(
-        0, Import("wasi_snapshot_preview1", "args_sizes_get", "func", t2)
-    )
+    m.imports.insert(0, Import("wasi_snapshot_preview1", name, "func", t2))
     body = [
         I("i32.const", 200), I("i32.const", 204), I("call", 0), I("drop"),
-        # write the two u32 answers (argc, total bytes)
+        # write the two u32 answers (count, total bytes)
         I("i32.const", 64),
         I("i32.const", 200), I("i32.load", 2, 0), I("i32.store", 2, 0),
         I("i32.const", 68),
@@ -510,11 +510,19 @@ def test_wasi_args_get():
     ] + modbuild.write_stdout(8, fd_write_idx=1) + [I("end")]
     modbuild.add_start(m, body)
     eng = Engine(m)
-    inst = eng.instantiate(WasiConfig(argv=["prog", "abc"]))
-    out = eng.run_start(inst)
-    argc, total = struct.unpack("<II", out.stdout)
+    out = eng.run_start(eng.instantiate(wasi))
+    return struct.unpack("<II", out.stdout)
+
+
+def test_wasi_args_get():
+    argc, total = _sizes_get("args_sizes_get",
+                             WasiConfig(argv=["prog", "abc"]))
     assert argc == 2
     assert total == len(b"prog\x00abc\x00")
+
+
+def test_wasi_environ_is_empty():
+    assert _sizes_get("environ_sizes_get", WasiConfig()) == (0, 0)
 
 
 def test_engine_rejects_unknown_imports():
