@@ -4,8 +4,10 @@ Subcommands: instrument (apply hardening/coverage passes), run (execute one
 input and classify the outcome), fuzz (coverage-guided campaign), cov
 (dump the trace map for one input).
 
-Exit codes: 0 success, 1 parse/validation failure, 2 usage error or
-unsupported input, 10 target crashed, 11 fuel exhausted.
+Exit codes: 0 success, 1 malformed binary or invalid module, 2 usage
+error, unsupported input or a file that cannot be read or written, 10
+target crashed, 11 fuel exhausted. Every refusal is an exception that
+``_refuse`` reports and maps to its code.
 """
 
 from __future__ import annotations
@@ -19,12 +21,13 @@ from .encoder import encode_module
 from .interp import (
     INPUT_PATH,
     Engine,
+    InvalidModule,
     RunLimits,
     WasiConfig,
     classify_crash,
     exec_argv,
 )
-from .ir import MalformedBinary, UnsupportedFeature, WasmError
+from .ir import MalformedBinary, WasmError
 from .parser import parse_module
 from .passes.coverage import ACCESSOR_NAME, apply_coverage_pass
 from .passes.heap_canary import HeapConfig, apply_heap_pass
@@ -32,12 +35,7 @@ from .passes.sites import ORACLE_KINDS, SiteTable, collect_sites
 from .passes.stack_canary import CanaryConfig, apply_stack_pass
 from .validate import validate_module
 from .fuzz.bitmap import bucket_for_count
-from .fuzz.engine import (
-    AllSeedsInvalid,
-    FuzzConfig,
-    Fuzzer,
-    SeedCrashes,
-)
+from .fuzz.engine import FuzzConfig, Fuzzer, SeedCrashes
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -45,28 +43,36 @@ EXIT_USAGE = 2
 EXIT_CRASH = 10
 EXIT_FUEL = 11
 
-log = logging.getLogger(__name__)
+
+class UsageError(WasmError):
+    """A command line the tool refuses."""
+
+
+# the exit code of a refusal: the first row its exception is an instance of
+_EXIT_CODES = (
+    ((MalformedBinary, InvalidModule), EXIT_PARSE),
+    (SeedCrashes, EXIT_CRASH),
+    ((WasmError, OSError), EXIT_USAGE),
+)
+
+
+def _refuse(e: WasmError | OSError, where: str = "") -> int:
+    """Report a refusal on one line and return its exit code."""
+    print(f"error: {where}{e}", file=sys.stderr)
+    return next(code for cls, code in _EXIT_CODES if isinstance(e, cls))
 
 
 def _load_module(path: str):
-    try:
-        return parse_module(Path(path).read_bytes())
-    except FileNotFoundError:
-        print(f"error: no such file: {path}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-    except UnsupportedFeature as e:
-        print(f"error: {e}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-    except (MalformedBinary, WasmError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        raise SystemExit(EXIT_PARSE)
+    return parse_module(Path(path).read_bytes())
 
 
 def _load_sites(bin_path: str, explicit: str | None) -> SiteTable:
-    path = Path(explicit) if explicit else Path(bin_path + ".sites.json")
-    if path.exists():
-        return SiteTable.from_json(path.read_text())
-    return SiteTable()
+    """The sites sidecar named on the command line, or else
+    ``<binary>.sites.json``, the only one that may be absent."""
+    path = Path(bin_path + ".sites.json" if explicit is None else explicit)
+    if explicit is None and not path.exists():
+        return SiteTable()
+    return SiteTable.from_json(path.read_bytes())
 
 
 def _parse_overrides(pairs: list[str]) -> dict[str, int]:
@@ -74,8 +80,7 @@ def _parse_overrides(pairs: list[str]) -> dict[str, int]:
     for pair in pairs:
         name, _, idx = pair.partition("=")
         if not idx.isdigit():
-            print(f"error: expected name=index, got {pair!r}", file=sys.stderr)
-            raise SystemExit(EXIT_USAGE)
+            raise UsageError(f"expected name=index, got {pair!r}")
         out[name] = int(idx)
     return out
 
@@ -83,23 +88,14 @@ def _parse_overrides(pairs: list[str]) -> dict[str, int]:
 # ---------------------------------------------------------------------------
 def cmd_instrument(args) -> int:
     if Path(args.output).resolve() == Path(args.input).resolve():
-        print("error: output path equals input path", file=sys.stderr)
-        return EXIT_USAGE
-    passes_on = [
-        not args.no_heap_canaries, not args.no_stack_canaries,
-        not args.no_coverage,
-    ]
-    if not any(passes_on):
-        print("error: all passes disabled; nothing to do", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError("output path equals input path")
+    if args.no_heap_canaries and args.no_stack_canaries and args.no_coverage:
+        raise UsageError("all passes disabled; nothing to do")
 
     m = _load_module(args.input)
     if ACCESSOR_NAME in m.export_map():
-        print(
-            f"error: {args.input} already exports {ACCESSOR_NAME}; "
-            "refusing to instrument twice", file=sys.stderr,
-        )
-        return EXIT_USAGE
+        raise UsageError(f"{args.input} already exports {ACCESSOR_NAME}; "
+                         "refusing to instrument twice")
 
     if not args.no_heap_canaries:
         overrides = _parse_overrides(args.alloc + args.dealloc)
@@ -126,9 +122,7 @@ def cmd_instrument(args) -> int:
 
     report = validate_module(m)
     if not report.ok:
-        print(f"error: instrumented module fails validation:\n{report}",
-              file=sys.stderr)
-        return EXIT_PARSE
+        raise InvalidModule(f"instrumented module fails validation: {report}")
 
     Path(args.output).write_bytes(encode_module(m))
     sites = collect_sites(m).by_kind(*ORACLE_KINDS)
@@ -185,10 +179,9 @@ def cmd_cov(args) -> int:
     return EXIT_OK
 
 
-def _run_campaign(binary: str, seeds: list[bytes], cfg: FuzzConfig,
+def _run_campaign(module, seeds: list[bytes], cfg: FuzzConfig,
                   sites: SiteTable, quiet: bool = False) -> int:
-    m = _load_module(binary)
-    fuzzer = Fuzzer(m, sites, cfg)
+    fuzzer = Fuzzer(module, sites, cfg)
     if not quiet:
         fuzzer.on_stats = lambda s: print(
             f"execs={s.execs} ({s.execs_per_sec:.0f}/s) "
@@ -196,26 +189,23 @@ def _run_campaign(binary: str, seeds: list[bytes], cfg: FuzzConfig,
             f"edges={s.edges_covered}",
             file=sys.stderr,
         )
-    try:
-        stats = fuzzer.run(seeds)
-    except SeedCrashes as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CRASH
-    except AllSeedsInvalid as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    print(stats.to_json())
+    print(fuzzer.run(seeds).to_json())
     return EXIT_OK
 
 
 def _campaign_worker(task) -> int:
-    binary, seeds, cfg, sites_json = task
-    return _run_campaign(
-        binary, seeds, cfg, SiteTable.from_json(sites_json), quiet=True
-    )
+    """One ``--jobs`` campaign. It reports its own refusal, naming its
+    directory: no exception may cross the pool, as some do not unpickle."""
+    module, seeds, cfg, sites = task
+    try:
+        return _run_campaign(module, seeds, cfg, sites, quiet=True)
+    except (WasmError, OSError) as e:
+        return _refuse(e, f"{cfg.out_dir}: ")
 
 
 def cmd_fuzz(args) -> int:
+    if args.seeds is None and not args.resume:
+        raise UsageError("fuzz needs --seeds (or --resume)")
     sites = _load_sites(args.binary, args.sites)
     out = Path(args.output)
     # each job keeps its own campaign dir, and a campaign goes on from
@@ -225,19 +215,16 @@ def cmd_fuzz(args) -> int:
     if args.resume:
         for d in dirs:
             if not (d / "queue").is_dir():
-                print(f"error: nothing to resume in {d}", file=sys.stderr)
-                return EXIT_USAGE
+                raise UsageError(f"nothing to resume in {d}")
     seeds = []
     if args.seeds is not None:
         seeds_dir = Path(args.seeds)
         if not seeds_dir.is_dir():
-            print(f"error: seeds dir not found: {args.seeds}",
-                  file=sys.stderr)
-            return EXIT_USAGE
+            raise UsageError(f"seeds dir not found: {args.seeds}")
         seeds = [p.read_bytes() for p in sorted(seeds_dir.iterdir())
                  if p.is_file()]
 
-    def make_cfg(out_dir: Path, seed: int) -> FuzzConfig:
+    def make_cfg(out_dir: Path | None, seed: int) -> FuzzConfig:
         return FuzzConfig(
             out_dir=out_dir,
             rng_seed=seed,
@@ -247,16 +234,16 @@ def cmd_fuzz(args) -> int:
             argv=_argv_template(args),
         )
 
+    module = _load_module(args.binary)
     if args.jobs <= 1:
-        return _run_campaign(args.binary, seeds, make_cfg(out, args.seed),
-                             sites)
+        return _run_campaign(module, seeds, make_cfg(out, args.seed), sites)
 
     import multiprocessing as mp
 
-    tasks = [
-        (args.binary, seeds, make_cfg(d, args.seed + k), sites.to_json())
-        for k, d in enumerate(dirs)
-    ]
+    # what every job would refuse is refused once, before any job dir exists
+    Fuzzer(module, sites, make_cfg(None, args.seed))
+    tasks = [(module, seeds, make_cfg(d, args.seed + k), sites)
+             for k, d in enumerate(dirs)]
     with mp.Pool(args.jobs) as pool:
         codes = pool.map(_campaign_worker, tasks)
     return max(codes)
@@ -326,16 +313,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.WARNING)
     args = build_parser().parse_args(argv)
-    if args.command == "fuzz" and not args.resume and args.seeds is None:
-        print("error: fuzz needs --seeds (or --resume)", file=sys.stderr)
-        return EXIT_USAGE
     try:
         return args.fn(args)
-    except SystemExit as e:
-        return int(e.code or 0)
-    except WasmError as e:  # a module the passes or the engine refuse
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    except (WasmError, OSError) as e:
+        return _refuse(e)
 
 
 if __name__ == "__main__":

@@ -183,6 +183,10 @@ class Fuzzer:
     ):
         self.config = config or FuzzConfig()
         self.engine = Engine(module)
+        # refused before the campaign directory is made
+        error = self.engine.trace_map_error(self.engine.mem_size)
+        if error is not None:
+            raise error
         self._argv = exec_argv(self.config.argv)
         self.sites = sites or SiteTable()
         self.rng = random.Random(self.config.rng_seed)

@@ -125,7 +125,6 @@ class ExecOutcome:
 class CrashClass:
     kind: str  # "stack-canary" | "heap-underflow" | "heap-overflow" |
     #            "builtin" | "none"
-    detail: str = ""
 
     @property
     def is_crash(self) -> bool:
@@ -142,8 +141,8 @@ def classify_crash(outcome: ExecOutcome, sites: SiteTable | None) -> CrashClass:
     if outcome.trap_kind == UNREACHABLE and sites is not None:
         site = sites.lookup(outcome.trap_function, outcome.trap_offset)
         if site is not None and site.kind in ORACLE_KINDS:
-            return CrashClass(site.kind, detail=UNREACHABLE)
-    return CrashClass("builtin", detail=outcome.trap_kind)
+            return CrashClass(site.kind)
+    return CrashClass("builtin")
 
 
 # ---------------------------------------------------------------------------
@@ -996,17 +995,24 @@ class Engine:
         """The trace map inside ``inst.memory``: a read-only view, no copy.
         While the view lives, the memory cannot grow."""
         base = self.trace_base
+        if base is None or base + MAP_SIZE > len(inst.memory):
+            raise self.trace_map_error(len(inst.memory))
+        return memoryview(inst.memory)[base: base + MAP_SIZE].toreadonly()
+
+    def trace_map_error(self, mem_len: int) -> Optional[WasmError]:
+        """Why no trace map can be read from a ``mem_len``-byte memory, or
+        None when one can."""
+        base = self.trace_base
         if base is None:
-            raise AccessorMissing(
+            return AccessorMissing(
                 f"module does not export {ACCESSOR_NAME} as a function "
                 "returning an i32.const"
             )
-        if base + MAP_SIZE > len(inst.memory):
-            raise AccessorOutOfBounds(
-                f"trace map at {base} ends past the "
-                f"{len(inst.memory)}-byte memory"
+        if base + MAP_SIZE > mem_len:
+            return AccessorOutOfBounds(
+                f"trace map at {base} ends past the {mem_len}-byte memory"
             )
-        return memoryview(inst.memory)[base: base + MAP_SIZE].toreadonly()
+        return None
 
     # ------------------------------------------------------------------
     def _callee(self, func_idx: int, nargs: int) -> _FuncMeta:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 
-from ..ir import ModuleIR
+from ..ir import ModuleIR, WasmError
 
 ORACLE_KINDS = ("stack-canary", "heap-underflow", "heap-overflow")
 
@@ -50,8 +50,16 @@ class SiteTable:
         return json.dumps([asdict(s) for s in self.sites], indent=1)
 
     @classmethod
-    def from_json(cls, text: str) -> "SiteTable":
-        return cls([Site(**d) for d in json.loads(text)])
+    def from_json(cls, text: str | bytes) -> "SiteTable":
+        """The table ``to_json`` wrote; raises ``WasmError`` unless
+        ``text`` is a JSON list of site objects."""
+        try:
+            items = json.loads(text)
+            if not isinstance(items, list):
+                raise TypeError(f"a JSON {type(items).__name__}")
+            return cls([Site(**d) for d in items])
+        except (ValueError, TypeError) as e:
+            raise WasmError(f"not a list of sites: {e}") from None
 
 
 def collect_sites(m: ModuleIR) -> SiteTable:

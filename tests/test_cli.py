@@ -1,5 +1,10 @@
 import json
+import os
 import re
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +20,9 @@ from wasmwarden.cli import (
 from wasmwarden.encoder import encode_module
 from wasmwarden.fuzz.bitmap import bucket_for_count
 from wasmwarden.interp import INPUT_PATH, Engine
+from wasmwarden.ir import I, WasmError
 from wasmwarden.passes.coverage import MAP_SIZE
+from wasmwarden.passes.sites import SiteTable
 
 
 @pytest.fixture
@@ -42,6 +49,15 @@ def test_instrument_writes_binary_and_sidecar(hardened, capsys):
         set(s) == {"function", "offset", "kind", "id"} for s in sites
     )
     assert any(s["kind"] == "stack-canary" for s in sites)
+
+
+@pytest.mark.parametrize("text", ["{not json", "{}", "[1]", "[[0, 1]]",
+                                  '[{"function": 0}]', b"\xff"])
+def test_sidecar_that_is_not_a_list_of_sites_is_refused(hardened, text):
+    sidecar = hardened.parent / (hardened.name + ".sites.json")
+    assert len(SiteTable.from_json(sidecar.read_text())) > 0
+    with pytest.raises(WasmError):
+        SiteTable.from_json(text)
 
 
 def test_instrument_refuses_same_path(victim_wasm):
@@ -161,6 +177,7 @@ def test_fuzz_on_uninstrumented_binary_is_usage_error(victim_wasm,
     (seeds / "s0").write_bytes(b"AAAA")
     assert main(["fuzz", str(victim_wasm), "-o", str(tmp_path / "c"),
                  "--seeds", str(seeds), "--execs", "10"]) == EXIT_USAGE
+    assert not (tmp_path / "c").exists()
 
 
 def test_fuzz_requires_seeds_or_resume(hardened, tmp_path):
@@ -368,3 +385,90 @@ def test_run_cov_and_fuzz_pass_the_same_argv(hardened, tmp_path,
 
 def test_missing_file_is_usage_error(tmp_path):
     assert main(["run", str(tmp_path / "nope.wasm")]) == EXIT_USAGE
+
+
+# ------------------------------------------------------- the CLI as a process
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.fixture
+def inputs(tmp_path, hardened, victim_wasm):
+    """A directory of the files the refusal cases name: ``v.wasm`` and its
+    instrumented ``v.h`` (with sidecar), a crashing input, a seeds dir, a
+    garbage binary, a module that fails validation, a malformed sidecar,
+    a plain file and a directory."""
+    d = tmp_path / "inputs"
+    d.mkdir()
+    (d / "v.wasm").write_bytes(victim_wasm.read_bytes())
+    (d / "v.h").write_bytes(hardened.read_bytes())
+    sidecar = hardened.parent / (hardened.name + ".sites.json")
+    (d / "v.h.sites.json").write_bytes(sidecar.read_bytes())
+    (d / "crash").write_bytes(b"42" + b"A" * 21)
+    (d / "s").mkdir()
+    (d / "s" / "s0").write_bytes(b"AAAA")
+    (d / "bad.wasm").write_bytes(b"\x00asm\x01\x00\x00\x00\xff\xff\xff")
+    invalid = modbuild.victim_module()
+    modbuild.add_func(invalid, (), (), [], [I("i32.add"), I("drop"),
+                                           I("end")])
+    (d / "invalid.wasm").write_bytes(encode_module(invalid))
+    (d / "malformed.json").write_text("{not json")
+    (d / "file").write_bytes(b"")
+    (d / "dir").mkdir()
+    return d
+
+
+FUZZ = ["--execs", "10"]
+# (argv, exit code, a path the refused command must not create)
+REFUSALS = {
+    "run-missing-input": (["run", "v.h", "missing-input"], EXIT_USAGE, None),
+    "run-directory": (["run", "dir"], EXIT_USAGE, None),
+    "cov-directory-input": (["cov", "v.h", "dir"], EXIT_USAGE, None),
+    "run-malformed-sites": (["run", "v.h", "--sites", "malformed.json"],
+                            EXIT_USAGE, None),
+    "run-missing-sites": (["run", "v.h", "crash", "--sites", "typo.json"],
+                          EXIT_USAGE, None),
+    "fuzz-missing-sites": (["fuzz", "v.h", "-o", "c", "--seeds", "s",
+                            "--sites", "typo.json", *FUZZ], EXIT_USAGE, "c"),
+    "instrument-missing-dir": (["instrument", "v.wasm", "-o",
+                                "missing/dir/x.wasm"], EXIT_USAGE, "missing"),
+    "fuzz-output-is-a-file": (["fuzz", "v.h", "-o", "file", "--seeds", "s",
+                               *FUZZ], EXIT_USAGE, None),
+    "run-invalid-module": (["run", "invalid.wasm"], EXIT_PARSE, None),
+    "cov-invalid-module": (["cov", "invalid.wasm"], EXIT_PARSE, None),
+    "fuzz-invalid-module": (["fuzz", "invalid.wasm", "-o", "c", "--seeds",
+                             "s", *FUZZ], EXIT_PARSE, "c"),
+    "fuzz-uninstrumented": (["fuzz", "v.wasm", "-o", "c", "--seeds", "s",
+                             *FUZZ], EXIT_USAGE, "c"),
+    "fuzz-jobs-uninstrumented": (["fuzz", "v.wasm", "-o", "c", "--seeds",
+                                  "s", "--jobs", "2", *FUZZ], EXIT_USAGE,
+                                 "c"),
+    "fuzz-jobs-malformed": (["fuzz", "bad.wasm", "-o", "c", "--seeds", "s",
+                             "--jobs", "2", *FUZZ], EXIT_PARSE, "c"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_refused_command_prints_one_error_and_its_exit_code(inputs, case):
+    argv, code, absent = REFUSALS[case]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "wasmwarden.cli", *argv], cwd=inputs,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        start_new_session=True,
+    )
+    try:
+        _, err = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        # no pool worker outlives the test
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail(f"{case} did not return")
+    err = err.decode()
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert lines and lines[-1].startswith("error: "), err
+    assert sum(line.startswith("error: ") for line in lines) == 1, err
+    assert proc.returncode == code, err
+    if absent is not None:
+        assert not (inputs / absent).exists()

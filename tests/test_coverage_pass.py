@@ -8,6 +8,7 @@ from wasmwarden import (
     parse_module,
     validate_module,
 )
+from wasmwarden.fuzz import FuzzConfig, Fuzzer
 from wasmwarden.interp import AccessorMissing, AccessorOutOfBounds
 from wasmwarden.ir import Export, FuncType, FunctionIR, Global, I, ModuleIR
 from wasmwarden.passes.coverage import (
@@ -179,6 +180,14 @@ def test_read_trace_bits_past_end_of_memory_raises_out_of_bounds():
     inst = eng.instantiate()
     inst.memory[MAP_SIZE + 7] = 3
     assert eng.read_trace_bits(inst)[7] == 3
+
+
+def test_fuzzer_refuses_a_map_past_end_of_memory_before_any_file(tmp_path):
+    out = tmp_path / "campaign"
+    m = _with_accessor([I("i32.const", 2 * MAP_SIZE), I("end")])
+    with pytest.raises(AccessorOutOfBounds):
+        Fuzzer(m, None, FuzzConfig(out_dir=out))
+    assert not out.exists()
 
 
 def test_read_trace_bits_is_a_read_only_view_of_instance_memory():

@@ -8,7 +8,13 @@ import pytest
 import modbuild
 import wasmwarden.encoder
 from wasmwarden.encoder import encode_module
-from wasmwarden.interp import INPUT_PATH, Engine, RunLimits, WasiConfig
+from wasmwarden.interp import (
+    INPUT_PATH,
+    AccessorMissing,
+    Engine,
+    RunLimits,
+    WasiConfig,
+)
 from wasmwarden.parser import parse_module
 from wasmwarden.fuzz import mutate as mut
 from wasmwarden.fuzz import (
@@ -56,6 +62,13 @@ def test_crashing_seed_is_rejected():
     with pytest.raises(SeedCrashes) as e:
         Fuzzer(m, sites, quick_cfg()).run([b"ok", b"42" + b"A" * 21])
     assert e.value.crashing == [1]
+
+
+def test_module_without_trace_map_is_refused_before_any_file(tmp_path):
+    out = tmp_path / "campaign"
+    with pytest.raises(AccessorMissing):
+        Fuzzer(modbuild.victim_module(), None, FuzzConfig(out_dir=out))
+    assert not out.exists()
 
 
 def test_run_input_returns_the_trace_in_place():
