@@ -241,7 +241,9 @@ def cmd_fuzz(args) -> int:
     import multiprocessing as mp
 
     # what every job would refuse is refused once, before any job dir exists
-    Fuzzer(module, sites, make_cfg(None, args.seed))
+    fuzzer = Fuzzer(module, sites, make_cfg(None, args.seed))
+    if not args.resume:  # a resumed job's own queue rules on its seeds
+        fuzzer.add_seeds(seeds)
     tasks = [(module, seeds, make_cfg(d, args.seed + k), sites)
              for k, d in enumerate(dirs)]
     with mp.Pool(args.jobs) as pool:

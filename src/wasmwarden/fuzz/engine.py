@@ -10,7 +10,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .. import encoder
 from ..interp import (
@@ -22,7 +22,7 @@ from ..interp import (
     exec_argv,
 )
 from ..ir import ModuleIR, WasmError
-from ..passes.sites import SiteTable
+from ..passes.sites import ORACLE_KINDS, SiteTable
 from . import mutate as mut
 from .bitmap import NO_NEW, VirginMap, classify_counts
 
@@ -72,7 +72,7 @@ class QueueEntry:
 class CrashReport:
     id: int
     data: bytes
-    oracle: str  # "stack-canary" | "heap-canary" | "builtin"
+    oracle: str  # a kind in ORACLE_KINDS, or "builtin"
     trap_kind: str
     trap_function: int
     trap_offset: int
@@ -87,9 +87,7 @@ class CampaignStats:
     unique_crashes: int = 0
     crashes_total: int = 0
     crashes_by_oracle: dict[str, int] = field(
-        default_factory=lambda: {
-            "stack-canary": 0, "heap-canary": 0, "builtin": 0
-        }
+        default_factory=lambda: dict.fromkeys(ORACLE_KINDS + ("builtin",), 0)
     )
     hangs_total: int = 0
     unique_hangs: int = 0
@@ -137,11 +135,12 @@ def module_sha256(m: ModuleIR) -> str:
     return _sha256(encoder.encode_module(m))
 
 
-def _oracle_bucket(kind: str) -> str:
-    """Stats bucket for a crash class kind."""
-    if kind in ("heap-underflow", "heap-overflow"):
-        return "heap-canary"
-    return kind
+class _SeedRun(NamedTuple):
+    """A seed's one run, held until the campaign accepts its seeds."""
+    data: bytes
+    outcome: ExecOutcome
+    trace: bytes  # a copy: the trace view dies with its instance
+    file_id: Optional[int]  # a replayed queue file's id, unless it hangs
 
 
 @dataclass
@@ -153,8 +152,9 @@ class _Kept:
     map: VirginMap
     next_id: int = 0
 
-    def keep(self, out: Optional[Path], data: bytes, trace: memoryview,
-             suffix: str = "", file_id: Optional[int] = None,
+    def keep(self, out: Optional[Path], data: bytes,
+             trace: bytes | memoryview, suffix: str = "",
+             file_id: Optional[int] = None,
              always: bool = False) -> Optional[int]:
         """The id ``data`` is kept under, or None when ``trace`` is not new
         to the map and ``always`` is not set. An input replayed from the
@@ -207,10 +207,7 @@ class Fuzzer:
 
         out = self.config.out_dir
         if out is not None:
-            out = Path(out)
-            for sub in ("queue", "crashes", "hangs"):
-                (out / sub).mkdir(parents=True, exist_ok=True)
-            self.config.out_dir = out
+            out = self.config.out_dir = Path(out)
             markers = out / DONE_MARKERS
             if markers.is_dir():
                 self._done_markers = {p.name for p in markers.iterdir()}
@@ -226,35 +223,40 @@ class Fuzzer:
         return outcome, trace
 
     # ------------------------------------------------------------------
-    def add_seeds(self, seeds: list[bytes]):
-        """Dry-run every seed and queue it after the highest queue id in
-        use; a crashing seed aborts the campaign setup, and a hanging one
-        or one whose bytes are already queued is skipped."""
+    def add_seeds(self, seeds: list[bytes],
+                  replayed: Sequence[_SeedRun] = ()):
+        """Run each seed not queued yet, then queue them after the queue
+        files ``_replay_kept`` ran, which keep their ids. A crashing seed
+        or queue file, or no usable seed, refuses the campaign before its
+        directory is made; a hanging seed is kept as a hang."""
+        crashing = [r.file_id for r in replayed if r.outcome.status == "trap"]
+        if crashing:
+            raise SeedCrashes(crashing, "queue file id(s)")
         queued = {e.data for e in self.queue}
-        crashing = [i for i, data in enumerate(seeds) if data not in queued
-                    and not self._seed(data, f"seed input {i}")]
+        queued.update(r.data for r in replayed if r.outcome.status == "exit")
+        fresh = {i: self._seed_run(f"seed input {i}", data)
+                 for i, data in enumerate(seeds) if data not in queued}
+        crashing = [i for i, r in fresh.items() if r.outcome.status == "trap"]
         if crashing:
             raise SeedCrashes(crashing)
-        if not self.queue:
+        runs = [*replayed, *fresh.values()]
+        if not self.queue and all(r.outcome.status != "exit" for r in runs):
             raise AllSeedsInvalid("no usable seed inputs" if seeds
                                   else "no seed inputs provided")
+        self._write_setup()
+        for r in runs:
+            self._triage(r.data, r.outcome, r.trace, -1, "seed", r.file_id)
 
-    def _seed(self, data: bytes, name: str,
-              file_id: Optional[int] = None) -> bool:
-        """Run one seed and queue it whatever its trace; False when it
-        crashes. A queue file replayed as a seed keeps its ``file_id``. A
-        seed that hangs is kept as a hang and skipped."""
+    def _seed_run(self, name: str, data: bytes,
+                  file_id: Optional[int] = None) -> _SeedRun:
         outcome, trace = self.run_input(data)
-        if outcome.status == "trap":
-            return False
         if outcome.status == "fuel-exhausted":
             log.warning("%s exhausts its fuel; skipped", name)
             file_id = None  # a new hang, numbered in hangs/
-        self._triage(data, outcome, trace, -1, "seed", file_id)
-        return True
+        return _SeedRun(data, outcome, bytes(trace), file_id)
 
     def _triage(
-        self, data: bytes, outcome: ExecOutcome, trace: memoryview,
+        self, data: bytes, outcome: ExecOutcome, trace: bytes | memoryview,
         parent: int, stage: str, file_id: Optional[int] = None,
     ):
         """Count one exec and keep its input by how it ended: a trap in
@@ -281,7 +283,7 @@ class Fuzzer:
         elif status == "trap":
             if file_id is None:
                 self.stats.crashes_total += 1
-            oracle = _oracle_bucket(classify_crash(outcome, self.sites).kind)
+            oracle = classify_crash(outcome, self.sites).kind
             crash_id = self._crashes.keep(out, data, trace, f"_{oracle}",
                                           file_id)
             if crash_id is None:
@@ -301,15 +303,16 @@ class Fuzzer:
             if self._hangs.keep(out, data, trace, "", file_id) is not None:
                 self.stats.unique_hangs += 1
 
-    def _replay_kept(self):
+    def _replay_kept(self) -> list[_SeedRun]:
         """Re-run the files already in the campaign directory, each under
         its own id: first ``crashes/`` and ``hangs/``, whose files are not
-        reported again, then ``queue/``, whose files are seeds. No file is
-        written again, and new files are numbered after the highest id."""
+        reported again, then ``queue/``, whose files are seeds and are
+        returned for ``add_seeds`` to keep. No file is written, and new
+        files are numbered after the highest id."""
         out = self.config.out_dir
+        replayed: list[_SeedRun] = []
         if out is None:
-            return
-        crashing = []
+            return replayed
         for kept, status in ((self._crashes, "trap"),
                              (self._hangs, "fuel-exhausted"),
                              (self._queue, "exit")):
@@ -323,16 +326,14 @@ class Fuzzer:
                 kept.next_id = max(kept.next_id, file_id + 1)
                 data = p.read_bytes()
                 if kept is self._queue:
-                    if not self._seed(data, name, file_id):
-                        crashing.append(file_id)
+                    replayed.append(self._seed_run(name, data, file_id))
                     continue
                 outcome, trace = self.run_input(data)
                 if outcome.status == status:
                     self._triage(data, outcome, trace, -1, "resume", file_id)
                 else:
                     log.warning("%s no longer reproduces", name)
-        if crashing:
-            raise SeedCrashes(crashing, "queue file id(s)")
+        return replayed
 
     # ------------------------------------------------------------------
     def _process(self, data: bytes, parent: int, stage: str) -> bool:
@@ -387,9 +388,7 @@ class Fuzzer:
 
     def run(self, seeds: list[bytes]) -> CampaignStats:
         self.stats.start_time = time.monotonic()
-        self._write_setup()
-        self._replay_kept()
-        self.add_seeds(seeds)
+        self.add_seeds(seeds, self._replay_kept())
         cursor = 0
         while not self._budget_exhausted():
             if not self._fuzz_entry(cursor % len(self.queue)):
@@ -402,9 +401,12 @@ class Fuzzer:
 
     # ------------------------------------------------------------------
     def _write_setup(self):
+        """Make the campaign directory and its ``fuzzer_setup.json``."""
         out = self.config.out_dir
         if out is None:
             return
+        for sub in ("queue", "crashes", "hangs"):
+            (out / sub).mkdir(parents=True, exist_ok=True)
         setup = {
             "module_sha256": module_sha256(self.engine.module),
             "rng_seed": self.config.rng_seed,

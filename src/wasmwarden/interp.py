@@ -21,6 +21,12 @@ one that traps reports its own pc and the count stepping would have
 reached. The integer ops are written once, as expressions (``_INT_EXPR``)
 that both paths use; the other numeric ops call the same ``_NUMERIC``
 function on both.
+
+A trap is raised where it happens (a numeric helper, a memory check, a
+WASI host function, a fused run or the step loop) as ``_Trap(kind)``. One
+handler around ``Engine._run``'s loop attributes it to the function, pc
+and instruction count at hand; a fused run sets ``at``, the trapping op's
+offset from its head, so the handler reports that op and counts to it.
 """
 
 from __future__ import annotations
@@ -123,8 +129,7 @@ class ExecOutcome:
 
 @dataclass(frozen=True)
 class CrashClass:
-    kind: str  # "stack-canary" | "heap-underflow" | "heap-overflow" |
-    #            "builtin" | "none"
+    kind: str  # a kind in ORACLE_KINDS, "builtin" or "none"
 
     @property
     def is_crash(self) -> bool:
@@ -149,12 +154,12 @@ def classify_crash(outcome: ExecOutcome, sites: SiteTable | None) -> CrashClass:
 # internal signals
 
 class _Trap(Exception):
-    def __init__(self, kind: str, func: int = -1, offset: int = -1,
-                 executed: int = 0):
+    """A trap of ``kind``; ``Engine._run`` sets ``func``, ``offset`` and
+    ``executed``."""
+
+    def __init__(self, kind: str):
         self.kind = kind
-        self.func = func
-        self.offset = offset
-        self.executed = executed
+        self.at = None  # a fused run sets the op's offset from its head
 
 
 class _ProcExit(Exception):
@@ -165,12 +170,6 @@ class _ProcExit(Exception):
 
 class _Fuel(Exception):
     pass
-
-
-class _NumTrap(Exception):
-    def __init__(self, kind: str):
-        self.kind = kind
-        self.at = 0  # a fused run sets the op's offset from its head
 
 
 # ---------------------------------------------------------------------------
@@ -254,30 +253,30 @@ def _trunc_div(a: int, b: int) -> int:
 def _div_s(a, b, bits):
     sa, sb = (_s32(a), _s32(b)) if bits == 32 else (_s64(a), _s64(b))
     if sb == 0:
-        raise _NumTrap(DIV_ZERO)
+        raise _Trap(DIV_ZERO)
     q = _trunc_div(sa, sb)
     if q == 1 << (bits - 1):
-        raise _NumTrap(INT_OVERFLOW)
+        raise _Trap(INT_OVERFLOW)
     return q & (M32 if bits == 32 else M64)
 
 
 def _rem_s(a, b, bits):
     sa, sb = (_s32(a), _s32(b)) if bits == 32 else (_s64(a), _s64(b))
     if sb == 0:
-        raise _NumTrap(DIV_ZERO)
+        raise _Trap(DIV_ZERO)
     r = sa - sb * _trunc_div(sa, sb)
     return r & (M32 if bits == 32 else M64)
 
 
 def _div_u(a, b):
     if b == 0:
-        raise _NumTrap(DIV_ZERO)
+        raise _Trap(DIV_ZERO)
     return a // b
 
 
 def _rem_u(a, b):
     if b == 0:
-        raise _NumTrap(DIV_ZERO)
+        raise _Trap(DIV_ZERO)
     return a % b
 
 
@@ -320,10 +319,10 @@ def _fsqrt(x):
 
 def _trunc_to_int(x: float, lo: int, hi: int) -> int:
     if math.isnan(x) or math.isinf(x):
-        raise _NumTrap(INT_OVERFLOW)
+        raise _Trap(INT_OVERFLOW)
     t = math.trunc(x)
     if not lo <= t <= hi:
-        raise _NumTrap(INT_OVERFLOW)
+        raise _Trap(INT_OVERFLOW)
     return t
 
 
@@ -500,7 +499,7 @@ _INT_FMT = {op: re.sub(r"\b([ab])\b", r"{\1}", ex)
             for op, ex in _INT_EXPR.items()}
 
 # what a run's source refers to besides its parameters
-_RUN_NAMES = {"_NumTrap": _NumTrap, "MEM_OOB": MEM_OOB,
+_RUN_NAMES = {"_Trap": _Trap, "MEM_OOB": MEM_OOB,
               "from_bytes": int.from_bytes}
 
 
@@ -515,7 +514,7 @@ def _run_source(ops: list[tuple]) -> tuple[str, list]:
     (constants, local and global indices, memarg offsets, the numeric
     functions called) are the parameters ``p0, p1, ...``, which the
     engine binds as defaults, so runs that differ only in them share one
-    source. An op that traps raises ``_NumTrap`` with ``at`` set to its
+    source. An op that traps raises ``_Trap`` with ``at`` set to its
     offset in the run.
     """
     params: list = []
@@ -574,7 +573,7 @@ def _run_source(ops: list[tuple]) -> tuple[str, list]:
             width = ins[2]
             value = pop() if c == C_STORE else ""
             lines += [f"k = {k}", f"a = {pop()} + {param(ins[1])}",
-                      f"if a + {width} > size: raise _NumTrap(MEM_OOB)"]
+                      f"if a + {width} > size: raise _Trap(MEM_OOB)"]
             if c == C_STORE:
                 lines.append(f"mem[a] = {value} & 0xFF" if width == 1 else
                              f"mem[a:a + {width}] = ({value} & {ins[3]:#x})"
@@ -596,7 +595,7 @@ def _run_source(ops: list[tuple]) -> tuple[str, list]:
         body.append(f"vals += ({', '.join(stack)})")
     if may_trap:
         body = (["try:"] + ["    " + line for line in body]
-                + ["except _NumTrap as t:", "    t.at = k", "    raise"])
+                + ["except _Trap as t:", "    t.at = k", "    raise"])
     args = ["vals", "L", "G", "mem"] + [f"p{i}" for i in range(len(params))]
     src = "\n".join([f"def run({', '.join(args)}):"]
                     + ["    " + line for line in body or ["pass"]] + [""])
@@ -1086,171 +1085,167 @@ class Engine:
         nresults = meta.nresults
         func_idx = meta.func_idx
 
-        while True:
-            if executed >= fuel:
-                raise _Fuel()
-            ins = code[pc]
-            c = ins[0]
-            if c == C_BLOCK:
-                n = ins[2]
-                if executed + n <= fuel:
-                    run = ins[1] or self._fuse(code, pc)
-                    try:
-                        run(vals, locals_, glb, mem)
-                    except _NumTrap as t:
-                        raise _Trap(t.kind, func_idx, pc + t.at,
-                                    executed + t.at + 1)
-                    executed += n
-                    pc += n
-                    continue
-                # the fuel runs out inside the run: step it
-                ins = ins[3]
+        try:
+            while True:
+                if executed >= fuel:
+                    raise _Fuel()
+                ins = code[pc]
                 c = ins[0]
-            executed += 1
-
-            if c == C_LOCAL_GET:
-                vals.append(locals_[ins[1]])
-            elif c == C_CONST:
-                vals.append(ins[1])
-            elif c == C_NUM2:
-                b = vals.pop()
-                a = vals[-1]
-                try:
-                    vals[-1] = ins[1](a, b)
-                except _NumTrap as t:
-                    raise _Trap(t.kind, func_idx, pc, executed)
-            elif c == C_NUM1:
-                try:
-                    vals[-1] = ins[1](vals[-1])
-                except _NumTrap as t:
-                    raise _Trap(t.kind, func_idx, pc, executed)
-            elif c == C_LOCAL_SET:
-                locals_[ins[1]] = vals.pop()
-            elif c == C_LOCAL_TEE:
-                locals_[ins[1]] = vals[-1]
-            elif c == C_LOAD:
-                addr = vals[-1] + ins[1]
-                width = ins[2]
-                if addr + width > len(mem):
-                    raise _Trap(MEM_OOB, func_idx, pc, executed)
-                vals[-1] = int.from_bytes(
-                    mem[addr: addr + width], "little", signed=ins[3]
-                ) & ins[4]
-            elif c == C_STORE:
-                v = vals.pop()
-                addr = vals.pop() + ins[1]
-                width = ins[2]
-                if addr + width > len(mem):
-                    raise _Trap(MEM_OOB, func_idx, pc, executed)
-                mem[addr: addr + width] = (v & ins[3]).to_bytes(
-                    width, "little"
-                )
-            elif c == C_NOP:
-                pass
-            elif c == C_IF:
-                if not vals.pop():
-                    pc = ins[1]
-                    continue
-            elif c == C_BR or c == C_BR_IF or c == C_BR_TABLE:
-                if c == C_BR_IF:
-                    if not vals.pop():
-                        pc += 1
+                if c == C_BLOCK:
+                    n = ins[2]
+                    if executed + n <= fuel:
+                        run = ins[1] or self._fuse(code, pc)
+                        run(vals, locals_, glb, mem)
+                        executed += n
+                        pc += n
                         continue
-                elif c == C_BR_TABLE:
-                    idx = vals.pop()
-                    ins = ins[1][idx] if idx < len(ins[1]) else ins[2]
-                _, pc, arity, height = ins
-                height += base
-                if arity:
-                    vals[height:] = vals[-arity:]
-                else:
-                    del vals[height:]
-                continue
-            elif c == C_RETURN:
-                if nresults:
-                    res = vals[-nresults:]
-                    del vals[base:]
-                    vals.extend(res)
-                else:
-                    del vals[base:]
-                if not frames:
-                    return vals, executed
-                code, pc, locals_, base, nresults, func_idx = frames.pop()
-                continue
-            elif c == C_CALL or c == C_CALL_INDIRECT:
-                if c == C_CALL:
-                    target = ins[1]
-                else:
-                    elem = vals.pop()
-                    if elem >= len(table) or table[elem] is None:
-                        raise _Trap(UNINIT_TABLE, func_idx, pc, executed)
-                    target = table[elem]
-                    if func_types[target] != ins[1]:
-                        raise _Trap(INDIRECT_MISMATCH, func_idx, pc, executed)
-                if target < n_host:
-                    fn, nargs, nres = host_funcs[target]
-                    if nargs:
-                        hargs = vals[-nargs:]
-                        del vals[-nargs:]
-                    else:
-                        hargs = []
-                    try:
-                        r = fn(inst, *hargs)
-                    except _Trap as t:
-                        raise _Trap(t.kind, func_idx, pc, executed)
-                    except _ProcExit as e:
-                        e.executed = executed
-                        raise
-                    if nres:
-                        vals.append(r & M32)
-                else:
-                    if len(frames) >= MAX_CALL_DEPTH:
-                        raise _Trap(STACK_EXHAUSTED, func_idx, pc, executed)
-                    tmeta = metas[target - n_host]
-                    frames.append(
-                        (code, pc + 1, locals_, base, nresults, func_idx)
+                    # the fuel runs out inside the run: step it
+                    ins = ins[3]
+                    c = ins[0]
+                executed += 1
+
+                if c == C_LOCAL_GET:
+                    vals.append(locals_[ins[1]])
+                elif c == C_CONST:
+                    vals.append(ins[1])
+                elif c == C_NUM2:
+                    b = vals.pop()
+                    vals[-1] = ins[1](vals[-1], b)
+                elif c == C_NUM1:
+                    vals[-1] = ins[1](vals[-1])
+                elif c == C_LOCAL_SET:
+                    locals_[ins[1]] = vals.pop()
+                elif c == C_LOCAL_TEE:
+                    locals_[ins[1]] = vals[-1]
+                elif c == C_LOAD:
+                    addr = vals[-1] + ins[1]
+                    width = ins[2]
+                    if addr + width > len(mem):
+                        raise _Trap(MEM_OOB)
+                    vals[-1] = int.from_bytes(
+                        mem[addr: addr + width], "little", signed=ins[3]
+                    ) & ins[4]
+                elif c == C_STORE:
+                    v = vals.pop()
+                    addr = vals.pop() + ins[1]
+                    width = ins[2]
+                    if addr + width > len(mem):
+                        raise _Trap(MEM_OOB)
+                    mem[addr: addr + width] = (v & ins[3]).to_bytes(
+                        width, "little"
                     )
-                    nargs = tmeta.nparams
-                    if nargs:
-                        newlocals = vals[-nargs:]
-                        del vals[-nargs:]
+                elif c == C_NOP:
+                    pass
+                elif c == C_IF:
+                    if not vals.pop():
+                        pc = ins[1]
+                        continue
+                elif c == C_BR or c == C_BR_IF or c == C_BR_TABLE:
+                    if c == C_BR_IF:
+                        if not vals.pop():
+                            pc += 1
+                            continue
+                    elif c == C_BR_TABLE:
+                        idx = vals.pop()
+                        ins = ins[1][idx] if idx < len(ins[1]) else ins[2]
+                    _, pc, arity, height = ins
+                    height += base
+                    if arity:
+                        vals[height:] = vals[-arity:]
                     else:
-                        newlocals = []
-                    newlocals.extend(tmeta.local_zeros)
-                    code = tmeta.code
-                    pc = 0
-                    locals_ = newlocals
-                    base = len(vals)
-                    nresults = tmeta.nresults
-                    func_idx = tmeta.func_idx
+                        del vals[height:]
                     continue
-            elif c == C_GLOBAL_GET:
-                vals.append(glb[ins[1]])
-            elif c == C_GLOBAL_SET:
-                glb[ins[1]] = vals.pop()
-            elif c == C_DROP:
-                vals.pop()
-            elif c == C_SELECT:
-                cond = vals.pop()
-                b = vals.pop()
-                if not cond:
-                    vals[-1] = b
-            elif c == C_MEMSIZE:
-                vals.append(len(mem) // PAGE)
-            elif c == C_MEMGROW:
-                delta = vals.pop()
-                cur = len(mem) // PAGE
-                new = cur + delta
-                cap = MAX_PAGES
-                if inst.mem_max is not None:
-                    cap = min(cap, inst.mem_max)
-                if new > cap:
-                    vals.append(M32)  # -1
+                elif c == C_RETURN:
+                    if nresults:
+                        res = vals[-nresults:]
+                        del vals[base:]
+                        vals.extend(res)
+                    else:
+                        del vals[base:]
+                    if not frames:
+                        return vals, executed
+                    code, pc, locals_, base, nresults, func_idx = frames.pop()
+                    continue
+                elif c == C_CALL or c == C_CALL_INDIRECT:
+                    if c == C_CALL:
+                        target = ins[1]
+                    else:
+                        elem = vals.pop()
+                        if elem >= len(table) or table[elem] is None:
+                            raise _Trap(UNINIT_TABLE)
+                        target = table[elem]
+                        if func_types[target] != ins[1]:
+                            raise _Trap(INDIRECT_MISMATCH)
+                    if target < n_host:
+                        fn, nargs, nres = host_funcs[target]
+                        if nargs:
+                            hargs = vals[-nargs:]
+                            del vals[-nargs:]
+                        else:
+                            hargs = []
+                        r = fn(inst, *hargs)
+                        if nres:
+                            vals.append(r & M32)
+                    else:
+                        if len(frames) >= MAX_CALL_DEPTH:
+                            raise _Trap(STACK_EXHAUSTED)
+                        tmeta = metas[target - n_host]
+                        frames.append(
+                            (code, pc + 1, locals_, base, nresults, func_idx)
+                        )
+                        nargs = tmeta.nparams
+                        if nargs:
+                            newlocals = vals[-nargs:]
+                            del vals[-nargs:]
+                        else:
+                            newlocals = []
+                        newlocals.extend(tmeta.local_zeros)
+                        code = tmeta.code
+                        pc = 0
+                        locals_ = newlocals
+                        base = len(vals)
+                        nresults = tmeta.nresults
+                        func_idx = tmeta.func_idx
+                        continue
+                elif c == C_GLOBAL_GET:
+                    vals.append(glb[ins[1]])
+                elif c == C_GLOBAL_SET:
+                    glb[ins[1]] = vals.pop()
+                elif c == C_DROP:
+                    vals.pop()
+                elif c == C_SELECT:
+                    cond = vals.pop()
+                    b = vals.pop()
+                    if not cond:
+                        vals[-1] = b
+                elif c == C_MEMSIZE:
+                    vals.append(len(mem) // PAGE)
+                elif c == C_MEMGROW:
+                    delta = vals.pop()
+                    cur = len(mem) // PAGE
+                    new = cur + delta
+                    cap = MAX_PAGES
+                    if inst.mem_max is not None:
+                        cap = min(cap, inst.mem_max)
+                    if new > cap:
+                        vals.append(M32)  # -1
+                    else:
+                        mem.extend(bytes(delta * PAGE))
+                        vals.append(cur)
+                elif c == C_UNREACHABLE:
+                    raise _Trap(UNREACHABLE)
                 else:
-                    mem.extend(bytes(delta * PAGE))
-                    vals.append(cur)
-            elif c == C_UNREACHABLE:
-                raise _Trap(UNREACHABLE, func_idx, pc, executed)
+                    raise AssertionError(f"bad compiled op {c}")
+                pc += 1
+        except _Trap as t:
+            # a stepped op or host call has counted itself; a fused run
+            # counts up to and including the op at ``at``
+            t.func = func_idx
+            if t.at is None:
+                t.offset, t.executed = pc, executed
             else:
-                raise AssertionError(f"bad compiled op {c}")
-            pc += 1
+                t.offset, t.executed = pc + t.at, executed + t.at + 1
+            raise
+        except _ProcExit as e:  # proc_exit is a host call
+            e.executed = executed
+            raise

@@ -34,7 +34,7 @@ class ValidationReport:
         self.entries.append(msg)
 
     def __str__(self) -> str:
-        return "valid" if self.ok else "\n".join(self.entries)
+        return "valid" if self.ok else "; ".join(self.entries)
 
 
 class _Invalid(Exception):

@@ -204,14 +204,12 @@ def branchy_module() -> ModuleIR:
     return m
 
 
-def bump_alloc_module(use_names=False) -> ModuleIR:
-    """Bump allocator exposing the C allocator entry points. free is a
-    no-op and memory starts zeroed, so calloc can skip clearing."""
-    m = ModuleIR()
-    m.memory = (4, None)
-    m.globals.append(Global("i32", True, [I("i32.const", SP_INIT)]))
+def bump_alloc_module(use_names=False, imports=()) -> ModuleIR:
+    """Bump allocator exposing the C allocator entry points, after the
+    WASI ``imports``. free is a no-op and memory starts zeroed, so calloc
+    can skip clearing."""
+    m = new_module(imports, pages=4)
     m.globals.append(Global("i32", True, [I("i32.const", 8192)]))  # heap
-    m.exports.append(Export("memory", "memory", 0))
 
     malloc_body = [
         I("global.get", 1), I("local.set", 1),
@@ -268,6 +266,26 @@ def bump_alloc_module(use_names=False) -> ModuleIR:
             m.names[idx] = name
         else:
             m.exports.append(Export(name, "func", idx))
+    return m
+
+
+def heap_victim_module() -> ModuleIR:
+    """The bump allocator after an ``fd_read`` import, and a ``_start``
+    that reads up to 32 bytes of stdin into a 16-byte ``malloc`` buffer
+    and frees it: an input longer than 16 bytes overflows the buffer."""
+    m = bump_alloc_module(imports=("fd_read",))
+    malloc, free = 1, 2
+    body = [
+        I("i32.const", 16), I("call", malloc), I("local.set", 0),
+        # one iovec at IOV_ADDR: (the buffer, 32)
+        I("i32.const", IOV_ADDR), I("local.get", 0), I("i32.store", 2, 0),
+        I("i32.const", IOV_ADDR), I("i32.const", 32), I("i32.store", 2, 4),
+        I("i32.const", 0), I("i32.const", IOV_ADDR), I("i32.const", 1),
+        I("i32.const", NREAD_ADDR), I("call", 0), I("drop"),
+        I("local.get", 0), I("call", free),
+        I("end"),
+    ]
+    add_start(m, body, locals_=("i32",))
     return m
 
 

@@ -395,9 +395,10 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 @pytest.fixture
 def inputs(tmp_path, hardened, victim_wasm):
     """A directory of the files the refusal cases name: ``v.wasm`` and its
-    instrumented ``v.h`` (with sidecar), a crashing input, a seeds dir, a
-    garbage binary, a module that fails validation, a malformed sidecar,
-    a plain file and a directory."""
+    instrumented ``v.h`` (with sidecar), a crashing input, a seeds dir and
+    one whose seed crashes, a garbage binary, modules with one and with
+    two functions that fail validation, a malformed sidecar, a plain file
+    and a directory."""
     d = tmp_path / "inputs"
     d.mkdir()
     (d / "v.wasm").write_bytes(victim_wasm.read_bytes())
@@ -407,11 +408,16 @@ def inputs(tmp_path, hardened, victim_wasm):
     (d / "crash").write_bytes(b"42" + b"A" * 21)
     (d / "s").mkdir()
     (d / "s" / "s0").write_bytes(b"AAAA")
+    (d / "cs").mkdir()
+    (d / "cs" / "s0").write_bytes(b"42" + b"A" * 21)
     (d / "bad.wasm").write_bytes(b"\x00asm\x01\x00\x00\x00\xff\xff\xff")
     invalid = modbuild.victim_module()
     modbuild.add_func(invalid, (), (), [], [I("i32.add"), I("drop"),
                                            I("end")])
     (d / "invalid.wasm").write_bytes(encode_module(invalid))
+    modbuild.add_func(invalid, (), (), [], [I("i32.add"), I("drop"),
+                                           I("end")])
+    (d / "invalid2.wasm").write_bytes(encode_module(invalid))
     (d / "malformed.json").write_text("{not json")
     (d / "file").write_bytes(b"")
     (d / "dir").mkdir()
@@ -436,6 +442,8 @@ REFUSALS = {
                                *FUZZ], EXIT_USAGE, None),
     "run-invalid-module": (["run", "invalid.wasm"], EXIT_PARSE, None),
     "cov-invalid-module": (["cov", "invalid.wasm"], EXIT_PARSE, None),
+    "run-two-invalid-functions": (["run", "invalid2.wasm"], EXIT_PARSE,
+                                  None),
     "fuzz-invalid-module": (["fuzz", "invalid.wasm", "-o", "c", "--seeds",
                              "s", *FUZZ], EXIT_PARSE, "c"),
     "fuzz-uninstrumented": (["fuzz", "v.wasm", "-o", "c", "--seeds", "s",
@@ -445,6 +453,10 @@ REFUSALS = {
                                  "c"),
     "fuzz-jobs-malformed": (["fuzz", "bad.wasm", "-o", "c", "--seeds", "s",
                              "--jobs", "2", *FUZZ], EXIT_PARSE, "c"),
+    "fuzz-crashing-seed": (["fuzz", "v.h", "-o", "c", "--seeds", "cs",
+                            *FUZZ], EXIT_CRASH, "c"),
+    "fuzz-jobs-crashing-seed": (["fuzz", "v.h", "-o", "c", "--seeds", "cs",
+                                 "--jobs", "2", *FUZZ], EXIT_CRASH, "c"),
 }
 
 

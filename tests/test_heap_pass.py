@@ -1,10 +1,15 @@
+import json
 import random
 
 import pytest
 
 import modbuild
 from wasmwarden import Engine, classify_crash, validate_module
+from wasmwarden.cli import EXIT_CRASH, EXIT_OK, main
+from wasmwarden.encoder import encode_module
+from wasmwarden.fuzz import FuzzConfig, Fuzzer
 from wasmwarden.ir import Export, FuncType, FunctionIR, Global, I, ModuleIR
+from wasmwarden.parser import parse_module
 from wasmwarden.passes.heap_canary import (
     INFLATION,
     USER_OFFSET,
@@ -13,6 +18,7 @@ from wasmwarden.passes.heap_canary import (
     apply_heap_pass,
     identify_heap_functions,
 )
+from wasmwarden.passes.sites import SiteTable
 
 # scratch cells the recording allocator writes its raw arguments to
 REC_A = 32
@@ -265,3 +271,37 @@ def test_allocator_without_return_is_not_wrapped():
     assert I("block", "i32") not in malloc.body
     # the original body sits unchanged between preamble and postamble
     assert malloc.body[6:6 + len(original)] == original
+
+
+def test_heap_overflow_has_one_name_from_crash_file_to_run(tmp_path,
+                                                           capsys):
+    """A campaign files a heap overflow as ``heap-overflow``: its crash
+    file's suffix, its report, its ``stats.json`` key, and the oracle
+    ``wasmwarden run`` prints when it replays the file."""
+    src = tmp_path / "heap.wasm"
+    src.write_bytes(encode_module(modbuild.heap_victim_module()))
+    binary = tmp_path / "heap.fuzz.wasm"
+    assert main(["instrument", str(src), "-o", str(binary),
+                 "--canary-seed", "7", "--cov-seed", "3"]) == EXIT_OK
+    sites = SiteTable.from_json(
+        (tmp_path / "heap.fuzz.wasm.sites.json").read_text())
+    out = tmp_path / "campaign"
+    fz = Fuzzer(parse_module(binary.read_bytes()), sites,
+                FuzzConfig(out_dir=out))
+    fz.add_seeds([b"A" * 16])
+    crasher = b"A" * 32  # past the buffer and its whole canary
+    outcome, trace = fz.run_input(crasher)
+    fz._triage(crasher, outcome, trace, parent=0, stage="havoc")
+    fz._flush_stats()
+
+    (crash,) = (out / "crashes").iterdir()
+    assert crash.name == "id_000000_heap-overflow"
+    assert [c.oracle for c in fz.crashes] == ["heap-overflow"]
+    stats = json.loads((out / "stats.json").read_text())
+    assert stats["crashes_by_oracle"] == {
+        "stack-canary": 0, "heap-underflow": 0, "heap-overflow": 1,
+        "builtin": 0,
+    }
+    capsys.readouterr()
+    assert main(["run", str(binary), str(crash)]) == EXIT_CRASH
+    assert "oracle=heap-overflow" in capsys.readouterr().err

@@ -455,6 +455,50 @@ def test_wasi_exit_code_is_not_a_crash():
     assert out.exit_code == 3
 
 
+# every way a callee can trap, and proc_exit: (body, fuel, the outcome's
+# status, trap kind, function, offset and instructions executed)
+_CALLEE = 2  # after the fd_write and proc_exit imports
+_VOID = 2  # the type () -> (), after the two imports' types
+_DIV = [I("i32.const", 7), I("i32.const", 0), I("i32.div_u"), I("drop"),
+        I("end")]
+_LOAD = [I("i32.const", PAGE), I("i32.load", 2, 0), I("drop"), I("end")]
+_ATTRIBUTIONS = {
+    "fused-div": (_DIV, None, ("trap", DIV_ZERO, _CALLEE, 2, 7)),
+    # fuel for the count at the trap, short of the run's end: it is stepped
+    "stepped-div": (_DIV, 7, ("trap", DIV_ZERO, _CALLEE, 2, 7)),
+    "fused-load": (_LOAD, None, ("trap", MEM_OOB, _CALLEE, 1, 6)),
+    "stepped-load": (_LOAD, 6, ("trap", MEM_OOB, _CALLEE, 1, 6)),
+    "unreachable": ([I("nop"), I("unreachable"), I("end")], None,
+                    ("trap", UNREACHABLE, _CALLEE, 1, 6)),
+    "empty-table-slot": ([I("i32.const", 0), I("call_indirect", _VOID),
+                          I("end")], None,
+                         ("trap", UNINIT_TABLE, _CALLEE, 1, 6)),
+    # fd_write(1, iovs past the end of memory, 1, 0)
+    "host-call": ([I("i32.const", 1), I("i32.const", PAGE), I("i32.const", 1),
+                   I("i32.const", 0), I("call", 0), I("drop"), I("end")],
+                  None, ("trap", MEM_OOB, _CALLEE, 4, 9)),
+    "proc-exit": ([I("i32.const", 3), I("call", 1), I("end")], None,
+                  ("exit", "", -1, -1, 6)),
+}
+
+
+@pytest.mark.parametrize("case", _ATTRIBUTIONS)
+def test_trap_is_attributed_to_the_callee_op_and_count(case):
+    body, fuel, want = _ATTRIBUTIONS[case]
+    m = modbuild.new_module(imports=("fd_write", "proc_exit"), pages=1)
+    m.table = (1, 1)  # slot 0 is never initialized
+    assert m.add_type(FuncType((), ())) == _VOID
+    assert modbuild.add_func(m, (), (), (), body) == _CALLEE
+    # three ops, then the call: the callee starts at count 4
+    modbuild.add_start(m, [I("i32.const", 1), I("drop"), I("nop"),
+                           I("call", _CALLEE), I("end")])
+    eng = Engine(m)
+    out = eng.run_start(eng.instantiate(), RunLimits(fuel=fuel or 1000))
+    assert (out.status, out.trap_kind, out.trap_function, out.trap_offset,
+            out.instructions_executed) == want
+    assert out.exit_code == (3 if case == "proc-exit" else 0)
+
+
 def _random_get_module():
     m = modbuild.new_module(imports=("fd_write",))
     body = [
