@@ -1,18 +1,19 @@
 """Deterministic in-process interpreter for MVP Wasm with a WASI subset.
 
-The engine preprocesses a module once (validation, body compilation);
-instances are cheap and isolated, each run is fuel metered, and traps are
-classified for crash triage.
+The engine validates a module once; instances are cheap and isolated,
+each run is fuel metered, and traps are classified for crash triage.
 
-A body is a list of compiled tuples that ``Engine._run`` steps one at a
-time. Each straight-line run in it (two or more ops that neither branch
-nor call, entered only at its head) is also fused into one generated
-Python function, on its first execution rather than in ``Engine()``:
-stack slots become Python locals and the run costs one dispatch.
-Generated sources take their immediates as parameters, so runs of the
-same shape share one compiled template, bound to each run's immediates
-as its defaults; templates are cached per ``Engine``, never across
-engines.
+``Engine()`` validates every body but compiles none: a body is compiled,
+from the validator's block record, the first time its function is
+entered, since a campaign calls few of a module's functions. A compiled
+body is a list of tuples that ``Engine._run`` steps one at a time. Each
+straight-line run in it (two or more ops that neither branch nor call,
+entered only at its head) is also fused into one generated Python
+function, on its first execution: stack slots become Python locals and
+the run costs one dispatch. Generated sources take their immediates as
+parameters, so runs of the same shape share one compiled template, bound
+to each run's immediates as its defaults; compiled bodies and templates
+are kept per ``Engine``, never across engines.
 
 Fusing is exact. A run charges its length in fuel at once when that fits
 the budget; otherwise it is stepped, so fuel runs out on the same
@@ -606,13 +607,13 @@ class _FuncMeta:
     __slots__ = ("func_idx", "ftype", "nparams", "nresults", "local_zeros",
                  "code")
 
-    def __init__(self, func_idx, ftype: FuncType, nlocals, code):
+    def __init__(self, func_idx, ftype: FuncType, nlocals):
         self.func_idx = func_idx
         self.ftype = ftype
         self.nparams = len(ftype.params)
         self.nresults = len(ftype.results)
         self.local_zeros = [0] * nlocals
-        self.code = code
+        self.code = None  # built by ``Engine.compiled`` on the first call
 
 
 def _compile_body(body, nresults: int, types: list[FuncType],
@@ -877,8 +878,11 @@ _WASI = {
 
 
 class Engine:
-    """Compile-once wrapper around a module: validate, preprocess bodies,
-    resolve imports; instances are then cheap to create."""
+    """A validated module with its imports resolved; instances are then
+    cheap to create. Every body is validated here, so an invalid module
+    is refused even where nothing calls the invalid function, and each is
+    compiled on its function's first call. The module must not change
+    while the engine lives."""
 
     def __init__(self, module: ModuleIR):
         self.module = module
@@ -908,13 +912,10 @@ class Engine:
         # signature of every function index, for call_indirect
         self.func_types = report.func_types
         n_host = len(self.host_funcs)
-        self.metas: list[_FuncMeta] = []
-        for i, f in enumerate(module.functions):
-            ftype = self.func_types[n_host + i]
-            code = _compile_body(f.body, len(ftype.results), module.types,
-                                 report.blocks[i])
-            self.metas.append(_FuncMeta(n_host + i, ftype, len(f.locals),
-                                        code))
+        self.metas = [_FuncMeta(n_host + i, self.func_types[n_host + i],
+                                len(f.locals))
+                      for i, f in enumerate(module.functions)]
+        self._blocks = report.blocks
 
         self.table: list[Optional[int]] = []
         if module.table is not None:
@@ -1024,6 +1025,16 @@ class Engine:
             )
         return meta
 
+    def compiled(self, meta: _FuncMeta) -> list[tuple]:
+        """The compiled body of ``meta``'s function, built the first time
+        it is asked for."""
+        if meta.code is None:
+            i = meta.func_idx - self.n_host
+            meta.code = _compile_body(self.module.functions[i].body,
+                                      meta.nresults, self.module.types,
+                                      self._blocks[i])
+        return meta.code
+
     def _fuse(self, code: list[tuple], head: int):
         """Make the function of the run at ``head`` and put it in place."""
         _, _, n, first = code[head]
@@ -1078,7 +1089,7 @@ class Engine:
 
         vals: list = []
         frames: list = []
-        code = meta.code
+        code = self.compiled(meta)
         pc = 0
         locals_ = args + meta.local_zeros
         base = 0
@@ -1200,7 +1211,7 @@ class Engine:
                         else:
                             newlocals = []
                         newlocals.extend(tmeta.local_zeros)
-                        code = tmeta.code
+                        code = tmeta.code or self.compiled(tmeta)
                         pc = 0
                         locals_ = newlocals
                         base = len(vals)

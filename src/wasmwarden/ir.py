@@ -59,8 +59,18 @@ class SiteInfo:
     id: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Instr:
+    """One instruction: its op name, its immediates and, for one a pass
+    inserted, its ``site``. Equality and hashing ignore ``site``.
+
+    Instances are immutable by contract: ``ModuleIR.copy()`` and the
+    passes share them between their input and output modules, so code
+    builds a new ``Instr`` rather than assigning to a field. The class is
+    not frozen only because a frozen ``__init__`` sets each field through
+    ``object.__setattr__``, which triples the cost of building one.
+    """
+
     op: str
     args: tuple = ()
     site: Optional[SiteInfo] = field(default=None, compare=False, repr=False)

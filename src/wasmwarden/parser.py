@@ -132,8 +132,9 @@ class _Reader:
         raise MalformedBinary(self.off() - 1, f"bad limits flag 0x{flag:02x}")
 
 
-# opcode byte -> (op name, reader of its immediates)
-_DECODE = {byte: (name, opcodes.IMMEDIATES[kind][0])
+# opcode byte -> (op name, reader of its immediates, change in block depth)
+_NESTING = {"block": 1, "loop": 1, "if": 1, "end": -1}
+_DECODE = {byte: (name, opcodes.IMMEDIATES[kind][0], _NESTING.get(name, 0))
            for byte, name, kind in opcodes._TABLE}
 
 
@@ -141,21 +142,25 @@ def _read_instrs(r: _Reader) -> list[Instr]:
     """A function body or constant expression: its instructions up to and
     including the ``end`` that closes it."""
     out = []
+    buf = r.buf
     depth = 1
     while depth:
-        op_byte = r.byte()
+        # the opcode byte is read here, not through ``r.byte()``: this loop
+        # runs once per instruction of the module
+        pos = r.pos
+        if pos >= len(buf):
+            raise MalformedBinary(r.base + pos, "unexpected end of section")
+        op_byte = buf[pos]
+        r.pos = pos + 1
         entry = _DECODE.get(op_byte)
         if entry is None:
             feature = opcodes.POST_MVP_PREFIXES.get(op_byte)
             if feature:
                 raise UnsupportedFeature(feature)
-            raise MalformedBinary(r.off() - 1,
+            raise MalformedBinary(r.base + pos,
                                   f"unknown opcode 0x{op_byte:02x}")
-        name, read = entry
-        if name == "end":
-            depth -= 1
-        elif name in ("block", "loop", "if"):
-            depth += 1
+        name, read, delta = entry
+        depth += delta
         out.append(Instr(name, read(r)))
     return out
 

@@ -11,6 +11,12 @@ from wasmwarden import (
 from wasmwarden.fuzz import FuzzConfig, Fuzzer
 from wasmwarden.interp import AccessorMissing, AccessorOutOfBounds
 from wasmwarden.ir import Export, FuncType, FunctionIR, Global, I, ModuleIR
+from wasmwarden.passes import (
+    CanaryConfig,
+    HeapConfig,
+    apply_heap_pass,
+    apply_stack_pass,
+)
 from wasmwarden.passes.coverage import (
     ACCESSOR_NAME,
     MAP_SIZE,
@@ -267,3 +273,30 @@ def test_seeded_site_ids_reproducible():
     c, _ = apply_coverage_pass(modbuild.branchy_module(), rng_seed=12)
     assert a == b
     assert a != c
+
+
+def _triples(m: ModuleIR) -> list[tuple]:
+    """(op, args, site) of every instruction of ``m``, in order."""
+    exprs = ([f.body for f in m.functions] + [g.init for g in m.globals]
+             + [e.offset for e in m.elems]
+             + [d.offset for d in m.data_segments])
+    return [(i.op, i.args, i.site) for expr in exprs for i in expr]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: parse_module(encode_module(modbuild.victim_module())),
+    modbuild.heap_victim_module,
+], ids=["parsed-victim", "heap-victim"])
+def test_passes_leave_the_instructions_of_their_input_unchanged(make):
+    """``Instr`` is not frozen, and ``ModuleIR.copy()`` shares instructions
+    between a pass's input and output: no pass may change one in place."""
+    m = make()
+    stages = [(m, _triples(m))]
+    for apply in (lambda m: apply_heap_pass(m, HeapConfig(rng_seed=1)),
+                  lambda m: apply_stack_pass(m, CanaryConfig(rng_seed=1)),
+                  lambda m: apply_coverage_pass(m, rng_seed=3)):
+        m, _ = apply(m)
+        stages.append((m, _triples(m)))
+    assert any(site for _, _, site in stages[-1][1])
+    for module, triples in stages:
+        assert _triples(module) == triples

@@ -17,6 +17,7 @@ from wasmwarden.interp import (
     STACK_EXHAUSTED,
     UNINIT_TABLE,
     UNREACHABLE,
+    InvalidModule,
 )
 from wasmwarden.ir import (
     DataSegment,
@@ -497,6 +498,32 @@ def test_trap_is_attributed_to_the_callee_op_and_count(case):
     assert (out.status, out.trap_kind, out.trap_function, out.trap_offset,
             out.instructions_executed) == want
     assert out.exit_code == (3 if case == "proc-exit" else 0)
+
+
+def test_a_run_compiles_exactly_the_bodies_it_enters():
+    m = modbuild.new_module(imports=(), pages=1)
+    void = m.add_type(FuncType((), ()))
+    leaf = [I("nop"), I("end")]
+    direct = modbuild.add_func(m, (), (), (), leaf)
+    indirect = modbuild.add_func(m, (), (), (), leaf)
+    modbuild.add_func(m, (), (), (), leaf)  # nothing calls it
+    m.start = modbuild.add_func(m, (), (), (), [I("call", direct), I("end")])
+    m.table = (1, 1)
+    m.elems.append(ElemSegment([I("i32.const", 0)], [indirect]))
+    modbuild.add_start(m, [I("i32.const", 0), I("call_indirect", void),
+                           I("end")])
+    eng = Engine(m)
+    assert [meta.code for meta in eng.metas] == [None] * 5
+    assert eng.run_start(eng.instantiate()).status == "exit"
+    assert [meta.code is not None for meta in eng.metas] == [
+        True, True, False, True, True]
+
+
+def test_engine_refuses_an_invalid_body_that_nothing_calls():
+    m = modbuild.victim_module()
+    modbuild.add_func(m, (), (), (), [I("i32.add"), I("drop"), I("end")])
+    with pytest.raises(InvalidModule, match="operand stack underflow"):
+        Engine(m)
 
 
 def _random_get_module():

@@ -53,5 +53,6 @@ def test_types_derived_from_op_names():
         body += [I(op, *_IMMEDIATE.get(IMM_KIND[op], ())), I("end")]
         m.functions.append(FunctionIR(ti, [], body))
         assert validate_module(m).ok, op
-        code = Engine(m).metas[0].code
+        eng = Engine(m)
+        code = eng.compiled(eng.metas[0])
         assert code[len(params)][0] == _expected_code(op, params), op

@@ -1,4 +1,5 @@
 import hashlib
+import pickle
 import struct
 
 import pytest
@@ -12,7 +13,22 @@ from wasmwarden import (
     encode_module,
     parse_module,
 )
-from wasmwarden.ir import CustomSection, Export, FuncType, FunctionIR, I
+from wasmwarden.ir import (
+    CustomSection,
+    Export,
+    FuncType,
+    FunctionIR,
+    I,
+    Instr,
+    SiteInfo,
+)
+from wasmwarden.passes import (
+    CanaryConfig,
+    HeapConfig,
+    apply_coverage_pass,
+    apply_heap_pass,
+    apply_stack_pass,
+)
 
 
 def all_test_modules():
@@ -90,8 +106,9 @@ def test_post_mvp_opcode_rejected():
     idx = raw.find(bytes([0x01, 0x0B]))  # nop, end
     assert idx > 0
     raw[idx] = 0xFC  # misc-ops prefix (saturating truncation etc.)
-    with pytest.raises(UnsupportedFeature):
+    with pytest.raises(UnsupportedFeature) as e:
         parse_module(bytes(raw))
+    assert e.value.feature == "bulk-memory/saturating-trunc"
 
 
 def test_custom_sections_roundtrip():
@@ -150,3 +167,56 @@ def test_truncated_section_reports_offset():
     with pytest.raises(MalformedBinary) as e:
         parse_module(raw[:-1])
     assert e.value.offset >= 0
+
+
+def _one_body(code: bytes) -> bytes:
+    """A module whose one function, of type [] -> [], has no locals and
+    the body bytes ``code``; they start at offset 23 of the binary."""
+    entry = b"\x00" + code  # no local declarations
+    sections = [(1, b"\x01\x60\x00\x00"),  # one type: [] -> []
+                (3, b"\x01\x00"),  # one function, of type 0
+                (10, b"\x01" + bytes([len(entry)]) + entry)]
+    return b"\x00asm\x01\x00\x00\x00" + b"".join(
+        bytes([sec_id, len(payload)]) + payload
+        for sec_id, payload in sections)
+
+
+@pytest.mark.parametrize("code,offset,reason", [
+    # cut at an opcode byte: i32.const 1, then no end
+    (b"\x41\x01", 25, "unexpected end of section"),
+    # cut inside an immediate: f32.const with two of its four bytes
+    (b"\x43\x00\x00", 24, "unexpected end of section"),
+    # 0x27 is neither an MVP opcode nor a post-MVP prefix
+    (b"\x01\x27\x0b", 24, "unknown opcode 0x27"),
+])
+def test_malformed_body_reports_its_offset_and_reason(code, offset, reason):
+    with pytest.raises(MalformedBinary) as e:
+        parse_module(_one_body(code))
+    assert (e.value.offset, e.value.reason) == (offset, reason)
+
+
+def test_instr_equality_hash_and_repr_ignore_its_site():
+    plain = I("i32.const", 7)
+    marked = Instr("i32.const", (7,), SiteInfo("heap-canary", 3))
+    assert plain == marked and hash(plain) == hash(marked)
+    assert plain != I("i32.const", 8) and plain != I("i64.const", 7)
+    assert repr(marked) == "i32.const 7" and repr(I("end")) == "end"
+    assert repr(I("br_table", (0, 1), 2)) == "br_table (0, 1) 2"
+    assert not hasattr(plain, "__dict__")
+
+
+@pytest.mark.parametrize("protocol", range(2, pickle.HIGHEST_PROTOCOL + 1))
+def test_pickle_keeps_every_site_of_a_hardened_module(protocol):
+    """``fuzz --jobs`` pickles the instrumented module into its workers."""
+    m, _ = apply_heap_pass(modbuild.heap_victim_module(),
+                           HeapConfig(rng_seed=1))
+    m, _ = apply_stack_pass(m, CanaryConfig(rng_seed=1))
+    m, _ = apply_coverage_pass(m, rng_seed=3)
+
+    def sites(module):
+        return [i.site for f in module.functions for i in f.body]
+
+    m2 = pickle.loads(pickle.dumps(m, protocol))
+    assert m2 == m and sites(m2) == sites(m)
+    kinds = {s.kind for s in sites(m) if s}
+    assert "heap-overflow" in kinds and "cov-entry" in kinds

@@ -34,7 +34,7 @@ def stepped(eng: Engine) -> Engine:
     """``eng`` with every run put back to its stepped tuples."""
     for meta in eng.metas:
         meta.code = [ins[3] if ins[0] == C_BLOCK else ins
-                     for ins in meta.code]
+                     for ins in eng.compiled(meta)]
     return eng
 
 
@@ -75,12 +75,12 @@ def test_corpus_matches_the_step_path():
 def test_engine_makes_no_source_until_a_run_executes():
     m = hardened(modbuild.victim_module())
     eng = Engine(m)
-    blocks = [ins for meta in eng.metas for ins in meta.code
+    blocks = [ins for meta in eng.metas for ins in eng.compiled(meta)
               if ins[0] == C_BLOCK]
     assert blocks and all(ins[1] is None for ins in blocks)
     assert eng._templates == {}
     eng.run_start(eng.instantiate(WasiConfig(stdin=b"AAAA")))
-    made = [ins for meta in eng.metas for ins in meta.code
+    made = [ins for meta in eng.metas for ins in eng.compiled(meta)
             if ins[0] == C_BLOCK and ins[1] is not None]
     assert 0 < len(eng._templates) <= len(made) < len(blocks)
     assert Engine(m)._templates == {}  # nothing is shared across engines
@@ -101,7 +101,7 @@ def test_runs_that_differ_in_immediates_share_a_template():
     inst = eng.instantiate()
     out, _ = eng.call_export(inst, "f", [])
     assert out.status == "exit" and inst.globals == [2]
-    code = eng.metas[0].code
+    code = eng.compiled(eng.metas[0])
     assert code[0][1] is not None and code[4][1] is not None
     assert len(eng._templates) == 1
 
@@ -158,7 +158,8 @@ def _trap_in_run(trap_ops):
 def test_trap_in_a_run_reports_its_own_pc(trap_ops, kind):
     m = _trap_in_run(trap_ops)
     trap_pc = len(m.functions[0].body) - 6
-    code = Engine(m).metas[0].code
+    eng = Engine(m)
+    code = eng.compiled(eng.metas[0])
     assert code[0][0] == C_BLOCK and code[0][2] == 3
     assert code[4][0] == C_BLOCK and 4 + code[4][2] > trap_pc + 1
     fused, ref = run_both(m, 1000, export="f")
