@@ -64,11 +64,14 @@ class Instr:
     """One instruction: its op name, its immediates and, for one a pass
     inserted, its ``site``. Equality and hashing ignore ``site``.
 
-    Instances are immutable by contract: ``ModuleIR.copy()`` and the
-    passes share them between their input and output modules, so code
-    builds a new ``Instr`` rather than assigning to a field. The class is
-    not frozen only because a frozen ``__init__`` sets each field through
-    ``object.__setattr__``, which triples the cost of building one.
+    Instances are immutable by contract, and that is load-bearing: the
+    parser decodes every occurrence of one encoding in a module to one
+    shared instance (an op without immediates to one instance for every
+    module), and ``ModuleIR.copy()`` and the passes share instances between
+    their input and output modules. Assigning to a field would change every
+    place that shares it, so code builds a new ``Instr`` instead. The class
+    is not frozen only because a frozen ``__init__`` sets each field
+    through ``object.__setattr__``, which triples the cost of building one.
     """
 
     op: str

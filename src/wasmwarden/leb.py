@@ -5,10 +5,14 @@ from __future__ import annotations
 from .ir import EncodingOverflow, MalformedBinary
 
 
-def read_uleb(buf: bytes, pos: int, bits: int = 32) -> tuple[int, int]:
+def read_uleb(buf: bytes, pos: int, bits: int = 32,
+              base: int = 0) -> tuple[int, int]:
+    """The unsigned integer of at most ``bits`` bits encoded at ``pos``, and
+    the position after it. ``base`` is the offset of ``buf`` in the binary;
+    a ``MalformedBinary`` counts its offset from there."""
     result = 0
     shift = 0
-    start = pos
+    start = base + pos
     while True:
         if pos >= len(buf):
             raise MalformedBinary(start, "truncated LEB128 integer")
@@ -18,17 +22,19 @@ def read_uleb(buf: bytes, pos: int, bits: int = 32) -> tuple[int, int]:
         if not byte & 0x80:
             break
         shift += 7
-        if shift >= bits + 7:
+        if shift >= bits:  # more than ceil(bits / 7) bytes
             raise MalformedBinary(start, "LEB128 integer too long")
     if result >= 1 << bits:
         raise MalformedBinary(start, f"LEB128 integer exceeds u{bits}")
     return result, pos
 
 
-def read_sleb(buf: bytes, pos: int, bits: int) -> tuple[int, int]:
+def read_sleb(buf: bytes, pos: int, bits: int,
+              base: int = 0) -> tuple[int, int]:
+    """Like ``read_uleb``, for a two's-complement signed integer."""
     result = 0
     shift = 0
-    start = pos
+    start = base + pos
     while True:
         if pos >= len(buf):
             raise MalformedBinary(start, "truncated LEB128 integer")
@@ -37,10 +43,10 @@ def read_sleb(buf: bytes, pos: int, bits: int) -> tuple[int, int]:
         result |= (byte & 0x7F) << shift
         shift += 7
         if not byte & 0x80:
-            if byte & 0x40 and shift < bits + 7:
+            if byte & 0x40:
                 result |= -(1 << shift)
             break
-        if shift >= bits + 7:
+        if shift >= bits:  # more than ceil(bits / 7) bytes
             raise MalformedBinary(start, "LEB128 integer too long")
     lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
     if not lo <= result <= hi:

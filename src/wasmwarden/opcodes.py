@@ -236,8 +236,10 @@ def _read_memidx(r):
 
 # immediate kind -> (read, write). ``read(r)`` takes the parser's reader
 # and returns the op's ``Instr.args``; ``write(args)`` gives their bytes.
+# An op without immediates has no ``read``: the parser decodes it to one
+# shared ``Instr``.
 IMMEDIATES = {
-    "": (lambda r: (), lambda a: b""),
+    "": (None, lambda a: b""),
     # 0x40 (no result) or the result's value type
     "block": (_read_blocktype, lambda a: b"\x40" if a[0] is None
               else bytes((VALTYPE_BYTE[a[0]],))),

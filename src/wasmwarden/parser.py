@@ -71,15 +71,15 @@ class _Reader:
         return out
 
     def u32(self) -> int:
-        v, self.pos = read_uleb(self.buf, self.pos, 32)
+        v, self.pos = read_uleb(self.buf, self.pos, 32, self.base)
         return v
 
     def s32(self) -> int:
-        v, self.pos = read_sleb(self.buf, self.pos, 32)
+        v, self.pos = read_sleb(self.buf, self.pos, 32, self.base)
         return v
 
     def s64(self) -> int:
-        v, self.pos = read_sleb(self.buf, self.pos, 64)
+        v, self.pos = read_sleb(self.buf, self.pos, 64, self.base)
         return v
 
     def name(self) -> str:
@@ -132,36 +132,63 @@ class _Reader:
         raise MalformedBinary(self.off() - 1, f"bad limits flag 0x{flag:02x}")
 
 
-# opcode byte -> (op name, reader of its immediates, change in block depth)
+# opcode byte -> (op name, reader of its immediates or None if it has
+# none, change in block depth, the one shared ``Instr`` of an op without
+# immediates)
 _NESTING = {"block": 1, "loop": 1, "if": 1, "end": -1}
-_DECODE = {byte: (name, opcodes.IMMEDIATES[kind][0], _NESTING.get(name, 0))
+_DECODE = {byte: (name, opcodes.IMMEDIATES[kind][0], _NESTING.get(name, 0),
+                  None if kind else Instr(name))
            for byte, name, kind in opcodes._TABLE}
 
 
-def _read_instrs(r: _Reader) -> list[Instr]:
+def _read_instrs(r: _Reader, shared: dict[bytes, Instr]) -> list[Instr]:
     """A function body or constant expression: its instructions up to and
-    including the ``end`` that closes it."""
+    including the ``end`` that closes it.
+
+    Equal encodings decode to one ``Instr``. An op without immediates takes
+    its constant from ``_DECODE``; an encoding of 2 or 3 bytes is looked up
+    in ``shared``, keyed by its exact bytes, which one ``parse_module`` call
+    passes to every body. The encoding of an instruction is a prefix code,
+    so a key that the bytes at ``pos`` start with is the whole instruction
+    there. Every other encoding, and every error, goes through ``r``.
+    """
     out = []
     buf = r.buf
     depth = 1
+    pos = r.pos
     while depth:
         # the opcode byte is read here, not through ``r.byte()``: this loop
         # runs once per instruction of the module
-        pos = r.pos
         if pos >= len(buf):
             raise MalformedBinary(r.base + pos, "unexpected end of section")
-        op_byte = buf[pos]
-        r.pos = pos + 1
-        entry = _DECODE.get(op_byte)
+        entry = _DECODE.get(buf[pos])
         if entry is None:
+            op_byte = buf[pos]
             feature = opcodes.POST_MVP_PREFIXES.get(op_byte)
             if feature:
                 raise UnsupportedFeature(feature)
             raise MalformedBinary(r.base + pos,
                                   f"unknown opcode 0x{op_byte:02x}")
-        name, read, delta = entry
+        name, read, delta, instr = entry
         depth += delta
-        out.append(Instr(name, read(r)))
+        if read is None:
+            pos += 1
+        else:
+            key = buf[pos:pos + 2]
+            instr = shared.get(key)
+            if instr is None:
+                key = buf[pos:pos + 3]
+                instr = shared.get(key)
+            if instr is None:
+                r.pos = pos + 1
+                instr = Instr(name, read(r))
+                if r.pos - pos <= 3:
+                    shared[buf[pos:r.pos]] = instr
+                pos = r.pos
+            else:
+                pos += len(key)
+        out.append(instr)
+    r.pos = pos
     return out
 
 
@@ -194,6 +221,7 @@ def parse_module(data: bytes) -> ModuleIR:
         raise MalformedBinary(4, "unsupported binary version")
 
     m = ModuleIR()
+    shared: dict[bytes, Instr] = {}  # see _read_instrs
     func_type_indices: list[int] = []
     saw_code = False
     pos = 8
@@ -267,7 +295,7 @@ def parse_module(data: bytes) -> ModuleIR:
         elif sec_id == 6:
             for _ in range(r.u32()):
                 vt, mut = r.globaltype()
-                m.globals.append(Global(vt, mut, _read_instrs(r)[:-1]))
+                m.globals.append(Global(vt, mut, _read_instrs(r, shared)[:-1]))
         elif sec_id == 7:
             for _ in range(r.u32()):
                 nm = r.name()
@@ -280,7 +308,7 @@ def parse_module(data: bytes) -> ModuleIR:
                 table_idx = r.u32()
                 if table_idx != 0:
                     raise UnsupportedFeature("multiple tables")
-                offset = _read_instrs(r)[:-1]
+                offset = _read_instrs(r, shared)[:-1]
                 funcs = [r.u32() for _ in range(r.u32())]
                 m.elems.append(ElemSegment(offset, funcs))
         elif sec_id == 10:
@@ -300,7 +328,7 @@ def parse_module(data: bytes) -> ModuleIR:
                     if len(local_vec) + n > 1_000_000:
                         raise MalformedBinary(br.off(), "too many locals")
                     local_vec.extend([vt] * n)
-                body = _read_instrs(br)
+                body = _read_instrs(br, shared)
                 if not br.eof():
                     raise MalformedBinary(
                         br.off(), "trailing bytes after function body"
@@ -313,7 +341,7 @@ def parse_module(data: bytes) -> ModuleIR:
                 mem_idx = r.u32()
                 if mem_idx != 0:
                     raise UnsupportedFeature("multiple memories")
-                offset = _read_instrs(r)[:-1]
+                offset = _read_instrs(r, shared)[:-1]
                 n = r.u32()
                 m.data_segments.append(DataSegment(offset, r.raw(n)))
         if not r.eof():

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .ir import FuncType, FunctionIR, Instr, ModuleIR
+from .ir import VALTYPE_BYTE, FuncType, FunctionIR, Instr, ModuleIR
 from .opcodes import MEM_ACCESS, SIGS
 
 UNKNOWN = "?"  # bottom type used below unreachable code
@@ -42,9 +42,18 @@ class _Invalid(Exception):
 
 
 # op -> (params, results, natural width of its memory access or 0); the
-# width rides in the one lookup each instruction makes
-_SIGS = {op: (ins, outs, MEM_ACCESS[op][1] if op in MEM_ACCESS else 0)
+# width rides in the one lookup each instruction makes. Params are a list,
+# which a slice of the operand stack compares equal to.
+_SIGS = {op: (list(ins), outs, MEM_ACCESS[op][1] if op in MEM_ACCESS else 0)
          for op, (ins, outs) in SIGS.items()}
+
+# op -> the type of the variable it names -> (params, results)
+_LOCAL_SIGS = {op: {t: ([t] * pops, (t,) * pushes) for t in VALTYPE_BYTE}
+               for op, pops, pushes in (("local.get", 0, 1),
+                                        ("local.set", 1, 0),
+                                        ("local.tee", 1, 1))}
+_GLOBAL_SIGS = {"global.get": _LOCAL_SIGS["local.get"],
+                "global.set": _LOCAL_SIGS["local.set"]}
 
 
 class _Frame:
@@ -148,26 +157,66 @@ class _FuncChecker:
             self.fail(f"{instr.op}: module has no memory")
 
     def run(self):
-        for pc, instr in enumerate(self.f.body):
-            if not self.ctrls:
-                self.fail(f"instruction {pc} ({instr.op}) follows the "
-                          "function's end")
-            self.step(pc, instr)
-        if self.ctrls:
+        """Type the body. An op of fixed signature (every ``SIGS`` op and
+        every ``local.*`` and ``global.*``) is typed here: if the top values
+        above the innermost frame are its params, one slice cuts them off;
+        otherwise ``pop`` takes them one by one and reports what is wrong,
+        or lets the unreachable stack below them stand in. Then its results
+        are pushed. ``step`` types the rest."""
+        body = self.f.body
+        vals, ctrls = self.vals, self.ctrls
+        locals_, global_types = self.locals, self.m.global_types
+        height = 0  # of the innermost frame
+        for pc, instr in enumerate(body):
+            op = instr.op
+            sig = _SIGS.get(op)
+            if sig is not None:
+                ins, outs, natural = sig
+                if natural:
+                    self.check_memarg(instr, natural)
+            elif op in _LOCAL_SIGS:
+                idx = instr.args[0]
+                if idx >= len(locals_):
+                    self.fail(f"{op}: local index {idx} out of range")
+                try:
+                    ins, outs = _LOCAL_SIGS[op][locals_[idx]]
+                except KeyError:  # a hand-built FunctionIR's local
+                    self.fail(f"{op}: local {idx} has type "
+                              f"{locals_[idx]!r}, not a value type")
+            elif op in _GLOBAL_SIGS:
+                idx = instr.args[0]
+                if idx >= len(global_types):
+                    self.fail(f"{op}: global index {idx} out of range")
+                t, mut = global_types[idx]
+                if op == "global.set" and not mut:
+                    self.fail(f"global.set on immutable global {idx}")
+                try:
+                    ins, outs = _GLOBAL_SIGS[op][t]
+                except KeyError:  # a hand-built Global or Import
+                    self.fail(f"{op}: global {idx} has type {t!r}, "
+                              "not a value type")
+            else:
+                self.step(pc, instr)
+                if ctrls:
+                    height = ctrls[-1].height
+                elif pc + 1 < len(body):
+                    self.fail(f"instruction {pc + 1} ({body[pc + 1].op}) "
+                              "follows the function's end")
+                continue
+            if ins:
+                h = len(vals) - len(ins)
+                if h >= height and vals[h:] == ins:
+                    del vals[h:]
+                else:
+                    for t in reversed(ins):
+                        self.pop(t)
+            vals += outs
+        if ctrls:
             self.fail("function body not terminated by end")
 
     def step(self, pc: int, instr: Instr):
+        """Type a control, parametric, call or memory-size op."""
         op = instr.op
-        sig = _SIGS.get(op)
-        if sig is not None:
-            ins, outs, natural = sig
-            if natural:
-                self.check_memarg(instr, natural)
-            for t in reversed(ins):
-                self.pop(t)
-            for t in outs:
-                self.push(t)
-            return
         if op == "nop":
             return
         if op == "unreachable":
@@ -266,31 +315,6 @@ class _FuncChecker:
                 self.pop(t)
             for t in ft.results:
                 self.push(t)
-            return
-        if op in ("local.get", "local.set", "local.tee"):
-            idx = instr.args[0]
-            if idx >= len(self.locals):
-                self.fail(f"{op}: local index {idx} out of range")
-            t = self.locals[idx]
-            if op == "local.get":
-                self.push(t)
-            elif op == "local.set":
-                self.pop(t)
-            else:
-                self.pop(t)
-                self.push(t)
-            return
-        if op in ("global.get", "global.set"):
-            idx = instr.args[0]
-            if idx >= len(self.m.global_types):
-                self.fail(f"{op}: global index {idx} out of range")
-            t, mut = self.m.global_types[idx]
-            if op == "global.get":
-                self.push(t)
-            else:
-                if not mut:
-                    self.fail(f"global.set on immutable global {idx}")
-                self.pop(t)
             return
         if op in ("memory.size", "memory.grow"):
             if not self.m.has_memory:

@@ -18,10 +18,12 @@ from wasmwarden.ir import (
     Export,
     FuncType,
     FunctionIR,
+    Global,
     I,
     Instr,
     SiteInfo,
 )
+from wasmwarden.opcodes import IMM_KIND, IMMEDIATES
 from wasmwarden.passes import (
     CanaryConfig,
     HeapConfig,
@@ -186,6 +188,13 @@ def _one_body(code: bytes) -> bytes:
     (b"\x41\x01", 25, "unexpected end of section"),
     # cut inside an immediate: f32.const with two of its four bytes
     (b"\x43\x00\x00", 24, "unexpected end of section"),
+    # cut inside a LEB128 immediate: i32.const, local.get, and the offset
+    # of a memarg whose alignment byte is there
+    (b"\x41\x80", 24, "truncated LEB128 integer"),
+    (b"\x20\x80", 24, "truncated LEB128 integer"),
+    (b"\x28\x02\x80", 25, "truncated LEB128 integer"),
+    # an i32.const whose immediate takes 6 bytes, one more than s32 allows
+    (b"\x41" + b"\x80" * 5 + b"\x00\x0b", 24, "LEB128 integer too long"),
     # 0x27 is neither an MVP opcode nor a post-MVP prefix
     (b"\x01\x27\x0b", 24, "unknown opcode 0x27"),
 ])
@@ -220,3 +229,95 @@ def test_pickle_keeps_every_site_of_a_hardened_module(protocol):
     assert m2 == m and sites(m2) == sites(m)
     kinds = {s.kind for s in sites(m) if s}
     assert "heap-overflow" in kinds and "cov-entry" in kinds
+
+
+# immediates on and around the LEB128 length edges: 1 -> 2 bytes at 64
+# (signed) and 128 (unsigned), 2 -> 3 bytes at 8192 and 16384
+_S_EDGES = [0, 1, 63, 64, -64, -65, 127, 128, 129, -1, 8191, 8192, -8192,
+            -8193, 2**31 - 1, -(2**31)]
+_U_EDGES = [0, 1, 63, 64, 127, 128, 129, 8191, 8192, 16383, 16384,
+            2**32 - 1]
+_BLOCK_TYPES = [None, "i32", "i64", "f32", "f64"]
+
+_straight_line = st.one_of(
+    st.sampled_from([I("nop"), I("drop"), I("i32.add"), I("f64.neg"),
+                     I("memory.size"), I("memory.grow"), I("return")]),
+    st.builds(I, st.just("i32.const"), st.sampled_from(_S_EDGES)),
+    st.builds(I, st.just("i64.const"),
+              st.sampled_from(_S_EDGES + [2**63 - 1, -(2**63)])),
+    st.builds(I, st.sampled_from(["local.get", "local.set", "local.tee",
+                                  "global.get", "br", "br_if", "call"]),
+              st.sampled_from(_U_EDGES)),
+    st.builds(I, st.sampled_from(["i32.load", "i64.store8", "f32.load"]),
+              st.sampled_from([0, 1, 2, 3]), st.sampled_from(_U_EDGES)),
+    st.builds(lambda ti: I("call_indirect", ti), st.sampled_from(_U_EDGES)),
+    st.builds(lambda ts, d: I("br_table", tuple(ts), d),
+              st.lists(st.sampled_from(_U_EDGES), max_size=3),
+              st.sampled_from(_U_EDGES)),
+)
+
+
+def _nested(children):
+    """A block, loop or if around instructions, maybe with an else."""
+    return st.builds(
+        lambda op, bt, body, other: ([I(op, bt)] + body
+                                     + ([I("else")] + other if other else [])
+                                     + [I("end")]),
+        st.sampled_from(["block", "loop", "if"]),
+        st.sampled_from(_BLOCK_TYPES), children,
+        st.lists(_straight_line, max_size=3))
+
+
+_instr_seqs = st.recursive(
+    st.lists(_straight_line, max_size=8),
+    lambda children: st.lists(st.one_of(children, _nested(children)),
+                              max_size=4).map(lambda xs: sum(xs, [])),
+    max_leaves=20)
+
+
+def _module_of(bodies, init):
+    m = ModuleIR()
+    ti = m.add_type(FuncType((), ()))
+    for body in bodies:
+        m.functions.append(FunctionIR(ti, ["i32", "i64"], body + [I("end")]))
+    m.globals.append(Global("i32", True, [I("i32.const", init)]))
+    return m
+
+
+@given(st.lists(_instr_seqs, min_size=1, max_size=3),
+       st.sampled_from(_S_EDGES))
+def test_decoder_round_trips_immediates_on_leb_length_edges(bodies, init):
+    m = _module_of(bodies, init)
+    assert parse_module(encode_module(m)) == m
+
+
+def test_equal_encodings_share_one_instr_within_a_parse_only():
+    # i32.const 129 (41 81 01) and 8193 (41 81 c0 00) start with the same
+    # two bytes, and i32.const 1 (41 01) with the same opcode: a key must
+    # match only a whole encoding
+    body = [I("i32.const", v) for v in (1, 129, 1, 8193, 129, 1, 8193)]
+    body += [I("local.get", 1), I("i32.load", 2, 1), I("local.get", 1),
+             I("i32.load", 2, 1), I("i32.add"), I("i32.add"), I("drop")]
+    m = _module_of([body, list(body)], 1)
+    binary = encode_module(m)
+    first, second = parse_module(binary), parse_module(binary)
+    assert first == m and second == m
+
+    def instrs(module):
+        return ([i for f in module.functions for i in f.body]
+                + module.globals[0].init)
+
+    # an opcode with a 1-2 byte immediate, or none, decodes to one object
+    # per encoding; a longer one, such as i32.const 8193's, to one each
+    by_encoding = {}
+    for instr in instrs(first):
+        imm = IMMEDIATES[IMM_KIND[instr.op]][1](instr.args)
+        if len(imm) <= 2:
+            key = (instr.op, imm)
+            assert by_encoding.setdefault(key, instr) is instr
+    assert len({id(i) for i in instrs(first) if i.args == (8193,)}) == 4
+    # the constant of an op without immediates is the only object that
+    # two parses share
+    shared = {id(i) for i in instrs(first)} & {id(i) for i in instrs(second)}
+    assert shared == {id(i) for i in instrs(first) if IMM_KIND[i.op] == ""}
+    assert shared

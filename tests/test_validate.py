@@ -1,3 +1,5 @@
+import pytest
+
 import modbuild
 from wasmwarden import validate_module
 from wasmwarden.ir import (
@@ -201,3 +203,130 @@ def test_instructions_after_the_function_end_rejected():
         rep = validate_module(_minimal(body))
         assert not rep.ok
         assert "instruction 1" in str(rep) and "function's end" in str(rep)
+
+
+def _with_globals(body):
+    # global 0 is immutable, global 1 mutable; both i32
+    m = _minimal(body)
+    m.globals.append(Global("i32", False, [I("i32.const", 0)]))
+    m.globals.append(Global("i32", True, [I("i32.const", 0)]))
+    return m
+
+
+def _without_memory(body):
+    m = _minimal(body)
+    m.memory = None
+    return m
+
+
+def _caller(body):
+    # function 0 takes an i64; function 1 runs ``body``
+    m = ModuleIR()
+    m.memory = (1, None)
+    m.functions.append(FunctionIR(m.add_type(FuncType(("i64",), ())), [],
+                                  [I("end")]))
+    m.functions.append(FunctionIR(m.add_type(FuncType((), ())), [],
+                                  list(body)))
+    return m
+
+
+@pytest.mark.parametrize("module,expected", [
+    # straight-line typing: underflow, mismatch, leftovers
+    (_minimal([I("i32.add"), I("drop"), I("end")]),
+     "func 0: operand stack underflow"),
+    (_minimal([I("i32.const", 1), I("i64.const", 2), I("i32.add"),
+               I("drop"), I("end")]),
+     "func 0: type mismatch: expected i32, got i64"),
+    (_minimal([I("i32.const", 1), I("end")]),
+     "func 0: operand stack not empty at end of block"),
+    (_minimal([I("i64.const", 1), I("end")], results=("i32",)),
+     "func 0: type mismatch: expected i32, got i64"),
+    # an op cannot take its operands from below its block
+    (_minimal([I("i32.const", 1), I("block", None), I("i32.eqz"),
+               I("drop"), I("end"), I("drop"), I("end")]),
+     "func 0: operand stack underflow"),
+    (_minimal([I("i32.const", 1), I("block", None), I("local.tee", 0),
+               I("end"), I("drop"), I("end")], locals_=("i32",)),
+     "func 0: operand stack underflow"),
+    (_minimal([I("local.set", 0), I("end")], locals_=("i32",)),
+     "func 0: operand stack underflow"),
+    (_minimal([I("f32.const", 0), I("local.tee", 0), I("drop"), I("end")],
+              locals_=("i32",)),
+     "func 0: type mismatch: expected i32, got f32"),
+    (_minimal([I("i32.const", 0), I("i64.const", 0), I("i32.store", 2, 0),
+               I("end")]),
+     "func 0: type mismatch: expected i32, got i64"),
+    # indices, mutability and memory arguments
+    (_minimal([I("local.get", 3), I("drop"), I("end")], locals_=("i32",)),
+     "func 0: local.get: local index 3 out of range"),
+    (_with_globals([I("i32.const", 1), I("global.set", 0), I("end")]),
+     "func 0: global.set on immutable global 0"),
+    (_with_globals([I("global.get", 2), I("drop"), I("end")]),
+     "func 0: global.get: global index 2 out of range"),
+    (_with_globals([I("i64.const", 1), I("global.set", 1), I("end")]),
+     "func 0: type mismatch: expected i32, got i64"),
+    (_minimal([I("i32.const", 0), I("i32.load", 3, 0), I("drop"), I("end")]),
+     "func 0: i32.load: alignment 2^3 exceeds natural"),
+    (_without_memory([I("i32.const", 0), I("i32.load", 2, 0), I("drop"),
+                      I("end")]),
+     "func 0: i32.load: module has no memory"),
+    (_without_memory([I("memory.size"), I("drop"), I("end")]),
+     "func 0: memory.size: module has no memory"),
+    # the rest of the instruction set
+    (_minimal([I("i32.const", 1), I("i64.const", 2), I("i32.const", 0),
+               I("select"), I("drop"), I("end")]),
+     "func 0: select operands differ: i64 vs i32"),
+    (_minimal([I("block", None), I("br", 5), I("end"), I("end")]),
+     "func 0: branch label 5 out of range"),
+    (_minimal([I("i32.const", 1), I("if", "i32"), I("i32.const", 1),
+               I("else"), I("i64.const", 2), I("end"), I("drop"), I("end")]),
+     "func 0: type mismatch: expected i32, got i64"),
+    (_minimal([I("i32.const", 1), I("if", "i32"), I("i32.const", 1),
+               I("end"), I("drop"), I("end")]),
+     "func 0: if without else cannot produce a value"),
+    (_caller([I("i32.const", 1), I("call", 0), I("end")]),
+     "func 1: type mismatch: expected i64, got i32"),
+    (_caller([I("call", 0), I("end")]), "func 1: operand stack underflow"),
+    (_caller([I("call", 2), I("end")]),
+     "func 1: call: function index 2 out of range"),
+    (_minimal([I("end"), I("drop"), I("end")]),
+     "func 0: instruction 1 (drop) follows the function's end"),
+    (_minimal([I("i32.const", 1), I("drop")]),
+     "func 0: function body not terminated by end"),
+    # below unreachable, br and return the stack is polymorphic, but a
+    # value pushed there keeps its type
+    (_minimal([I("unreachable"), I("i32.add"), I("drop"), I("end")]),
+     "valid"),
+    (_minimal([I("br", 0), I("i64.store", 3, 0), I("end")]), "valid"),
+    (_minimal([I("return"), I("local.set", 0), I("f64.const", 0),
+               I("global.set", 0), I("end")], locals_=("i64",)),
+     "func 0: global.set: global index 0 out of range"),
+    (_minimal([I("unreachable"), I("local.tee", 0), I("i64.eqz"),
+               I("select"), I("end")], results=("i32",), locals_=("i64",)),
+     "valid"),
+    (_minimal([I("i32.const", 1), I("block", None), I("unreachable"),
+               I("i32.eqz"), I("drop"), I("end"), I("drop"), I("end")]),
+     "valid"),
+    (_minimal([I("block", "i32"), I("i32.const", 1), I("br", 0),
+               I("i32.add"), I("end"), I("drop"), I("end")]),
+     "valid"),
+    (_minimal([I("unreachable"), I("i64.const", 1), I("i32.add"), I("drop"),
+               I("end")]),
+     "func 0: type mismatch: expected i32, got i64"),
+    (_minimal([I("unreachable"), I("i32.const", 1), I("i64.const", 1),
+               I("i64.add"), I("end")]),
+     "func 0: type mismatch: expected i64, got i32"),
+])
+def test_report_text(module, expected):
+    assert str(validate_module(module)) == expected
+
+
+def test_a_variable_of_no_value_type_is_reported_not_raised():
+    # only a hand-built module can declare one
+    m = _minimal([I("local.get", 0), I("drop"), I("end")], locals_=("v128",))
+    assert str(validate_module(m)) == (
+        "func 0: local.get: local 0 has type 'v128', not a value type")
+    m = _minimal([I("global.get", 0), I("drop"), I("end")])
+    m.imports.append(Import("env", "g", "global", ("v128", False)))
+    assert str(validate_module(m)) == (
+        "func 0: global.get: global 0 has type 'v128', not a value type")
