@@ -6,14 +6,14 @@ each run is fuel metered, and traps are classified for crash triage.
 ``Engine()`` validates every body but compiles none: a body is compiled,
 from the validator's block record, the first time its function is
 entered, since a campaign calls few of a module's functions. A compiled
-body is a list of tuples that ``Engine._run`` steps one at a time. Each
-straight-line run in it (two or more ops that neither branch nor call,
-entered only at its head) is also fused into one generated Python
-function, on its first execution: stack slots become Python locals and
-the run costs one dispatch. Generated sources take their immediates as
-parameters, so runs of the same shape share one compiled template, bound
-to each run's immediates as its defaults; compiled bodies and templates
-are kept per ``Engine``, never across engines.
+body is a tuple of tuples that ``Engine._run`` steps one at a time, and
+nothing patches it. Each straight-line run in it (two or more ops that
+neither branch nor call, entered only at its head) is fused into one
+generated Python function when the body is compiled: stack slots become
+Python locals and the run costs one dispatch. Generated sources take
+their immediates as parameters, so runs of the same shape share one
+compiled template, bound to each run's immediates as its defaults;
+compiled bodies and templates are kept per ``Engine``, never across engines.
 
 Fusing is exact. A run charges its length in fuel at once when that fits
 the budget; otherwise it is stepped, so fuel runs out on the same
@@ -448,7 +448,7 @@ C_MEMGROW = 19
 C_CONST = 20
 C_NUM1 = 21
 C_NUM2 = 22
-# a fused run: (C_BLOCK, its function or None, length, the head's tuple)
+# a fused run: (C_BLOCK, its function, length, the head's tuple)
 C_BLOCK = 23
 
 _NOP = (C_NOP,)
@@ -617,9 +617,10 @@ class _FuncMeta:
 
 
 def _compile_body(body, nresults: int, types: list[FuncType],
-                  blocks: dict[int, tuple]) -> list[tuple]:
+                  blocks: dict[int, tuple], fuse) -> tuple:
     """Flat body of a validated function -> compiled tuples. ``blocks`` is
-    the validator's record of the body's blocks (``ValidationReport.blocks``).
+    the validator's record of the body's blocks (``ValidationReport.blocks``);
+    ``fuse`` makes the function of a run from its stepped tuples.
 
     A branch compiles to (code, target pc, arity, height): it keeps its top
     ``arity`` values, cuts the operand stack to ``height`` values above
@@ -629,8 +630,8 @@ def _compile_body(body, nresults: int, types: list[FuncType],
 
     Each maximal run of two or more ops that neither branch nor call,
     cut before every branch target, becomes a fused run: its head's tuple
-    is wrapped in ``(C_BLOCK, None, length, tuple)`` and the rest keep
-    theirs. Control enters a run only at its head.
+    is wrapped in ``(C_BLOCK, fuse(run), length, tuple)`` and the rest
+    keep theirs. Control enters a run only at its head.
     """
     # per open label: (target pc, arity, height); the outermost is the
     # function's own label
@@ -638,6 +639,7 @@ def _compile_body(body, nresults: int, types: list[FuncType],
     code: list[tuple] = []
     entries = set()  # pcs a branch may jump to, loop heads among them
     head = None  # where the current run starts
+    runs = []  # (head, end) of each maximal run
     for pc, instr in enumerate(body):
         op = instr.op
         a = instr.args
@@ -689,19 +691,17 @@ def _compile_body(body, nresults: int, types: list[FuncType],
             if head is None:
                 head = pc
             elif pc in entries:
-                _fuse_later(code, head, pc)
+                runs.append((head, pc))
                 head = pc
         elif head is not None:
-            _fuse_later(code, head, pc)
+            runs.append((head, pc))
             head = None
-    return code  # a valid body ends in its final end, which is no run
-
-
-def _fuse_later(code: list[tuple], head: int, end: int):
-    """Mark ``code[head:end]`` as a run if it holds two or more ops; its
-    function is made the first time it runs."""
-    if end - head >= 2:
-        code[head] = (C_BLOCK, None, end - head, code[head])
+    # a valid body ends in its final end, which is no run
+    for head, end in runs:
+        if end - head >= 2:
+            code[head] = (C_BLOCK, fuse(code[head:end]), end - head,
+                          code[head])
+    return tuple(code)
 
 
 _WASI_MODULE = "wasi_snapshot_preview1"
@@ -842,6 +842,8 @@ def _wasi_proc_exit(inst, code):
 
 
 def _wasi_random_get(inst, buf, n):
+    if buf + n > len(inst.memory):  # before the n draws fuel does not meter
+        raise _Trap(MEM_OOB)
     if inst.rng is None:  # seeding costs ~7 us, so only modules that ask pay
         inst.rng = random.Random(inst.wasi.rng_seed)
     inst.mem_write(buf, bytes(inst.rng.getrandbits(8) for _ in range(n)))
@@ -937,7 +939,7 @@ class Engine:
 
         self.exports = module.export_map()
         self.n_host = n_host
-        # run source -> its template function, filled as runs first execute
+        # run source -> its template function, filled as bodies are compiled
         self._templates: dict[str, object] = {}
         # the map base the coverage pass wrote into its accessor; None when
         # the accessor is missing or not a constant
@@ -1025,29 +1027,26 @@ class Engine:
             )
         return meta
 
-    def compiled(self, meta: _FuncMeta) -> list[tuple]:
-        """The compiled body of ``meta``'s function, built the first time
-        it is asked for."""
+    def compiled(self, meta: _FuncMeta) -> tuple:
+        """The compiled body of ``meta``'s function, with the function of
+        every run in it, built the first time it is asked for."""
         if meta.code is None:
             i = meta.func_idx - self.n_host
             meta.code = _compile_body(self.module.functions[i].body,
                                       meta.nresults, self.module.types,
-                                      self._blocks[i])
+                                      self._blocks[i], self._run_function)
         return meta.code
 
-    def _fuse(self, code: list[tuple], head: int):
-        """Make the function of the run at ``head`` and put it in place."""
-        _, _, n, first = code[head]
-        src, params = _run_source([first, *code[head + 1: head + n]])
+    def _run_function(self, ops: list[tuple]) -> FunctionType:
+        """The template of the run ``ops``, bound to its immediates."""
+        src, params = _run_source(ops)
         template = self._templates.get(src)
         if template is None:
             names = dict(_RUN_NAMES)
             exec(compile(src, "<wasm run>", "exec"), names)
             template = self._templates[src] = names["run"]
-        run = FunctionType(template.__code__, template.__globals__, "run",
-                           tuple(params))
-        code[head] = (C_BLOCK, run, n, first)
-        return run
+        return FunctionType(template.__code__, template.__globals__, "run",
+                            tuple(params))
 
     def _execute(self, inst: Instance, calls: list[_FuncMeta], args: list,
                  limits: RunLimits) -> tuple[ExecOutcome, list]:
@@ -1105,8 +1104,7 @@ class Engine:
                 if c == C_BLOCK:
                     n = ins[2]
                     if executed + n <= fuel:
-                        run = ins[1] or self._fuse(code, pc)
-                        run(vals, locals_, glb, mem)
+                        ins[1](vals, locals_, glb, mem)
                         executed += n
                         pc += n
                         continue

@@ -52,33 +52,42 @@ class CoverageSite:
 def mark_branch_sites(f: FunctionIR) -> list[CoverageSite]:
     """Mark every branching point: if/else/loop openers, br_if, the ends
     that are branch targets, plus the function entry (indirect calls make
-    every function a potential branch target)."""
+    every function a potential branch target). A branch to a loop goes to
+    its head, which has a site already, so it marks no end."""
     sites = [CoverageSite(0, "entry")]
-    depth = 0
-    targets: set[int] = set()
+    # the op that opened each open label, the function's own label first
+    openers = ["block"]
+    targets: set[int] = set()  # depths of the labels a branch goes to
     last = len(f.body) - 1
+
+    def branch_to(labels):
+        for t in labels:
+            depth = len(openers) - 1 - t
+            if openers[depth] != "loop":
+                targets.add(depth)
+
     for pos, instr in enumerate(f.body):
         op = instr.op
         if op in ("block", "if", "loop"):
-            depth += 1
+            openers.append(op)
             if op in ("if", "loop"):
                 sites.append(CoverageSite(pos, op))
         elif op == "else":
             sites.append(CoverageSite(pos, "else"))
         elif op == "br_if":
-            targets.add(depth - instr.args[0])
+            branch_to(instr.args)
             sites.append(CoverageSite(pos, "br_if"))
         elif op == "br_table":
             labels, default = instr.args
-            for t in (*labels, default):
-                targets.add(depth - t)
+            branch_to((*labels, default))
         elif op == "end":
             # the terminal end closes the function itself; a branch there
             # is a return and is covered by the caller's next site
+            depth = len(openers) - 1
             if depth in targets and pos != last:
                 sites.append(CoverageSite(pos, "end"))
                 targets.discard(depth)
-            depth -= 1
+            openers.pop()
     return sites
 
 

@@ -353,6 +353,15 @@ def _check_const_expr(
     report.add(f"{ctx}: non-constant init expression ({instr.op})")
 
 
+MAX_MEMORY_PAGES = 65536  # 4 GiB: the most a memory's limits may name
+
+
+def _check_memory_limits(limits: tuple, report: ValidationReport, ctx: str):
+    if any(n is not None and n > MAX_MEMORY_PAGES for n in limits):
+        report.add(f"{ctx}: memory size must be at most {MAX_MEMORY_PAGES} "
+                   "pages (4 GiB)")
+
+
 def validate_module(m: ModuleIR) -> ValidationReport:
     """Type-check a module; returns an empty report iff it is valid."""
     index = _ModuleIndex(m)
@@ -362,6 +371,10 @@ def validate_module(m: ModuleIR) -> ValidationReport:
     for i, im in enumerate(m.imports):
         if im.kind == "func" and im.desc >= len(m.types):
             report.add(f"import {i}: type index {im.desc} out of range")
+        if im.kind == "memory":
+            _check_memory_limits(im.desc, report, f"import {i}")
+    if m.memory is not None:
+        _check_memory_limits(m.memory, report, "memory")
 
     for i, g in enumerate(m.globals):
         _check_const_expr(index, g.init, g.valtype, report, f"global {i}")

@@ -397,8 +397,8 @@ def inputs(tmp_path, hardened, victim_wasm):
     """A directory of the files the refusal cases name: ``v.wasm`` and its
     instrumented ``v.h`` (with sidecar), a crashing input, a seeds dir and
     one whose seed crashes, a garbage binary, modules with one and with
-    two functions that fail validation, a malformed sidecar, a plain file
-    and a directory."""
+    two functions that fail validation, one whose memory limit is past
+    4 GiB, a malformed sidecar, a plain file and a directory."""
     d = tmp_path / "inputs"
     d.mkdir()
     (d / "v.wasm").write_bytes(victim_wasm.read_bytes())
@@ -418,6 +418,10 @@ def inputs(tmp_path, hardened, victim_wasm):
     modbuild.add_func(invalid, (), (), [], [I("i32.add"), I("drop"),
                                            I("end")])
     (d / "invalid2.wasm").write_bytes(encode_module(invalid))
+    # a max past 2^16 pages; a check that let it through would run one page
+    huge = modbuild.victim_module()
+    huge.memory = (huge.memory[0], 65537)
+    (d / "huge.wasm").write_bytes(encode_module(huge))
     (d / "malformed.json").write_text("{not json")
     (d / "file").write_bytes(b"")
     (d / "dir").mkdir()
@@ -444,6 +448,7 @@ REFUSALS = {
     "cov-invalid-module": (["cov", "invalid.wasm"], EXIT_PARSE, None),
     "run-two-invalid-functions": (["run", "invalid2.wasm"], EXIT_PARSE,
                                   None),
+    "run-memory-past-4-gib": (["run", "huge.wasm"], EXIT_PARSE, None),
     "fuzz-invalid-module": (["fuzz", "invalid.wasm", "-o", "c", "--seeds",
                              "s", *FUZZ], EXIT_PARSE, "c"),
     "fuzz-uninstrumented": (["fuzz", "v.wasm", "-o", "c", "--seeds", "s",

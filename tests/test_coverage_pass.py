@@ -75,6 +75,34 @@ def test_br_table_targets_marked_via_their_ends():
     assert [s.position for s in sites[1:]] == [4, 5]
 
 
+@pytest.mark.parametrize("body,sites", [
+    # br_if to a loop goes back to its head, which the loop site covers;
+    # its end is reached only by falling through
+    ([I("loop", None), I("local.get", 0), I("br_if", 0), I("end"),
+      I("end")],
+     [("entry", 0), ("loop", 0), ("br_if", 2)]),
+    # br_table to a loop label only
+    ([I("loop", None), I("local.get", 0), I("br_table", (0,), 0),
+      I("end"), I("end")],
+     [("entry", 0), ("loop", 0)]),
+    # br_table to a loop label and to the block around it
+    ([I("block", None), I("loop", None), I("local.get", 0),
+      I("br_table", (0,), 1), I("end"), I("end"), I("end")],
+     [("entry", 0), ("loop", 1), ("end", 5)]),
+    # a block target is still marked
+    ([I("block", None), I("local.get", 0), I("br_if", 0), I("end"),
+      I("end")],
+     [("entry", 0), ("br_if", 2), ("end", 3)]),
+    # and so is an if target
+    ([I("local.get", 0), I("if", None), I("local.get", 0), I("br_if", 0),
+      I("end"), I("end")],
+     [("entry", 0), ("if", 1), ("br_if", 3), ("end", 4)]),
+])
+def test_only_block_and_if_labels_mark_their_end(body, sites):
+    f = FunctionIR(0, ["i32"], body)
+    assert [(s.site_kind, s.position) for s in mark_branch_sites(f)] == sites
+
+
 def test_shim_is_eleven_instructions_updating_the_edge_counter():
     base = 3 * MAP_SIZE
     shim = emit_coverage_shim(0x40, prev_global=1, trace_base=base,

@@ -563,6 +563,25 @@ def test_wasi_rng_is_made_by_the_first_random_get():
         rng.getrandbits(8) for _ in range(8))
 
 
+# a check after the draws would spend ~1 s on 8,000,000 of them
+@pytest.mark.parametrize("buf,n", [(64, 8_000_000), (65536 - 7, 8)])
+def test_wasi_random_get_out_of_bounds_traps_before_drawing(buf, n):
+    m = modbuild.new_module(imports=(), pages=1)
+    ti = m.add_type(FuncType(("i32", "i32"), ("i32",)))
+    m.imports.append(
+        Import("wasi_snapshot_preview1", "random_get", "func", ti)
+    )
+    start = modbuild.add_start(m, [I("i32.const", buf), I("i32.const", n),
+                                   I("call", 0), I("drop"), I("end")])
+    eng = Engine(m)
+    inst = eng.instantiate()
+    out = eng.run_start(inst, RunLimits(fuel=100))
+    assert (out.status, out.trap_kind) == ("trap", MEM_OOB)
+    assert (out.trap_function, out.trap_offset) == (start, 2)
+    assert out.instructions_executed == 3
+    assert inst.rng is None and not any(inst.memory)
+
+
 def _sizes_get(name: str, wasi: WasiConfig) -> tuple[int, int]:
     """The two u32 answers of the WASI call ``name`` (``args_sizes_get``
     or ``environ_sizes_get``): the entry count and the total bytes."""

@@ -5,6 +5,8 @@ reference: every ``ExecOutcome`` field, the memory, the globals and the
 trace bits of a fused engine must equal its.
 """
 
+from types import FunctionType
+
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
@@ -72,18 +74,27 @@ def test_corpus_matches_the_step_path():
     assert compared >= 40
 
 
-def test_engine_makes_no_source_until_a_run_executes():
+def test_engine_makes_no_source_until_a_body_is_entered():
     m = hardened(modbuild.victim_module())
     eng = Engine(m)
+    assert eng._templates == {}
     blocks = [ins for meta in eng.metas for ins in eng.compiled(meta)
               if ins[0] == C_BLOCK]
-    assert blocks and all(ins[1] is None for ins in blocks)
-    assert eng._templates == {}
-    eng.run_start(eng.instantiate(WasiConfig(stdin=b"AAAA")))
-    made = [ins for meta in eng.metas for ins in eng.compiled(meta)
-            if ins[0] == C_BLOCK and ins[1] is not None]
-    assert 0 < len(eng._templates) <= len(made) < len(blocks)
+    assert blocks and all(isinstance(ins[1], FunctionType) for ins in blocks)
+    assert 0 < len(eng._templates) <= len(blocks)
     assert Engine(m)._templates == {}  # nothing is shared across engines
+
+
+def test_running_never_changes_a_compiled_body():
+    eng = Engine(hardened(modbuild.victim_module()))
+    before = [(eng.compiled(meta), list(eng.compiled(meta)))
+              for meta in eng.metas]
+    templates = dict(eng._templates)
+    for data in (b"AAAA", b"42" + b"A" * 14, b"42" + b"A" * 21, b""):
+        eng.run_start(eng.instantiate(WasiConfig(stdin=data)))
+    for meta, (code, ops) in zip(eng.metas, before):
+        assert eng.compiled(meta) is code and list(code) == ops
+    assert eng._templates == templates
 
 
 def test_runs_that_differ_in_immediates_share_a_template():

@@ -219,6 +219,16 @@ def _without_memory(body):
     return m
 
 
+def _with_memory(limits, imported=False):
+    m = _minimal([I("end")])
+    if imported:
+        m.memory = None
+        m.imports.append(Import("env", "mem", "memory", limits))
+    else:
+        m.memory = limits
+    return m
+
+
 def _caller(body):
     # function 0 takes an i64; function 1 runs ``body``
     m = ModuleIR()
@@ -316,6 +326,17 @@ def _caller(body):
     (_minimal([I("unreachable"), I("i32.const", 1), I("i64.const", 1),
                I("i64.add"), I("end")]),
      "func 0: type mismatch: expected i64, got i32"),
+    # a memory's limits name at most 2^16 pages
+    (_with_memory((65537, None)),
+     "memory: memory size must be at most 65536 pages (4 GiB)"),
+    (_with_memory((1, 65537)),
+     "memory: memory size must be at most 65536 pages (4 GiB)"),
+    (_with_memory((65536, 65536)), "valid"),
+    (_with_memory((65537, None), imported=True),
+     "import 0: memory size must be at most 65536 pages (4 GiB)"),
+    (_with_memory((0, 65537), imported=True),
+     "import 0: memory size must be at most 65536 pages (4 GiB)"),
+    (_with_memory((0, 65536), imported=True), "valid"),
 ])
 def test_report_text(module, expected):
     assert str(validate_module(module)) == expected
