@@ -16,6 +16,7 @@ import argparse
 import logging
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .encoder import encode_module
 from .interp import (
@@ -23,19 +24,25 @@ from .interp import (
     Engine,
     InvalidModule,
     RunLimits,
+    SeedCrashes,
     WasiConfig,
     classify_crash,
     exec_argv,
 )
 from .ir import MalformedBinary, WasmError
 from .parser import parse_module
-from .passes.coverage import ACCESSOR_NAME, apply_coverage_pass
+from .passes.coverage import (
+    ACCESSOR_NAME,
+    COUNT_BUCKET,
+    apply_coverage_pass,
+)
 from .passes.heap_canary import HeapConfig, apply_heap_pass
 from .passes.sites import ORACLE_KINDS, SiteTable, collect_sites
 from .passes.stack_canary import CanaryConfig, apply_stack_pass
 from .validate import validate_module
-from .fuzz.bitmap import bucket_for_count
-from .fuzz.engine import FuzzConfig, Fuzzer, SeedCrashes
+
+if TYPE_CHECKING:
+    from .fuzz.engine import FuzzConfig
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -174,13 +181,15 @@ def cmd_cov(args) -> int:
         if raw:
             edges += 1
             print(f"{idx:5d} count={raw:3d} "
-                  f"bucket=0x{bucket_for_count(raw):02x}")
+                  f"bucket=0x{COUNT_BUCKET[raw]:02x}")
     print(f"total edges hit: {edges}")
     return EXIT_OK
 
 
 def _run_campaign(module, seeds: list[bytes], cfg: FuzzConfig,
                   sites: SiteTable, quiet: bool = False) -> int:
+    from .fuzz.engine import Fuzzer
+
     fuzzer = Fuzzer(module, sites, cfg)
     if not quiet:
         fuzzer.on_stats = lambda s: print(
@@ -204,6 +213,9 @@ def _campaign_worker(task) -> int:
 
 
 def cmd_fuzz(args) -> int:
+    # the fuzzer imports numpy (~0.1 s), which no other command needs
+    from .fuzz.engine import FuzzConfig, Fuzzer
+
     if args.seeds is None and not args.resume:
         raise UsageError("fuzz needs --seeds (or --resume)")
     sites = _load_sites(args.binary, args.sites)

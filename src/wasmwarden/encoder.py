@@ -32,8 +32,34 @@ def encode_instr(instr: Instr) -> bytes:
     return op + write(instr.args)
 
 
-def _expr(instrs: list[Instr]) -> bytes:
-    return b"".join(encode_instr(i) for i in instrs) + b"\x0b"
+def _memo_encoder():
+    """``encode(instrs)``: the bytes of ``instrs``, with ``encode_instr``
+    called once per distinct instruction.
+
+    The memo is looked up by ``id(instr)`` first, which is sound only
+    while every instruction it has seen stays alive: ids are reused after
+    garbage collection, so one memo serves one ``encode_module`` call, whose
+    module holds all of them. On a miss it falls back to ``(op, args)``,
+    so equal instructions built apart share one encoding; ``site`` is not
+    encoded and is not part of the key.
+    """
+    by_id: dict[int, bytes] = {}
+    by_value: dict[tuple, bytes] = {}
+
+    def encode(instrs: list[Instr]) -> bytes:
+        out = []
+        for instr in instrs:
+            b = by_id.get(id(instr))
+            if b is None:
+                key = (instr.op, instr.args)
+                b = by_value.get(key)
+                if b is None:
+                    b = by_value[key] = encode_instr(instr)
+                by_id[id(instr)] = b
+            out.append(b)
+        return b"".join(out)
+
+    return encode
 
 
 def _section(sec_id: int, payload: bytes) -> bytes:
@@ -51,6 +77,10 @@ def encode_module(m: ModuleIR) -> bytes:
     any module that validates.
     """
     out = bytearray(MAGIC + VERSION)
+    code = _memo_encoder()
+
+    def _expr(instrs: list[Instr]) -> bytes:
+        return code(instrs) + b"\x0b"
 
     customs_after: dict[int, list[bytes]] = {}
     for cs in m.custom_sections:
@@ -154,7 +184,7 @@ def encode_module(m: ModuleIR) -> bytes:
                     for n, vt in locals_runs
                 ]
             )
-            body += b"".join(encode_instr(i) for i in f.body)
+            body += code(f.body)
             items.append(write_uleb(len(body)) + body)
         out.extend(_section(10, _vec(items)))
         emit_customs(10)

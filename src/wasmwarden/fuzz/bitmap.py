@@ -15,19 +15,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..passes.coverage import MAP_SIZE
+from ..passes.coverage import COUNT_BUCKET, MAP_SIZE
 
-# counter value -> one-hot bucket bit: 0, 1, 2, 3, 4-7, 8-15, 16-31,
-# 32-127, 128-255
-_LUT = np.zeros(256, dtype=np.uint8)
-_LUT[1] = 1
-_LUT[2] = 2
-_LUT[3] = 4
-_LUT[4:8] = 8
-_LUT[8:16] = 16
-_LUT[16:32] = 32
-_LUT[32:128] = 64
-_LUT[128:256] = 128
+_LUT = np.array(COUNT_BUCKET, dtype=np.uint8)
 
 NO_NEW = 0
 NEW_BUCKET = 1
@@ -58,7 +48,7 @@ def classify_counts(trace: bytes | memoryview) -> Bucketed:
 
 def bucket_for_count(count: int) -> int:
     """Scalar version of the bucket table (for reports and debugging)."""
-    return int(_LUT[count])
+    return COUNT_BUCKET[count]
 
 
 class VirginMap:

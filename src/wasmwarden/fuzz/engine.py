@@ -17,6 +17,7 @@ from ..interp import (
     Engine,
     ExecOutcome,
     RunLimits,
+    SeedCrashes,
     WasiConfig,
     classify_crash,
     exec_argv,
@@ -33,14 +34,6 @@ STATS_FLUSH_EVERY = 1.0  # seconds
 # one empty file per queue entry whose deterministic stages are done,
 # named by the SHA-256 of its bytes; outside queue/, which holds inputs only
 DONE_MARKERS = Path(".state", "deterministic_done")
-
-
-class SeedCrashes(WasmError):
-    def __init__(self, crashing: list[int], what: str = "seed input(s)"):
-        super().__init__(
-            f"{what} {crashing} crash the target before fuzzing starts"
-        )
-        self.crashing = crashing
 
 
 class AllSeedsInvalid(WasmError):

@@ -86,6 +86,18 @@ class NoEntryPoint(WasmError):
     pass
 
 
+class SeedCrashes(WasmError):
+    """A campaign's inputs crash the target before fuzzing starts. The
+    fuzzer raises it; it lives here so that the CLI maps it to an exit
+    code without importing the fuzzer, which imports numpy."""
+
+    def __init__(self, crashing: list[int], what: str = "seed input(s)"):
+        super().__init__(
+            f"{what} {crashing} crash the target before fuzzing starts"
+        )
+        self.crashing = crashing
+
+
 MAX_PAGES = 1024  # memory.grow fails past this many pages
 MAX_CALL_DEPTH = 10_000  # calls nested below the entry; one more traps
 
@@ -841,12 +853,21 @@ def _wasi_proc_exit(inst, code):
     raise _ProcExit(_s32(code))
 
 
+# bytes ``random_get`` draws at a time, so a draw's integer stays 256 KiB
+RANDOM_CHUNK = 1 << 16
+
+
 def _wasi_random_get(inst, buf, n):
     if buf + n > len(inst.memory):  # before the n draws fuel does not meter
         raise _Trap(MEM_OOB)
     if inst.rng is None:  # seeding costs ~7 us, so only modules that ask pay
         inst.rng = random.Random(inst.wasi.rng_seed)
-    inst.mem_write(buf, bytes(inst.rng.getrandbits(8) for _ in range(n)))
+    # n calls of getrandbits(8), each the top byte of one 32-bit Mersenne
+    # Twister word: the same bytes and the same RNG state afterwards
+    for at in range(0, n, RANDOM_CHUNK):
+        k = min(RANDOM_CHUNK, n - at)
+        words = inst.rng.getrandbits(32 * k).to_bytes(4 * k, "little")
+        inst.mem_write(buf + at, words[3::4])
     return ERRNO_SUCCESS
 
 

@@ -38,6 +38,12 @@ from .sites import SiteTable, collect_sites
 MAP_SIZE = PAGE  # one-byte counters, AFL-compatible, in the page added
 ACCESSOR_NAME = "__fuzzm_trace_bits"
 
+# counter value -> its one-hot hit-count bucket bit, AFL's classes: 0, 1,
+# 2, 3, 4-7, 8-15, 16-31, 32-127, 128-255. The fuzzer's bitmap builds its
+# array from this tuple, which needs no numpy.
+COUNT_BUCKET = ((0, 1, 2, 4) + (8,) * 4 + (16,) * 8 + (32,) * 16
+                + (64,) * 96 + (128,) * 128)
+
 
 class NoMemory(WasmError):
     pass
@@ -47,6 +53,11 @@ class NoMemory(WasmError):
 class CoverageSite:
     position: int  # instruction offset in the uninstrumented body
     site_kind: str  # entry | if | else | loop | br_if | end
+
+
+# the ops ``mark_branch_sites`` looks at
+_CONTROL = frozenset(("block", "if", "loop", "else", "br_if", "br_table",
+                      "end"))
 
 
 def mark_branch_sites(f: FunctionIR) -> list[CoverageSite]:
@@ -68,6 +79,8 @@ def mark_branch_sites(f: FunctionIR) -> list[CoverageSite]:
 
     for pos, instr in enumerate(f.body):
         op = instr.op
+        if op not in _CONTROL:
+            continue
         if op in ("block", "if", "loop"):
             openers.append(op)
             if op in ("if", "loop"):
@@ -91,24 +104,14 @@ def mark_branch_sites(f: FunctionIR) -> list[CoverageSite]:
     return sites
 
 
-def emit_coverage_shim(
-    cur_location: int,
-    prev_global: int,
-    trace_base: int,
-    scratch_local: int,
-    site_kind: str = "",
-) -> list[Instr]:
-    """11-instruction counter update: trace[cur ^ prev]++ then
-    prev = cur >> 1, with the map at ``trace_base``."""
-    assert 0 <= cur_location < MAP_SIZE
+def _shim_emitter(prev_global: int, trace_base: int, scratch_local: int):
+    """``emit(cur_location, site_kind="")``, which returns the shim of one
+    site: trace[cur ^ prev]++ then prev = cur >> 1, with the map at
+    ``trace_base``. Nine of a shim's 11 instructions depend only on the
+    function; they are built here once and shared by every shim ``emit``
+    returns."""
     assert trace_base % MAP_SIZE == 0
-    return [
-        Instr(
-            "i32.const",
-            (signed(trace_base | cur_location, 32),),
-            site=SiteInfo(f"cov-{site_kind}" if site_kind else "cov",
-                          id=cur_location),
-        ),
+    count_edge = [
         I("global.get", prev_global),
         I("i32.xor"),
         I("local.tee", scratch_local),
@@ -117,9 +120,38 @@ def emit_coverage_shim(
         I("i32.const", 1),
         I("i32.add"),
         I("i32.store8", 0, 0),
-        I("i32.const", cur_location >> 1),
-        I("global.set", prev_global),
     ]
+    set_prev = I("global.set", prev_global)
+
+    def emit(cur_location: int, site_kind: str = "") -> list[Instr]:
+        assert 0 <= cur_location < MAP_SIZE
+        return [
+            Instr(
+                "i32.const",
+                (signed(trace_base | cur_location, 32),),
+                site=SiteInfo(f"cov-{site_kind}" if site_kind else "cov",
+                              id=cur_location),
+            ),
+            *count_edge,
+            I("i32.const", cur_location >> 1),
+            set_prev,
+        ]
+
+    return emit
+
+
+def emit_coverage_shim(
+    cur_location: int,
+    prev_global: int,
+    trace_base: int,
+    scratch_local: int,
+    site_kind: str = "",
+) -> list[Instr]:
+    """11-instruction counter update: trace[cur ^ prev]++ then
+    prev = cur >> 1, with the map at ``trace_base``. The pass builds its
+    shims the same way, with one ``_shim_emitter`` per function."""
+    emit = _shim_emitter(prev_global, trace_base, scratch_local)
+    return emit(cur_location, site_kind)
 
 
 def _instrument_function(
@@ -128,32 +160,24 @@ def _instrument_function(
     rng: random.Random,
     prev_global: int,
     trace_base: int,
-) -> FunctionIR:
-    out = FunctionIR(f.type_idx, list(f.locals), list(f.body))
-    sites = mark_branch_sites(out)
-    scratch = add_fresh_local(m, out, "i32")
-
-    insert_before: dict[int, list[Instr]] = {}
-    insert_after: dict[int, list[Instr]] = {}
-    for site in sites:
-        shim = emit_coverage_shim(
-            rng.randrange(MAP_SIZE), prev_global, trace_base, scratch,
-            site.site_kind,
-        )
-        if site.site_kind == "entry":
-            insert_before.setdefault(site.position, []).extend(shim)
-        else:
-            insert_after.setdefault(site.position, []).extend(shim)
-
+) -> None:
+    """Give ``f``, a copy the pass owns, a scratch local and a shim at each
+    branch site: the entry shim before the first instruction, every other
+    one after its site's instruction."""
+    sites = mark_branch_sites(f)
+    emit = _shim_emitter(prev_global, trace_base,
+                         add_fresh_local(m, f, "i32"))
+    old = f.body
     body: list[Instr] = []
-    for pos, instr in enumerate(out.body):
-        if pos in insert_before:
-            body.extend(insert_before[pos])
-        body.append(instr)
-        if pos in insert_after:
-            body.extend(insert_after[pos])
-    out.body = body
-    return out
+    done = 0  # instructions of ``old`` already in ``body``
+    for site in sites:  # in body order, the entry site first
+        shim = emit(rng.randrange(MAP_SIZE), site.site_kind)
+        if site.site_kind != "entry":
+            body += old[done:site.position + 1]
+            done = site.position + 1
+        body += shim
+    body += old[done:]
+    f.body = body
 
 
 def apply_coverage_pass(
@@ -175,10 +199,8 @@ def apply_coverage_pass(
 
     prev_global = add_global(out, "i32", True, [I("i32.const", 0)])
 
-    out.functions = [
+    for f in out.functions:
         _instrument_function(out, f, rng, prev_global, trace_base)
-        for f in out.functions
-    ]
 
     # accessor: () -> i32 returning the trace-bits base
     accessor_type = out.add_type(FuncType((), ("i32",)))

@@ -100,6 +100,15 @@ def instrument_function_stack(
     return FunctionIR(f.type_idx, list(f.locals), body)
 
 
+def _opens_frame(body: list[Instr], sp_global: int) -> bool:
+    """Whether ``body`` writes the shadow stack pointer. It compares
+    fields, not ``Instr``s, whose generated ``__eq__`` is a Python call."""
+    for instr in body:
+        if instr.op == "global.set" and instr.args[0] == sp_global:
+            return True
+    return False
+
+
 def apply_stack_pass(
     m: ModuleIR, cfg: CanaryConfig | None = None
 ) -> tuple[ModuleIR, SiteTable]:
@@ -128,7 +137,7 @@ def apply_stack_pass(
     new_funcs = []
     for f in out.functions:
         canary = rng.getrandbits(64)
-        if I("global.set", cfg.sp_global) not in f.body:  # no frame
+        if not _opens_frame(f.body, cfg.sp_global):
             new_funcs.append(f)
             continue
         ftype = out.types[f.type_idx]

@@ -15,6 +15,13 @@ from wasmwarden.ir import (
     Instr,
     ModuleIR,
 )
+from wasmwarden.passes import (
+    CanaryConfig,
+    HeapConfig,
+    apply_coverage_pass,
+    apply_heap_pass,
+    apply_stack_pass,
+)
 
 WASI = "wasi_snapshot_preview1"
 FD_IO_TYPE = FuncType(("i32", "i32", "i32", "i32"), ("i32",))
@@ -25,6 +32,14 @@ INPUT_ADDR = 1024
 OUT_ADDR = 64
 IOV_ADDR = 8
 NREAD_ADDR = 16
+
+
+def hardened(m: ModuleIR) -> ModuleIR:
+    """``m`` after the heap, stack and coverage passes, at fixed seeds."""
+    m, _ = apply_heap_pass(m, HeapConfig(rng_seed=1))
+    m, _ = apply_stack_pass(m, CanaryConfig(rng_seed=1))
+    m, _ = apply_coverage_pass(m, rng_seed=3)
+    return m
 
 
 def new_module(imports=("fd_read", "fd_write"), pages=2) -> ModuleIR:

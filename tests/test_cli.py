@@ -489,3 +489,47 @@ def test_refused_command_prints_one_error_and_its_exit_code(inputs, case):
     assert proc.returncode == code, err
     if absent is not None:
         assert not (inputs / absent).exists()
+
+
+# run in a fresh process: the commands' exit code, unless numpy got imported
+NO_NUMPY = """import sys
+from wasmwarden.cli import main
+code = main(sys.argv[1:])
+sys.exit(100 if "numpy" in sys.modules else code)
+"""
+
+# ``cov`` of the hardened victim on an overflowing input, as it printed
+# when the bucket table was a numpy array
+COV_OVERFLOW = """\
+ 5755 count= 23 bucket=0x20
+ 8914 count= 23 bucket=0x20
+18624 count=  1 bucket=0x01
+22743 count=  1 bucket=0x01
+25132 count=  1 bucket=0x01
+32301 count=  1 bucket=0x01
+39945 count=  1 bucket=0x01
+44034 count=  1 bucket=0x01
+57593 count=  1 bucket=0x01
+64725 count=  1 bucket=0x01
+total edges hit: 10
+"""
+
+
+def test_instrument_run_and_cov_do_not_import_numpy(victim_wasm, tmp_path):
+    hardened, inp = tmp_path / "v.h.wasm", tmp_path / "in"
+    inp.write_bytes(b"42" + b"A" * 24)
+
+    def cli(*argv):
+        return subprocess.run(
+            [sys.executable, "-c", NO_NUMPY, *map(str, argv)],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True, text=True, timeout=60)
+
+    proc = cli("instrument", victim_wasm, "-o", hardened,
+               "--canary-seed", "1", "--cov-seed", "3")
+    assert proc.returncode == EXIT_OK, proc.stderr
+    proc = cli("run", hardened, inp)
+    assert proc.returncode == EXIT_CRASH, proc.stderr
+    proc = cli("cov", hardened, inp)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stdout == COV_OVERFLOW

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 import modbuild
@@ -10,13 +12,23 @@ from wasmwarden import (
 )
 from wasmwarden.fuzz import FuzzConfig, Fuzzer
 from wasmwarden.interp import AccessorMissing, AccessorOutOfBounds
-from wasmwarden.ir import Export, FuncType, FunctionIR, Global, I, ModuleIR
+from wasmwarden.ir import (
+    PAGE,
+    Export,
+    FuncType,
+    FunctionIR,
+    Global,
+    I,
+    ModuleIR,
+)
 from wasmwarden.passes import (
     CanaryConfig,
     HeapConfig,
     apply_heap_pass,
     apply_stack_pass,
+    collect_sites,
 )
+from wasmwarden.passes.sites import ORACLE_KINDS
 from wasmwarden.passes.coverage import (
     ACCESSOR_NAME,
     MAP_SIZE,
@@ -328,3 +340,52 @@ def test_passes_leave_the_instructions_of_their_input_unchanged(make):
     assert any(site for _, _, site in stages[-1][1])
     for module, triples in stages:
         assert _triples(module) == triples
+
+
+@pytest.mark.parametrize("make", [
+    modbuild.victim_module, modbuild.heap_victim_module,
+    modbuild.branchy_module,
+])
+def test_every_shim_is_emit_coverage_shim_sharing_its_fixed_part(make):
+    m = make()
+    out = modbuild.hardened(m)
+    prev_global = out.num_globals - 1
+    trace_base = m.memory[0] * PAGE
+    for f in out.functions[:-1]:  # the accessor has no shim
+        scratch = len(out.types[f.type_idx].params) + len(f.locals) - 1
+        shims = []
+        for off, instr in enumerate(f.body):
+            if instr.site is None or not instr.site.kind.startswith("cov"):
+                continue
+            shim = f.body[off:off + 11]
+            want = emit_coverage_shim(instr.site.id, prev_global, trace_base,
+                                      scratch, instr.site.kind[4:])
+            assert ([(i.op, i.args, i.site) for i in shim]
+                    == [(i.op, i.args, i.site) for i in want])
+            shims.append(shim)
+        assert shims
+        # all but the site's two constants are one object per function
+        for k in (*range(1, 9), 10):
+            assert len({id(shim[k]) for shim in shims}) == 1
+
+
+# SHA-256 of the encoded module and of the oracle sites' JSON, taken
+# before the passes shared instructions and the encoder memoized them
+GOLDEN = {
+    "victim_module": (
+        "f268bd4431b63e0e48c031a4c863e4199ad38fea98a2c59dffd0a6afdfb29377",
+        "928240e20bc9f055701f38743a9a8941b9f29c5402f7f757ef360114ea475388"),
+    "heap_victim_module": (
+        "45b8de1d4176137c3429acd1b864fc44e8c200f6c06e1ffbed0b542dca3aabcb",
+        "b244aeb2db91e93ef96fd5ffbea5a7d9d4f3b9738cc535337df1a3f535a9582c"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_instrumented_victims_keep_their_bytes_and_sites(name):
+    built = getattr(modbuild, name)()
+    m = modbuild.hardened(parse_module(encode_module(built)))
+    assert validate_module(m).ok
+    sites = collect_sites(m).by_kind(*ORACLE_KINDS).to_json()
+    assert (hashlib.sha256(encode_module(m)).hexdigest(),
+            hashlib.sha256(sites.encode()).hexdigest()) == GOLDEN[name]

@@ -14,6 +14,7 @@ from wasmwarden.interp import (
     INDIRECT_MISMATCH,
     INT_OVERFLOW,
     MEM_OOB,
+    RANDOM_CHUNK,
     STACK_EXHAUSTED,
     UNINIT_TABLE,
     UNREACHABLE,
@@ -580,6 +581,27 @@ def test_wasi_random_get_out_of_bounds_traps_before_drawing(buf, n):
     assert (out.trap_function, out.trap_offset) == (start, 2)
     assert out.instructions_executed == 3
     assert inst.rng is None and not any(inst.memory)
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, RANDOM_CHUNK - 1, RANDOM_CHUNK,
+                               RANDOM_CHUNK + 1])
+@pytest.mark.parametrize("seed", [0, 12345])
+def test_wasi_random_get_draws_what_one_getrandbits_8_per_byte_draws(seed, n):
+    m = modbuild.new_module(imports=(), pages=2)
+    ti = m.add_type(FuncType(("i32", "i32"), ("i32",)))
+    m.imports.append(
+        Import("wasi_snapshot_preview1", "random_get", "func", ti)
+    )
+    modbuild.add_start(m, [I("i32.const", 0), I("i32.const", n),
+                           I("call", 0), I("drop"), I("end")])
+    eng = Engine(m)
+    inst = eng.instantiate(WasiConfig(rng_seed=seed))
+    assert eng.run_start(inst).status == "exit"
+    ref = random.Random(seed)
+    assert inst.memory[:n] == bytes(ref.getrandbits(8) for _ in range(n))
+    assert not any(inst.memory[n:])
+    # the RNG is left where the per-byte draws leave it
+    assert inst.rng.getrandbits(8) == ref.getrandbits(8)
 
 
 def _sizes_get(name: str, wasi: WasiConfig) -> tuple[int, int]:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import modbuild
+from wasmwarden import encoder
 from wasmwarden import (
     MalformedBinary,
     ModuleIR,
@@ -23,6 +24,7 @@ from wasmwarden.ir import (
     Instr,
     SiteInfo,
 )
+from wasmwarden.encoder import encode_instr
 from wasmwarden.opcodes import IMM_KIND, IMMEDIATES
 from wasmwarden.passes import (
     CanaryConfig,
@@ -321,3 +323,35 @@ def test_equal_encodings_share_one_instr_within_a_parse_only():
     shared = {id(i) for i in instrs(first)} & {id(i) for i in instrs(second)}
     assert shared == {id(i) for i in instrs(first) if IMM_KIND[i.op] == ""}
     assert shared
+
+
+def test_encoding_each_distinct_instruction_once_changes_no_byte(
+        monkeypatch):
+    """``encode_module`` encodes each distinct instruction once; the
+    reference encodes every instruction."""
+    plain = [m for _, m, _ in modbuild.corpus()]
+    mods = plain + [modbuild.hardened(parse_module(encode_module(m)))
+                    for m in plain]
+    # value-equal instructions, as separate objects and as one shared
+    # object, one of them carrying a site, and a br_table
+    tagged = Instr("i32.const", (5,), site=SiteInfo("cov", id=5))
+    five = I("i32.const", 5)
+    table = I("br_table", (0, 1), 0)
+    mods.append(_module_of([
+        [I("block", None), I("block", None), tagged, I("i32.const", 5),
+         five, five, I("i32.add"), I("i32.add"), table, I("end"),
+         I("i32.const", 5), table, I("end")],
+        [five, tagged, I("drop"), I("drop")],
+    ], 5))
+    got = [encode_module(m) for m in mods]
+    monkeypatch.setattr(encoder, "_memo_encoder", lambda: lambda instrs: (
+        b"".join(encode_instr(i) for i in instrs)))
+    assert got == [encode_module(m) for m in mods]
+
+
+def test_no_encoding_outlives_its_encode_module_call():
+    # fresh instructions of fresh modules reuse the ids of freed ones
+    for k in range(200):
+        m = _module_of([[I("i32.const", k), I("i64.const", -k), I("drop"),
+                         I("drop")]], k)
+        assert parse_module(encode_module(m)) == m

@@ -23,13 +23,6 @@ from wasmwarden.ir import (
     ModuleIR,
 )
 from wasmwarden.opcodes import MEM_ACCESS, SIGS
-from wasmwarden.passes import (
-    CanaryConfig,
-    HeapConfig,
-    apply_coverage_pass,
-    apply_heap_pass,
-    apply_stack_pass,
-)
 
 
 def stepped(eng: Engine) -> Engine:
@@ -55,17 +48,10 @@ def run_both(m: ModuleIR, fuel: int, wasi=None, export=None, args=()):
     return runs
 
 
-def hardened(m: ModuleIR) -> ModuleIR:
-    m, _ = apply_heap_pass(m, HeapConfig(rng_seed=1))
-    m, _ = apply_stack_pass(m, CanaryConfig(rng_seed=1))
-    m, _ = apply_coverage_pass(m, rng_seed=3)
-    return m
-
-
 def test_corpus_matches_the_step_path():
     compared = 0
     for name, m, inputs in modbuild.corpus():
-        for module in (m, hardened(m)):
+        for module in (m, modbuild.hardened(m)):
             for data in inputs:
                 fused, ref = run_both(module, 1_000_000,
                                       WasiConfig(stdin=data))
@@ -75,7 +61,7 @@ def test_corpus_matches_the_step_path():
 
 
 def test_engine_makes_no_source_until_a_body_is_entered():
-    m = hardened(modbuild.victim_module())
+    m = modbuild.hardened(modbuild.victim_module())
     eng = Engine(m)
     assert eng._templates == {}
     blocks = [ins for meta in eng.metas for ins in eng.compiled(meta)
@@ -86,7 +72,7 @@ def test_engine_makes_no_source_until_a_body_is_entered():
 
 
 def test_running_never_changes_a_compiled_body():
-    eng = Engine(hardened(modbuild.victim_module()))
+    eng = Engine(modbuild.hardened(modbuild.victim_module()))
     before = [(eng.compiled(meta), list(eng.compiled(meta)))
               for meta in eng.metas]
     templates = dict(eng._templates)
@@ -121,7 +107,7 @@ def test_runs_that_differ_in_immediates_share_a_template():
 
 @pytest.mark.parametrize("data", [b"42" + b"A" * 14, b"AAAA"])
 def test_victim_fuel_sweep_matches_the_step_path(data):
-    m = hardened(modbuild.victim_module())
+    m = modbuild.hardened(modbuild.victim_module())
     fused_eng, ref_eng = Engine(m), stepped(Engine(m))
     total = ref_eng.run_start(ref_eng.instantiate(WasiConfig(stdin=data)),
                               RunLimits(fuel=1_000_000)).instructions_executed

@@ -153,6 +153,19 @@ def test_function_without_a_frame_is_left_unchanged():
     assert encode_module(out) == encode_module(m)
 
 
+@pytest.mark.parametrize("sp,written,framed", [
+    (0, 0, True), (0, 1, False), (1, 1, True), (1, 0, False),
+])
+def test_only_a_write_of_the_stack_pointer_opens_a_frame(sp, written,
+                                                         framed):
+    m = _mod_with_body([I("global.get", written), I("global.set", written),
+                        I("end")])
+    m.globals.append(Global("i32", True, [I("i32.const", 0)]))
+    out, sites = apply_stack_pass(m, CanaryConfig(sp_global=sp, rng_seed=1))
+    assert len(sites) == int(framed)
+    assert (out.functions[0] == m.functions[0]) == (not framed)
+
+
 def test_frame_function_keeps_its_draw_after_one_without_a_frame():
     m = _mod_with_body([I("end")])
     m.functions.append(FunctionIR(m.functions[0].type_idx, [],
