@@ -122,9 +122,10 @@ def cmd_instrument(args) -> int:
         )
     if not args.no_coverage:
         m, _ = apply_coverage_pass(m, rng_seed=args.cov_seed)
-        n_cov = sum(
-            1 for s in collect_sites(m) if s.kind.startswith("cov")
-        )
+    # one walk of the final bodies serves the count and the sidecar
+    sites = collect_sites(m)
+    if not args.no_coverage:
+        n_cov = sum(1 for s in sites if s.kind.startswith("cov"))
         print(f"coverage pass: {n_cov} branch sites")
 
     report = validate_module(m)
@@ -132,9 +133,9 @@ def cmd_instrument(args) -> int:
         raise InvalidModule(f"instrumented module fails validation: {report}")
 
     Path(args.output).write_bytes(encode_module(m))
-    sites = collect_sites(m).by_kind(*ORACLE_KINDS)
-    Path(args.output + ".sites.json").write_text(sites.to_json())
-    print(f"wrote {args.output} (+ sidecar, {len(sites)} oracle sites)")
+    oracle_sites = sites.by_kind(*ORACLE_KINDS)
+    Path(args.output + ".sites.json").write_text(oracle_sites.to_json())
+    print(f"wrote {args.output} (+ sidecar, {len(oracle_sites)} oracle sites)")
     return EXIT_OK
 
 

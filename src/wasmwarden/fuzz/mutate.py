@@ -3,6 +3,7 @@ plus rng-driven havoc and splice."""
 
 from __future__ import annotations
 
+import operator
 import random
 
 MAX_INPUT_LEN = 1 << 20
@@ -19,78 +20,62 @@ DETERMINISTIC_STAGES = ("bitflip", "byteflip", "arith8", "arith16",
 RANDOM_STAGES = ("havoc", "splice")
 STAGES = DETERMINISTIC_STAGES + RANDOM_STAGES
 
+_ARITH = tuple(d for k in range(1, ARITH_MAX + 1) for d in (k, -k))
+
+
+def _set(old: int, value: int) -> int:
+    return value
+
+
+# Each deterministic stage as its parts, in enumeration order. A part
+# (width, orders, values, op) writes op(old word, value) at every position
+# in little-endian, then (orders == 2) big-endian byte order; its index is
+# ((pos * orders) + order) * len(values) + k, and a stage's parts follow
+# one another.
+_PARTS = {
+    "bitflip": ((1, 1, tuple(1 << b for b in range(8)), operator.xor),),
+    "byteflip": ((1, 1, (0xFF,), operator.xor),),
+    "arith8": ((1, 1, _ARITH, operator.add),),
+    "arith16": ((2, 2, _ARITH, operator.add),),
+    "arith32": ((4, 2, _ARITH, operator.add),),
+    "interesting": ((1, 1, INTERESTING_8, _set),
+                    (2, 2, INTERESTING_16, _set),
+                    (4, 2, INTERESTING_32, _set)),
+}
+
+
+def _part_size(n: int, width: int, orders: int, values) -> int:
+    return max(n - width + 1, 0) * orders * len(values)
+
 
 def stage_size(data: bytes, stage: str) -> int:
     """Number of enumerable variants for a deterministic stage."""
+    return sum(_part_size(len(data), w, o, v)
+               for w, o, v, _ in _PARTS.get(stage, ()))  # 0 for havoc/splice
+
+
+def _word(value: int, width: int, order: str) -> bytes:
+    return (value & ((1 << (8 * width)) - 1)).to_bytes(width, order)
+
+
+def _variant(data: bytes, stage: str, index: int) -> bytes:
     n = len(data)
-    if stage == "bitflip":
-        return n * 8
-    if stage == "byteflip":
-        return n
-    if stage == "arith8":
-        return n * 2 * ARITH_MAX
-    if stage == "arith16":
-        return max(n - 1, 0) * 2 * 2 * ARITH_MAX
-    if stage == "arith32":
-        return max(n - 3, 0) * 2 * 2 * ARITH_MAX
-    if stage == "interesting":
-        return (n * len(INTERESTING_8)
-                + max(n - 1, 0) * 2 * len(INTERESTING_16)
-                + max(n - 3, 0) * 2 * len(INTERESTING_32))
-    return 0  # havoc/splice are rng-driven
+    for width, orders, values, op in _PARTS[stage]:
+        size = _part_size(n, width, orders, values)
+        if 0 <= index < size:
+            break
+        index -= size
+    else:
+        raise IndexError(f"{stage} has no variant at this index")
+    rest, k = divmod(index, len(values))
+    pos, big = divmod(rest, orders)
+    order = "big" if big else "little"
+    end = pos + width
+    word = op(int.from_bytes(data[pos: end], order), values[k])
+    return data[:pos] + _word(word, width, order) + data[end:]
 
 
-def _set_word(buf: bytearray, pos: int, width: int, value: int, big: bool):
-    raw = (value & ((1 << (8 * width)) - 1)).to_bytes(
-        width, "big" if big else "little"
-    )
-    buf[pos: pos + width] = raw
-
-
-def _arith_variant(data: bytes, index: int, width: int) -> bytes:
-    per_pos = 2 * 2 * ARITH_MAX if width > 1 else 2 * ARITH_MAX
-    pos = index // per_pos
-    rest = index % per_pos
-    big = False
-    if width > 1:
-        big = rest >= 2 * ARITH_MAX
-        rest %= 2 * ARITH_MAX
-    delta = rest // 2 + 1
-    if rest % 2:
-        delta = -delta
-    buf = bytearray(data)
-    old = int.from_bytes(
-        data[pos: pos + width], "big" if big else "little"
-    )
-    _set_word(buf, pos, width, old + delta, big)
-    return bytes(buf)
-
-
-def _interesting_variant(data: bytes, index: int) -> bytes:
-    n = len(data)
-    n8 = n * len(INTERESTING_8)
-    n16 = max(n - 1, 0) * 2 * len(INTERESTING_16)
-    buf = bytearray(data)
-    if index < n8:
-        pos, k = divmod(index, len(INTERESTING_8))
-        buf[pos] = INTERESTING_8[k] & 0xFF
-        return bytes(buf)
-    index -= n8
-    if index < n16:
-        per = 2 * len(INTERESTING_16)
-        pos, rest = divmod(index, per)
-        big, k = divmod(rest, len(INTERESTING_16))
-        _set_word(buf, pos, 2, INTERESTING_16[k], bool(big))
-        return bytes(buf)
-    index -= n16
-    per = 2 * len(INTERESTING_32)
-    pos, rest = divmod(index, per)
-    big, k = divmod(rest, len(INTERESTING_32))
-    _set_word(buf, pos, 4, INTERESTING_32[k], bool(big))
-    return bytes(buf)
-
-
-def _havoc(data: bytes, rng: random.Random, max_len: int) -> bytes:
+def _havoc(data: bytes, rng: random.Random) -> bytes:
     buf = bytearray(data)
     for _ in range(1 << rng.randint(1, 6)):
         if not buf:
@@ -109,13 +94,15 @@ def _havoc(data: bytes, rng: random.Random, max_len: int) -> bytes:
             buf[pos] = (buf[pos] + rng.randint(-ARITH_MAX, ARITH_MAX)) & 0xFF
         elif op == 4 and len(buf) >= 4:  # interesting dword
             pos = rng.randrange(len(buf) - 3)
-            _set_word(buf, pos, 4, rng.choice(INTERESTING_32), rng.random() < 0.5)
+            value = rng.choice(INTERESTING_32)
+            order = "big" if rng.random() < 0.5 else "little"
+            buf[pos: pos + 4] = _word(value, 4, order)
         elif op == 5 and len(buf) > 1:  # delete block
             start = rng.randrange(len(buf))
             size = rng.randint(1, min(len(buf) - start, max(len(buf) // 4, 1)))
             del buf[start: start + size]
         elif op == 6:  # duplicate or insert block
-            if len(buf) >= max_len:
+            if len(buf) >= MAX_INPUT_LEN:
                 continue
             start = rng.randrange(len(buf))
             size = rng.randint(1, min(len(buf) - start, 64))
@@ -132,18 +119,17 @@ def _havoc(data: bytes, rng: random.Random, max_len: int) -> bytes:
         else:  # xor byte
             pos = rng.randrange(len(buf))
             buf[pos] ^= rng.randrange(1, 256)
-    return bytes(buf[:max_len])
+    return bytes(buf[:MAX_INPUT_LEN])
 
 
-def _splice(data: bytes, other: bytes, rng: random.Random,
-            max_len: int) -> bytes:
+def _splice(data: bytes, other: bytes, rng: random.Random) -> bytes:
     if not data or not other:
         combined = data + other
     else:
         a = rng.randint(1, len(data))
         b = rng.randrange(len(other))
         combined = data[:a] + other[b:]
-    return _havoc(combined[:max_len], rng, max_len)
+    return _havoc(combined[:MAX_INPUT_LEN], rng)
 
 
 def mutate(
@@ -152,7 +138,6 @@ def mutate(
     stage: str,
     index: int | None = None,
     other: bytes | None = None,
-    max_len: int = MAX_INPUT_LEN,
 ) -> bytes:
     """One mutated copy of ``data``.
 
@@ -162,22 +147,8 @@ def mutate(
     if stage not in STAGES:
         raise ValueError(f"unknown stage {stage!r}")
     if stage == "havoc":
-        return _havoc(data, rng, max_len)
+        return _havoc(data, rng)
     if stage == "splice":
-        return _splice(data, other or b"", rng, max_len)
+        return _splice(data, other or b"", rng)
     assert index is not None, f"stage {stage} needs an index"
-    if stage == "bitflip":
-        buf = bytearray(data)
-        buf[index // 8] ^= 1 << (index % 8)
-        return bytes(buf)
-    if stage == "byteflip":
-        buf = bytearray(data)
-        buf[index] ^= 0xFF
-        return bytes(buf)
-    if stage == "arith8":
-        return _arith_variant(data, index, 1)
-    if stage == "arith16":
-        return _arith_variant(data, index, 2)
-    if stage == "arith32":
-        return _arith_variant(data, index, 4)
-    return _interesting_variant(data, index)
+    return _variant(data, stage, index)

@@ -951,7 +951,13 @@ class Engine:
                     self.table[off + k] = fi
 
         # what every instance starts from; a data segment out of bounds
-        # still traps at instantiate()
+        # still traps at instantiate(). Each instance zeroes its whole
+        # memory, so no more than memory.grow could reach is allowed.
+        if module.memory and module.memory[0] > MAX_PAGES:
+            raise InstantiationTrap(
+                f"initial memory of {module.memory[0]} pages is past the "
+                f"{MAX_PAGES}-page limit"
+            )
         self.mem_size = module.memory[0] * PAGE if module.memory else 0
         self.mem_max = module.memory[1] if module.memory else 0
         self.globals_init = [self.eval_const(g.init) for g in module.globals]

@@ -19,7 +19,7 @@ from wasmwarden.cli import (
 )
 from wasmwarden.encoder import encode_module
 from wasmwarden.fuzz.bitmap import bucket_for_count
-from wasmwarden.interp import INPUT_PATH, Engine
+from wasmwarden.interp import INPUT_PATH, MAX_PAGES, Engine
 from wasmwarden.ir import I, WasmError
 from wasmwarden.passes.coverage import MAP_SIZE
 from wasmwarden.passes.sites import SiteTable
@@ -398,7 +398,8 @@ def inputs(tmp_path, hardened, victim_wasm):
     instrumented ``v.h`` (with sidecar), a crashing input, a seeds dir and
     one whose seed crashes, a garbage binary, modules with one and with
     two functions that fail validation, one whose memory limit is past
-    4 GiB, a malformed sidecar, a plain file and a directory."""
+    4 GiB, one whose initial memory is past ``MAX_PAGES``, a malformed
+    sidecar, a plain file and a directory."""
     d = tmp_path / "inputs"
     d.mkdir()
     (d / "v.wasm").write_bytes(victim_wasm.read_bytes())
@@ -422,6 +423,11 @@ def inputs(tmp_path, hardened, victim_wasm):
     huge = modbuild.victim_module()
     huge.memory = (huge.memory[0], 65537)
     (d / "huge.wasm").write_bytes(encode_module(huge))
+    # one page past what memory.grow reaches; a check that let it through
+    # would zero 64 MiB per instance
+    big = modbuild.victim_module()
+    big.memory = (MAX_PAGES + 1, None)
+    (d / "big.wasm").write_bytes(encode_module(big))
     (d / "malformed.json").write_text("{not json")
     (d / "file").write_bytes(b"")
     (d / "dir").mkdir()
@@ -449,6 +455,7 @@ REFUSALS = {
     "run-two-invalid-functions": (["run", "invalid2.wasm"], EXIT_PARSE,
                                   None),
     "run-memory-past-4-gib": (["run", "huge.wasm"], EXIT_PARSE, None),
+    "run-memory-past-grow-limit": (["run", "big.wasm"], EXIT_USAGE, None),
     "fuzz-invalid-module": (["fuzz", "invalid.wasm", "-o", "c", "--seeds",
                              "s", *FUZZ], EXIT_PARSE, "c"),
     "fuzz-uninstrumented": (["fuzz", "v.wasm", "-o", "c", "--seeds", "s",

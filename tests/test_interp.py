@@ -13,11 +13,13 @@ from wasmwarden.interp import (
     DIV_ZERO,
     INDIRECT_MISMATCH,
     INT_OVERFLOW,
+    MAX_PAGES,
     MEM_OOB,
     RANDOM_CHUNK,
     STACK_EXHAUSTED,
     UNINIT_TABLE,
     UNREACHABLE,
+    InstantiationTrap,
     InvalidModule,
 )
 from wasmwarden.ir import (
@@ -309,6 +311,14 @@ def test_memory_grow_and_size():
     assert res[0] == M32
 
 
+def test_initial_memory_past_the_grow_limit_is_refused():
+    # constructed only: an instance would zero the whole memory
+    body = [I("i32.const", 0), I("end")]
+    Engine(make_func_module((), ("i32",), body, pages=MAX_PAGES))
+    with pytest.raises(InstantiationTrap, match="page limit"):
+        Engine(make_func_module((), ("i32",), body, pages=MAX_PAGES + 1))
+
+
 def test_br_table_dispatch():
     body = [
         I("block", None), I("block", None), I("block", None),
@@ -363,8 +373,6 @@ def _seeded_module(data_at=16, pages=1):
 
 
 def test_data_segment_past_end_of_memory_traps_at_instantiate():
-    from wasmwarden.interp import InstantiationTrap
-
     eng = Engine(_seeded_module(data_at=PAGE - 3))  # no trap yet
     with pytest.raises(InstantiationTrap, match="out of bounds"):
         eng.instantiate()

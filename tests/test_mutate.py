@@ -60,6 +60,49 @@ def test_deterministic_stages_preserve_length():
             assert len(mut.mutate(data, None, stage, index=i)) == len(data)
 
 
+def _reference_variants(data: bytes, stage: str) -> list[bytes]:
+    """Every variant of a deterministic stage, written as nested loops:
+    position, then byte order (little before big), then value."""
+    out = []
+
+    def put(pos, width, word, order):
+        buf = bytearray(data)
+        buf[pos: pos + width] = (word % (1 << 8 * width)).to_bytes(width,
+                                                                    order)
+        out.append(bytes(buf))
+
+    deltas = [d for k in range(1, mut.ARITH_MAX + 1) for d in (k, -k)]
+    if stage == "bitflip":
+        parts = [(1, [1 << b for b in range(8)], lambda old, v: old ^ v)]
+    elif stage == "byteflip":
+        parts = [(1, [0xFF], lambda old, v: old ^ v)]
+    elif stage == "interesting":
+        parts = [(w, vals, lambda old, v: v) for w, vals in (
+            (1, mut.INTERESTING_8), (2, mut.INTERESTING_16),
+            (4, mut.INTERESTING_32))]
+    else:
+        parts = [(int(stage[5:]) // 8, deltas, lambda old, v: old + v)]
+    for width, values, op in parts:
+        orders = ("little",) if width == 1 else ("little", "big")
+        for pos in range(len(data) - width + 1):
+            for order in orders:
+                old = int.from_bytes(data[pos: pos + width], order)
+                for v in values:
+                    put(pos, width, op(old, v), order)
+    return out
+
+
+@pytest.mark.parametrize("stage", mut.DETERMINISTIC_STAGES)
+@pytest.mark.parametrize("n", [*range(10), 16])
+def test_deterministic_stage_enumerates_in_reference_order(stage, n):
+    data = bytes((37 * i + 11) & 0xFF for i in range(n))
+    expected = _reference_variants(data, stage)
+    assert mut.stage_size(data, stage) == len(expected)
+    got = [mut.mutate(data, None, stage, index=i)
+           for i in range(len(expected))]
+    assert got == expected
+
+
 def test_stage_sizes_for_short_inputs():
     assert mut.stage_size(b"ab", "arith32") == 0
     assert mut.stage_size(b"a", "arith16") == 0
@@ -77,9 +120,11 @@ def test_havoc_is_deterministic_for_a_seeded_rng():
 
 def test_havoc_respects_max_len():
     rng = random.Random(0)
-    for _ in range(50):
-        out = mut.mutate(b"x" * 100, rng, "havoc", max_len=120)
-        assert len(out) <= 120
+    data = b"x" * (mut.MAX_INPUT_LEN - 20)
+    for _ in range(20):
+        assert len(mut.mutate(data, rng, "havoc")) <= mut.MAX_INPUT_LEN
+        out = mut.mutate(data, rng, "splice", other=data)
+        assert len(out) <= mut.MAX_INPUT_LEN
 
 
 def test_havoc_on_empty_input_produces_something():
