@@ -21,6 +21,7 @@ from typing import TYPE_CHECKING
 from .encoder import encode_module
 from .interp import (
     INPUT_PATH,
+    MAX_PAGES,
     Engine,
     InvalidModule,
     RunLimits,
@@ -122,6 +123,12 @@ def cmd_instrument(args) -> int:
         )
     if not args.no_coverage:
         m, _ = apply_coverage_pass(m, rng_seed=args.cov_seed)
+    # the trace map's page may take the memory past what Engine() accepts
+    if m.memory and m.memory[0] > MAX_PAGES:
+        raise UsageError(
+            f"instrumented module would start with {m.memory[0]} pages of "
+            f"memory, past the {MAX_PAGES}-page limit"
+        )
     # one walk of the final bodies serves the count and the sidecar
     sites = collect_sites(m)
     if not args.no_coverage:

@@ -1,12 +1,18 @@
 """Hit-count bucketing and novelty detection over the 64 KiB trace map.
 
 A trace is nearly all zeros. ``classify_counts`` views it as 8-byte words
-in place and finds the nonzero ones in the exec's only full scan (8192
-words); it buckets just those and returns them sparse, as word indices
-and bucketed words. ``VirginMap.has_new_bits`` then gathers, compares
-and merges its own words at those indices only. Beyond the one scan, the
-cost follows the number of words hit, not the map size (AFL walks its
-map the same way).
+in place and finds the nonzero ones in one full scan (8192 words); it
+buckets just those and returns them sparse, as word indices and bucketed
+words. ``VirginMap.has_new_bits`` then gathers, compares and merges its
+own words at those indices only. Beyond the one scan, the cost follows
+the number of words hit, not the map size (AFL walks its map the same
+way).
+
+Most execs leave the trace the one before them left. The campaign
+(``fuzz.engine._Kept``) keeps a copy of the last trace each map judged
+and compares the next with it first, one memcmp; an equal trace is
+neither scanned nor checked. That is exact: a map only gains bits, so a
+trace it has merged is ``NO_NEW`` to it from then on.
 """
 
 from __future__ import annotations

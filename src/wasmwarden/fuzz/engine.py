@@ -140,10 +140,12 @@ class _SeedRun(NamedTuple):
 class _Kept:
     """The inputs a campaign keeps in ``<out>/<sub>/``: one for each trace
     new to ``map`` (and, in the queue, every seed), numbered on from
-    ``next_id``."""
+    ``next_id``. ``judged`` is a copy of the last raw trace ``map`` judged:
+    a map only gains bits, so that trace is not new to it again."""
     sub: str
     map: VirginMap
     next_id: int = 0
+    judged: Optional[bytes] = None
 
     def keep(self, out: Optional[Path], data: bytes,
              trace: bytes | memoryview, suffix: str = "",
@@ -152,9 +154,17 @@ class _Kept:
         """The id ``data`` is kept under, or None when ``trace`` is not new
         to the map and ``always`` is not set. An input replayed from the
         directory keeps its ``file_id``; any other takes the next id and is
-        written to ``<out>/<sub>/id_NNNNNN<suffix>``."""
-        if (self.map.has_new_bits(classify_counts(trace)) == NO_NEW
-                and not always):
+        written to ``<out>/<sub>/id_NNNNNN<suffix>``. A trace equal to
+        ``judged`` costs one compare: it is neither bucketed nor checked."""
+        judged = self.judged
+        # startswith reads the view in place; == would compare it per item
+        if (judged is not None and len(trace) == len(judged)
+                and judged.startswith(trace)):
+            new = NO_NEW
+        else:
+            new = self.map.has_new_bits(classify_counts(trace))
+            self.judged = bytes(trace)
+        if new == NO_NEW and not always:
             return None
         if file_id is None:
             file_id = self.next_id

@@ -233,14 +233,17 @@ class _FuncChecker:
                 self.fail(f"select operands differ: {t1} vs {t2}")
             self.push(t2 if t1 == UNKNOWN else t1)
             return
-        if op in ("block", "loop"):
+        if op in ("block", "loop", "if"):
+            # only a hand-built Instr can lack its block type or name
+            # another
+            if len(instr.args) != 1:
+                self.fail(f"{op}: no block type")
             bt = instr.args[0]
+            if bt is not None and bt not in VALTYPE_BYTE:
+                self.fail(f"{op}: block type {bt!r} is not a value type")
+            if op == "if":
+                self.pop("i32")
             self.push_ctrl(op, () if bt is None else (bt,), pc)
-            return
-        if op == "if":
-            self.pop("i32")
-            bt = instr.args[0]
-            self.push_ctrl("if", () if bt is None else (bt,), pc)
             return
         if op == "else":
             frame = self.ctrls[-1]

@@ -398,8 +398,8 @@ def inputs(tmp_path, hardened, victim_wasm):
     instrumented ``v.h`` (with sidecar), a crashing input, a seeds dir and
     one whose seed crashes, a garbage binary, modules with one and with
     two functions that fail validation, one whose memory limit is past
-    4 GiB, one whose initial memory is past ``MAX_PAGES``, a malformed
-    sidecar, a plain file and a directory."""
+    4 GiB, one whose initial memory is past ``MAX_PAGES`` and one whose
+    is at it, a malformed sidecar, a plain file and a directory."""
     d = tmp_path / "inputs"
     d.mkdir()
     (d / "v.wasm").write_bytes(victim_wasm.read_bytes())
@@ -428,6 +428,10 @@ def inputs(tmp_path, hardened, victim_wasm):
     big = modbuild.victim_module()
     big.memory = (MAX_PAGES + 1, None)
     (d / "big.wasm").write_bytes(encode_module(big))
+    # runs as it is, but leaves no page for the trace map
+    full = modbuild.victim_module()
+    full.memory = (MAX_PAGES, None)
+    (d / "full.wasm").write_bytes(encode_module(full))
     (d / "malformed.json").write_text("{not json")
     (d / "file").write_bytes(b"")
     (d / "dir").mkdir()
@@ -456,6 +460,8 @@ REFUSALS = {
                                   None),
     "run-memory-past-4-gib": (["run", "huge.wasm"], EXIT_PARSE, None),
     "run-memory-past-grow-limit": (["run", "big.wasm"], EXIT_USAGE, None),
+    "instrument-memory-at-grow-limit": (["instrument", "full.wasm", "-o",
+                                         "full.h"], EXIT_USAGE, "full.h"),
     "fuzz-invalid-module": (["fuzz", "invalid.wasm", "-o", "c", "--seeds",
                              "s", *FUZZ], EXIT_PARSE, "c"),
     "fuzz-uninstrumented": (["fuzz", "v.wasm", "-o", "c", "--seeds", "s",

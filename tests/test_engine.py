@@ -4,9 +4,11 @@ import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import modbuild
 import wasmwarden.encoder
+import wasmwarden.fuzz.engine as fuzz_engine
 from wasmwarden.encoder import encode_module
 from wasmwarden.interp import (
     INPUT_PATH,
@@ -23,6 +25,7 @@ from wasmwarden.fuzz import (
     Fuzzer,
     SeedCrashes,
 )
+from wasmwarden.fuzz.bitmap import MAP_SIZE, NO_NEW, VirginMap, classify_counts
 from wasmwarden.fuzz.engine import module_sha256
 from wasmwarden.passes import (
     CanaryConfig,
@@ -148,6 +151,82 @@ def test_duplicate_crash_signatures_are_collapsed():
         fz._triage(crasher, outcome, trace, parent=0, stage="t")
     assert fz.stats.crashes_total == 5
     assert fz.stats.unique_crashes == 1
+
+
+# a few counters, some sharing an 8-byte word, and counts in five buckets
+_COUNTERS = st.dictionaries(st.sampled_from([0, 1, 7, 8, 4096, MAP_SIZE - 1]),
+                            st.sampled_from([1, 2, 3, 5, 200]), max_size=4)
+# (counters, kept index, always, one flag per repeat: pass it as a view)
+_STEPS = st.lists(st.tuples(_COUNTERS, st.integers(0, 2), st.booleans(),
+                            st.lists(st.booleans(), min_size=1, max_size=3)),
+                  max_size=24)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_STEPS)
+def test_kept_judges_every_trace_as_a_map_that_sees_each_one(steps):
+    """``_Kept.keep`` skips a trace equal to the last its map judged; a
+    reference that buckets and checks every trace must agree on every id
+    and on the bits each map ends with. A view is a read-only slice at an
+    offset of one buffer that every view trace overwrites, so a memo that
+    kept the view instead of a copy would compare with the wrong bytes."""
+    fz = Fuzzer(instrumented_victim()[0], None, quick_cfg())
+    kept = [fz._queue, fz._crashes, fz._hangs]
+    refs = [[VirginMap(), 0] for _ in kept]
+    buf = bytearray(3 * MAP_SIZE)
+    off = MAP_SIZE + 8
+    for counters, k, always, as_views in steps:
+        trace = bytearray(MAP_SIZE)
+        for pos, count in counters.items():
+            trace[pos] = count
+        for as_view in as_views:
+            if as_view:
+                buf[off: off + MAP_SIZE] = trace
+                t = memoryview(buf)[off: off + MAP_SIZE].toreadonly()
+            else:
+                t = bytes(trace)
+            ref = refs[k]
+            want = None
+            if ref[0].has_new_bits(classify_counts(t)) != NO_NEW or always:
+                want, ref[1] = ref[1], ref[1] + 1
+            assert kept[k].keep(None, b"", t, always=always) == want
+    for kp, (ref_map, next_id) in zip(kept, refs):
+        assert (kp.map.seen == ref_map.seen).all()
+        assert kp.next_id == next_id
+
+
+def test_victim_campaign_buckets_only_a_trace_that_changed(monkeypatch):
+    """Of 10,000 execs on the victim nearly all leave the trace the one
+    before left: such a trace is neither bucketed nor checked."""
+    calls = 0
+    classify = fuzz_engine.classify_counts
+
+    def counted(trace):
+        nonlocal calls
+        calls += 1
+        return classify(trace)
+
+    monkeypatch.setattr(fuzz_engine, "classify_counts", counted)
+    m, sites = instrumented_victim()
+    fz = Fuzzer(m, sites, quick_cfg(max_execs=10_000))
+    run_input = fz.run_input
+    changes = 0
+    last = None
+
+    def watched(data):
+        nonlocal changes, last
+        outcome, trace = run_input(data)
+        copy = bytes(trace)
+        changes += copy != last
+        last = copy
+        return outcome, trace
+
+    fz.run_input = watched
+    stats = fz.run([b"A" * 16])
+    assert stats.execs == 10_000
+    assert calls <= changes < 100
+    assert [(c.data[:2], c.oracle) for c in fz.crashes] == [
+        (b"42", "stack-canary")]
 
 
 def test_replayed_queue_reestablishes_coverage(tmp_path):

@@ -337,6 +337,12 @@ def _caller(body):
     (_with_memory((0, 65537), imported=True),
      "import 0: memory size must be at most 65536 pages (4 GiB)"),
     (_with_memory((0, 65536), imported=True), "valid"),
+    # only a hand-built Instr can lack its block type or name another
+    (_minimal([I("loop"), I("end"), I("end")]), "func 0: loop: no block type"),
+    (_minimal([I("i32.const", 1), I("if"), I("end"), I("end")]),
+     "func 0: if: no block type"),
+    (_minimal([I("block", "v128"), I("end"), I("end")]),
+     "func 0: block: block type 'v128' is not a value type"),
 ])
 def test_report_text(module, expected):
     assert str(validate_module(module)) == expected
