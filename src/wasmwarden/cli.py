@@ -40,7 +40,7 @@ from .passes.coverage import (
 from .passes.heap_canary import HeapConfig, apply_heap_pass
 from .passes.sites import ORACLE_KINDS, SiteTable, collect_sites
 from .passes.stack_canary import CanaryConfig, apply_stack_pass
-from .validate import validate_module
+from .validate import MAX_MEMORY_PAGES, validate_module
 
 if TYPE_CHECKING:
     from .fuzz.engine import FuzzConfig
@@ -101,6 +101,9 @@ def cmd_instrument(args) -> int:
         raise UsageError("all passes disabled; nothing to do")
 
     m = _load_module(args.input)
+    # a maximum already past 4 GiB is the input's fault: the output then
+    # fails validation, exit code 1
+    in_max = m.memory[1] if m.memory and m.memory[1] is not None else 0
     if ACCESSOR_NAME in m.export_map():
         raise UsageError(f"{args.input} already exports {ACCESSOR_NAME}; "
                          "refusing to instrument twice")
@@ -123,11 +126,18 @@ def cmd_instrument(args) -> int:
         )
     if not args.no_coverage:
         m, _ = apply_coverage_pass(m, rng_seed=args.cov_seed)
-    # the trace map's page may take the memory past what Engine() accepts
+    # the trace map's page may take the memory past what Engine() accepts,
+    # or a valid maximum past what Wasm allows
     if m.memory and m.memory[0] > MAX_PAGES:
         raise UsageError(
             f"instrumented module would start with {m.memory[0]} pages of "
             f"memory, past the {MAX_PAGES}-page limit"
+        )
+    if (m.memory and m.memory[1] is not None
+            and m.memory[1] > MAX_MEMORY_PAGES >= in_max):
+        raise UsageError(
+            f"instrumented module would allow {m.memory[1]} pages of "
+            f"memory, past the {MAX_MEMORY_PAGES}-page (4 GiB) limit"
         )
     # one walk of the final bodies serves the count and the sidecar
     sites = collect_sites(m)

@@ -5,29 +5,34 @@ each run is fuel metered, and traps are classified for crash triage.
 
 ``Engine()`` validates every body but compiles none: a body is compiled,
 from the validator's block record, the first time its function is
-entered, since a campaign calls few of a module's functions. A compiled
-body is a tuple of tuples that ``Engine._run`` steps one at a time, and
-nothing patches it. Each straight-line run in it (two or more ops that
-neither branch nor call, entered only at its head) is fused into one
-generated Python function when the body is compiled: stack slots become
-Python locals and the run costs one dispatch. Generated sources take
-their immediates as parameters, so runs of the same shape share one
-compiled template, bound to each run's immediates as its defaults;
-compiled bodies and templates are kept per ``Engine``, never across engines.
+entered, since a campaign calls few of a module's functions. Compiling
+makes the body one generated Python function (``_function_source``), as
+wasm2c makes each Wasm function one C function: Wasm locals and operand
+stack slots become Python locals, basic blocks become the cases of a
+dispatch inside the function, and host calls and the checks of
+``call_indirect`` run inline. Compiled functions are kept per
+``Engine``, never across engines, and nothing changes them.
 
-Fusing is exact. A run charges its length in fuel at once when that fits
-the budget; otherwise it is stepped, so fuel runs out on the same
-instruction with the same memory. Its ops do their effects in order, and
-one that traps reports its own pc and the count stepping would have
-reached. The integer ops are written once, as expressions (``_INT_EXPR``)
-that both paths use; the other numeric ops call the same ``_NUMERIC``
-function on both.
+A call to a defined function returns to ``Engine._run``, which keeps the
+caller on an explicit frame stack, as ``MAX_CALL_DEPTH`` is above Python's
+recursion limit, and re-enters it at the call's resume point when the
+callee returns.
+
+Function-level code is exact. Fuel is charged once per segment, the ops
+from a block's head to the branch, call or branch target that ends it,
+when that fits the budget; otherwise the function hands its pc, operand
+stack and locals to the step loop (``Engine._step``), which runs the fuel
+out on the same instruction with the same memory. The step loop runs
+only there and as the tests' reference. The integer ops are written once,
+as expressions (``_INT_EXPR``) that both use; the other numeric ops call
+the same ``_NUMERIC`` function on both.
 
 A trap is raised where it happens (a numeric helper, a memory check, a
-WASI host function, a fused run or the step loop) as ``_Trap(kind)``. One
-handler around ``Engine._run``'s loop attributes it to the function, pc
-and instruction count at hand; a fused run sets ``at``, the trapping op's
-offset from its head, so the handler reports that op and counts to it.
+WASI host function, function-level code or the step loop) as
+``_Trap(kind)``. The handler around the code that ran the op attributes
+it to the function, pc and instruction count at hand; in function-level
+code, each line that may trap names its op's pc in a ``# @pc`` comment,
+which the handler finds from the traceback.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ import random
 import re
 import struct
 from dataclasses import dataclass, field
-from types import FunctionType
+from functools import partial
 from typing import Optional
 
 from .ir import PAGE, FuncType, ModuleIR, WasmError
@@ -167,12 +172,11 @@ def classify_crash(outcome: ExecOutcome, sites: SiteTable | None) -> CrashClass:
 # internal signals
 
 class _Trap(Exception):
-    """A trap of ``kind``; ``Engine._run`` sets ``func``, ``offset`` and
-    ``executed``."""
+    """A trap of ``kind``; the code that ran the trapping op sets ``func``,
+    ``offset`` and ``executed``."""
 
     def __init__(self, kind: str):
         self.kind = kind
-        self.at = None  # a fused run sets the op's offset from its head
 
 
 class _ProcExit(Exception):
@@ -341,8 +345,9 @@ def _trunc_to_int(x: float, lo: int, hi: int) -> int:
 
 def _int_exprs() -> dict[str, str]:
     """Integer ops that are one Python expression over their operands
-    ``a`` and ``b``. The step lambdas are made from these strings and the
-    run compiler splices them in, so each op's semantics is written once.
+    ``a`` and ``b``. The step lambdas are made from these strings and
+    function-level code splices them in, so each op's semantics is
+    written once.
 
     A signed comparison flips the sign bits, which maps signed order onto
     unsigned order; ``(a ^ S) - S`` is ``a`` read as signed.
@@ -460,8 +465,6 @@ C_MEMGROW = 19
 C_CONST = 20
 C_NUM1 = 21
 C_NUM2 = 22
-# a fused run: (C_BLOCK, its function, length, the head's tuple)
-C_BLOCK = 23
 
 _NOP = (C_NOP,)
 
@@ -501,157 +504,22 @@ _MEMORY = {
 }
 
 
-# ops a fused run may hold: none of them branches or calls
-_FUSABLE = frozenset((
-    C_NOP, C_DROP, C_SELECT, C_LOCAL_GET, C_LOCAL_SET, C_LOCAL_TEE,
-    C_GLOBAL_GET, C_GLOBAL_SET, C_LOAD, C_STORE, C_CONST, C_NUM1, C_NUM2,
-))
-
-# the integer expressions with their operands as format fields
-_INT_FMT = {op: re.sub(r"\b([ab])\b", r"{\1}", ex)
-            for op, ex in _INT_EXPR.items()}
-
-# what a run's source refers to besides its parameters
-_RUN_NAMES = {"_Trap": _Trap, "MEM_OOB": MEM_OOB,
-              "from_bytes": int.from_bytes}
-
-
-def _run_source(ops: list[tuple]) -> tuple[str, list]:
-    """Python source of one run of stepped tuples, and the immediates to
-    bind to it.
-
-    ``run(vals, L, G, mem, p0, p1, ...)`` does to the operand stack, the
-    locals, the globals and the memory what stepping ``ops`` does. Stack
-    slots are Python locals: values from below the run are popped first,
-    and the values the run leaves are pushed once at the end. Immediates
-    (constants, local and global indices, memarg offsets, the numeric
-    functions called) are the parameters ``p0, p1, ...``, which the
-    engine binds as defaults, so runs that differ only in them share one
-    source. An op that traps raises ``_Trap`` with ``at`` set to its
-    offset in the run.
-    """
-    params: list = []
-    lines: list[str] = []
-    stack: list[str] = []  # what the run has pushed, as names
-    below: list[str] = []  # what it took from below, top first
-    may_trap = False
-
-    def param(value) -> str:
-        params.append(value)
-        return f"p{len(params) - 1}"
-
-    def pop() -> str:
-        if stack:
-            return stack.pop()
-        below.append(f"x{len(below)}")
-        return below[-1]
-
-    def push(expr: str):
-        name = f"v{len(lines)}"
-        lines.append(f"{name} = {expr}")
-        stack.append(name)
-
-    for k, ins in enumerate(ops):
-        c = ins[0]
-        if c == C_CONST:
-            stack.append(param(ins[1]))
-        elif c == C_LOCAL_GET:
-            push(f"L[{param(ins[1])}]")
-        elif c == C_LOCAL_SET:
-            lines.append(f"L[{param(ins[1])}] = {pop()}")
-        elif c == C_LOCAL_TEE:
-            stack.append(pop())
-            lines.append(f"L[{param(ins[1])}] = {stack[-1]}")
-        elif c == C_GLOBAL_GET:
-            push(f"G[{param(ins[1])}]")
-        elif c == C_GLOBAL_SET:
-            lines.append(f"G[{param(ins[1])}] = {pop()}")
-        elif c == C_DROP:
-            pop()
-        elif c == C_SELECT:
-            cond, b, a = pop(), pop(), pop()
-            push(f"{a} if {cond} else {b}")
-        elif c == C_NUM1 or c == C_NUM2:
-            b = pop() if c == C_NUM2 else ""
-            a = pop()
-            fmt = _INT_FMT.get(ins[2])
-            if fmt is not None:
-                push(fmt.format(a=a, b=b))
-            else:  # div, rem, trunc and the float ops
-                may_trap = True
-                lines.append(f"k = {k}")
-                push(f"{param(ins[1])}({a}{', ' + b if b else ''})")
-        elif c == C_LOAD or c == C_STORE:
-            may_trap = True
-            width = ins[2]
-            value = pop() if c == C_STORE else ""
-            lines += [f"k = {k}", f"a = {pop()} + {param(ins[1])}",
-                      f"if a + {width} > size: raise _Trap(MEM_OOB)"]
-            if c == C_STORE:
-                lines.append(f"mem[a] = {value} & 0xFF" if width == 1 else
-                             f"mem[a:a + {width}] = ({value} & {ins[3]:#x})"
-                             f".to_bytes({width}, 'little')")
-            elif ins[3]:  # sign-extends
-                push(f"from_bytes(mem[a:a + {width}], 'little', signed=True)"
-                     f" & {ins[4]:#x}")
-            else:  # zero-extends: the mask cannot clear a bit
-                push("mem[a]" if width == 1 else
-                     f"from_bytes(mem[a:a + {width}], 'little')")
-        # C_NOP: block, loop and end markers, nop, reinterprets
-
-    body = [f"{x} = vals.pop()" for x in below] + lines
-    if any(ins[0] == C_LOAD or ins[0] == C_STORE for ins in ops):
-        body.insert(0, "size = len(mem)")  # no op in a run grows memory
-    if len(stack) == 1:
-        body.append(f"vals.append({stack[0]})")
-    elif stack:
-        body.append(f"vals += ({', '.join(stack)})")
-    if may_trap:
-        body = (["try:"] + ["    " + line for line in body]
-                + ["except _Trap as t:", "    t.at = k", "    raise"])
-    args = ["vals", "L", "G", "mem"] + [f"p{i}" for i in range(len(params))]
-    src = "\n".join([f"def run({', '.join(args)}):"]
-                    + ["    " + line for line in body or ["pass"]] + [""])
-    return src, params
-
-
-class _FuncMeta:
-    __slots__ = ("func_idx", "ftype", "nparams", "nresults", "local_zeros",
-                 "code")
-
-    def __init__(self, func_idx, ftype: FuncType, nlocals):
-        self.func_idx = func_idx
-        self.ftype = ftype
-        self.nparams = len(ftype.params)
-        self.nresults = len(ftype.results)
-        self.local_zeros = [0] * nlocals
-        self.code = None  # built by ``Engine.compiled`` on the first call
-
-
 def _compile_body(body, nresults: int, types: list[FuncType],
-                  blocks: dict[int, tuple], fuse) -> tuple:
-    """Flat body of a validated function -> compiled tuples. ``blocks`` is
-    the validator's record of the body's blocks (``ValidationReport.blocks``);
-    ``fuse`` makes the function of a run from its stepped tuples.
+                  blocks: dict[int, tuple]) -> tuple:
+    """Flat body of a validated function -> the tuples the step loop runs,
+    one per instruction. ``blocks`` is the validator's record of the
+    body's blocks (``ValidationReport.blocks``).
 
     A branch compiles to (code, target pc, arity, height): it keeps its top
     ``arity`` values, cuts the operand stack to ``height`` values above
     the frame's base and jumps to the ``end`` of a block or ``if``, to a
     ``loop``, or to the function's final ``end``, which returns.
     ``block``, ``loop`` and the other ends are no-ops costing one fuel.
-
-    Each maximal run of two or more ops that neither branch nor call,
-    cut before every branch target, becomes a fused run: its head's tuple
-    is wrapped in ``(C_BLOCK, fuse(run), length, tuple)`` and the rest
-    keep theirs. Control enters a run only at its head.
     """
     # per open label: (target pc, arity, height); the outermost is the
     # function's own label
     labels = [(len(body) - 1, nresults, 0)]
     code: list[tuple] = []
-    entries = set()  # pcs a branch may jump to, loop heads among them
-    head = None  # where the current run starts
-    runs = []  # (head, end) of each maximal run
     for pc, instr in enumerate(body):
         op = instr.op
         a = instr.args
@@ -665,21 +533,18 @@ def _compile_body(body, nresults: int, types: list[FuncType],
             c, access = _MEMORY[op]
             code.append((c, a[1], *access))
         elif op == "br" or op == "br_if":
-            label = labels[-1 - a[0]]
-            entries.add(label[0])
-            code.append((C_BR if op == "br" else C_BR_IF, *label))
+            code.append((C_BR if op == "br" else C_BR_IF,
+                         *labels[-1 - a[0]]))
         elif op == "br_table":
             targets, default = a
             brs = tuple((C_BR, *labels[-1 - t])
                         for t in (*targets, default))
-            entries.update(br[1] for br in brs)
             code.append((C_BR_TABLE, brs[:-1], brs[-1]))
         elif op == "call":
             code.append((C_CALL, a[0]))
         elif op == "call_indirect":
             code.append((C_CALL_INDIRECT, types[a[0]]))
         elif op == "else":  # the then-arm is done: jump to the end
-            entries.add(labels[-1][0])
             code.append((C_BR, *labels[-1]))
         elif op == "end":
             labels.pop()
@@ -689,31 +554,415 @@ def _compile_body(body, nresults: int, types: list[FuncType],
             # a branch to a loop restarts it and, in MVP, carries no value
             if op == "loop":
                 labels.append((pc, 0, height))
-                entries.add(pc)
             else:
                 labels.append((end, 0 if a[0] is None else 1, height))
             if op == "if":
-                false = end if else_pc is None else else_pc + 1
-                entries.add(false)
-                code.append((C_IF, false))
+                code.append((C_IF, end if else_pc is None else else_pc + 1))
             else:
                 code.append(_NOP)
-
-        if code[-1][0] in _FUSABLE:
-            if head is None:
-                head = pc
-            elif pc in entries:
-                runs.append((head, pc))
-                head = pc
-        elif head is not None:
-            runs.append((head, pc))
-            head = None
-    # a valid body ends in its final end, which is no run
-    for head, end in runs:
-        if end - head >= 2:
-            code[head] = (C_BLOCK, fuse(code[head:end]), end - head,
-                          code[head])
     return tuple(code)
+
+
+# --------------------------------------------------------------------------
+# function-level code
+#
+# A compiled body is one generated Python function,
+#
+#     f(inst, mem, G, fuel, executed, at, L, S) -> request
+#
+# whose Wasm locals are the Python locals ``l0, l1, ...`` and whose operand
+# stack slot i is the Python local ``s{i}``. Its basic blocks are the
+# cases of a dispatch on ``at``, a branch target's pc; straight-line code
+# between them runs inline, constants and ``local.get`` values unwritten
+# until something needs them in their slot. ``at`` is 0 on entry, where
+# ``L`` holds the arguments, or the resume key of a call the function
+# made, where ``L`` holds its locals and ``S`` its operand stack with the
+# callee's result on top. It returns one of three requests to
+# ``Engine._run``:
+_RETURNS = 0  # (_RETURNS, executed, result or None)
+_CALLS = 1  # (_CALLS, executed, callee's index, args, resume key, L, S)
+_HANDS_OFF = 2  # (_HANDS_OFF, executed, pc, operand stack, locals())
+#
+# A segment is the code from a block's head up to and including the op
+# that ends it: a branch, ``if``, ``return``, ``unreachable``, a call that
+# may leave the function, or the op before the next branch target. Its
+# head charges its length in fuel when that fits the budget, and hands its
+# pc, stack and locals to the step loop when it does not, so fuel runs
+# out on the same instruction with the same memory.
+#
+# Each line that may trap or call the host ends in ``# @pc``, its op's pc.
+# The handler around the body finds that line from the traceback and
+# reports the op and the count stepping would have reached, so the hot
+# path keeps no record of where it is.
+
+# ops after which control does not simply go on to the next pc
+_LEAVES = frozenset((C_IF, C_BR, C_BR_IF, C_BR_TABLE, C_RETURN,
+                     C_UNREACHABLE, C_CALL_INDIRECT))
+
+# the integer expressions with their operands as format fields; an
+# operand may be a literal, which needs parentheses before an attribute
+_INT_FMT = {op: re.sub(r"\b([ab])\b", r"{\1}", ex).replace("{a}.", "({a}).")
+            for op, ex in _INT_EXPR.items()}
+
+_TEST = re.compile(r"1 if (.*) else 0")  # a comparison, as _INT_FMT has it
+_MARK = re.compile(r"  # @(\d+)$")
+
+
+def _helper_name(op: str) -> str:
+    """The name function-level code calls a ``_NUMERIC`` helper by."""
+    return op.replace(".", "_")
+
+
+def _memory_grow(inst, delta: int) -> int:
+    """``memory.grow``: the old size in pages, or -1 past the limit."""
+    mem = inst.memory
+    cur = len(mem) // PAGE
+    cap = MAX_PAGES if inst.mem_max is None else min(MAX_PAGES, inst.mem_max)
+    if cur + delta > cap:
+        return M32
+    mem.extend(bytes(delta * PAGE))
+    return cur
+
+
+def _attribute(e, func_idx: int, marks: dict, executed: int):
+    """The trap or ``proc_exit`` that ``e``, caught in a body's
+    function-level code, stands for, with where it happened set.
+    ``marks`` maps each marked line to its op's pc and the ops after it in
+    its segment, which ``executed`` already counts. An ``IndexError`` is a
+    one-byte access past the end of memory, which ``bytearray`` checks."""
+    pc, after = marks[e.__traceback__.tb_lineno]
+    if isinstance(e, IndexError):
+        e = _Trap(MEM_OOB)
+    if isinstance(e, _Trap):
+        e.func, e.offset = func_idx, pc
+    e.executed = executed - after
+    return e
+
+
+# what function-level code refers to besides its engine's names
+_NAMES = {
+    "_Trap": _Trap, "_ProcExit": _ProcExit, "MEM_OOB": MEM_OOB,
+    "UNREACHABLE": UNREACHABLE, "from_bytes": int.from_bytes,
+    "grow": _memory_grow, "attribute": _attribute,
+    **{_helper_name(op): fn for op, fn in _NUMERIC.items()
+       if op not in _INT_FMT},
+}
+
+
+def _indirect_callee(table: list, func_types: list, elem: int,
+                     ftype: FuncType) -> int:
+    """The function index that a ``call_indirect`` of type ``ftype``
+    reaches through slot ``elem`` of ``table``."""
+    if elem >= len(table) or table[elem] is None:
+        raise _Trap(UNINIT_TABLE)
+    target = table[elem]
+    if func_types[target] != ftype:
+        raise _Trap(INDIRECT_MISMATCH)
+    return target
+
+
+def _is_leaving(ins: tuple, n_host: int) -> bool:
+    return ins[0] in _LEAVES or (ins[0] == C_CALL and ins[1] >= n_host)
+
+
+def _function_source(name: str, code: tuple, meta, n_host: int,
+                     func_types: list, bind) -> str:
+    """Python source of ``name``, the function-level code of ``meta``'s
+    body, compiled to ``code``. ``bind(value)`` gives the name a value is
+    bound to in the generated code's namespace."""
+    nlocals = meta.nparams + len(meta.local_zeros)
+    local_list = "[" + ", ".join(f"l{i}" for i in range(nlocals)) + "]"
+
+    # branch targets; a call_indirect's next pc too, where a host
+    # callee's result and the resumed caller meet
+    labels = set()
+    for pc, ins in enumerate(code):
+        c = ins[0]
+        if c == C_IF or c == C_BR or c == C_BR_IF:
+            labels.add(ins[1])
+        elif c == C_BR_TABLE:
+            labels.update(br[1] for br in (*ins[1], ins[2]))
+        elif c == C_CALL_INDIRECT:
+            labels.add(pc + 1)
+    # the last pc of each pc's segment; a valid body ends in a return
+    ends = [0] * len(code)
+    for pc in range(len(code) - 1, -1, -1):
+        ends[pc] = (pc if _is_leaving(code[pc], n_host) or pc + 1 in labels
+                    else ends[pc + 1])
+
+    cases: dict[int, list[str]] = {}  # dispatch key -> its lines
+    cur: Optional[list[str]] = None  # the live case's lines, None if dead
+    st: list[str] = []  # the operand stack: slot names, literals, locals
+    pending: dict[int, int] = {}  # forward target -> its stack height
+    jumps = False
+
+    def take() -> str:
+        """Pop the top value's expression, moved out of the line just
+        written when that line computed it, cannot trap and wrote it to
+        its slot, as the op taking it is the next thing to run. Moved
+        expressions nest only so deep, as Python's parser limits that."""
+        value = st.pop()
+        if (value[0] == "s" and cur and cur[-1].startswith(value + " = ")
+                and "#" not in cur[-1] and cur[-1].count("(") < 8):
+            return cur.pop()[len(value) + 3:]
+        return value
+
+    def operand(once: bool = True) -> str:
+        """Pop the top value to use as an operand: ``take``'s expression,
+        in parentheses, when the operand is evaluated ``once``."""
+        if not once:
+            return st.pop()
+        value = st[-1]
+        expr = take()
+        return expr if expr == value else f"({expr})"
+
+    def push(expr: str):
+        slot = f"s{len(st)}"
+        cur.append(f"{slot} = {expr}")
+        st.append(slot)
+
+    def marked(line: str) -> str:
+        return f"{line}  # @{pc}"
+
+    def settle(n: int, out: list[str]):
+        """Write the bottom ``n`` stack entries to their slots."""
+        out.extend(f"s{i} = {e}" for i, e in enumerate(st[:n])
+                   if e != f"s{i}")
+
+    def jump(target: int, arity: int, height: int) -> list[str]:
+        """Lines that keep the top ``arity`` values at ``height`` and go
+        to ``target``."""
+        nonlocal jumps
+        jumps = True
+        out: list[str] = []
+        settle(height, out)
+        if arity and st[-1] != f"s{height}":
+            out.append(f"s{height} = {st[-1]}")
+        if target > pc:
+            pending[target] = height + arity
+        return out + [f"at = {target}", "continue"]
+
+    def start(key: int, height: int):
+        nonlocal cur, st
+        cur = cases[key] = []
+        st = [f"s{i}" for i in range(height)]
+
+    def args_of(n: int) -> list[str]:
+        out = st[len(st) - n:]
+        del st[len(st) - n:]
+        return out
+
+    def call(fn: str, args: list[str]) -> str:
+        return f"{fn}(inst{''.join(', ' + a for a in args)})"
+
+    def test(cond: str) -> str:
+        """``cond`` as a condition: a comparison unwrapped, and any
+        expression in parentheses."""
+        m = _TEST.fullmatch(cond)
+        return f"({m[1] if m else cond})" if " " in cond else cond
+
+    pc = 0
+    start(0, 0)
+    for pc, ins in enumerate(code):
+        c = ins[0]
+        if pc in labels and pc:  # the entry is the label of pc 0
+            if cur is not None:  # falls into the label
+                cur += jump(pc, 0, len(st))
+                start(pc, len(st))
+            elif pc in pending:
+                start(pc, pending[pc])
+        if cur is None:  # no live code reaches this pc
+            continue
+        if pc == 0 or pc in labels or _is_leaving(code[pc - 1], n_host):
+            n = ends[pc] - pc + 1
+            cur.append(f"if executed + {n} > fuel: return ({_HANDS_OFF}, "
+                       f"executed, {pc}, [{', '.join(st)}], locals())")
+            cur.append(f"executed += {n}")
+
+        if c == C_CONST:
+            st.append(str(ins[1]))
+        elif c == C_LOCAL_GET:
+            st.append(f"l{ins[1]}")
+        elif c == C_LOCAL_SET or c == C_LOCAL_TEE:
+            local = f"l{ins[1]}"
+            value = take()
+            # entries that read the local read it before this write
+            for i, e in enumerate(st):
+                if e == local:
+                    cur.append(f"s{i} = {local}")
+                    st[i] = f"s{i}"
+            cur.append(f"{local} = {value}")
+            if c == C_LOCAL_TEE:
+                st.append(local)
+        elif c == C_GLOBAL_GET:
+            push(f"G[{ins[1]}]")
+        elif c == C_GLOBAL_SET:
+            cur.append(f"G[{ins[1]}] = {take()}")
+        elif c == C_DROP:
+            st.pop()
+        elif c == C_SELECT:
+            cond, b, a = st.pop(), st.pop(), st.pop()
+            push(f"{a} if {cond} else {b}")
+        elif c == C_NUM1 or c == C_NUM2:
+            fmt = _INT_FMT.get(ins[2], "{a}{b}")
+            b = operand(fmt.count("{b}") == 1) if c == C_NUM2 else ""
+            a = operand(fmt.count("{a}") == 1)
+            if ins[2] in _INT_FMT:
+                push(fmt.format(a=a, b=b))
+            else:  # div, rem, trunc and the float ops
+                push(f"{_helper_name(ins[2])}({a}{', ' + b if b else ''})")
+                cur[-1] = marked(cur[-1])
+        elif c == C_LOAD or c == C_STORE:
+            width = ins[2]
+            value = operand() if c == C_STORE else ""
+            addr = st.pop()
+            # the effective address and the end of the access, written
+            # out where they are used, so no expression reads a temporary
+            if addr[0].isdigit():  # a constant address
+                a = str(int(addr) + ins[1])
+                last = str(int(a) + width)
+            else:
+                a = f"{addr} + {ins[1]}" if ins[1] else addr
+                last = f"{addr} + {ins[1] + width}"
+            if width == 1 and not (c == C_LOAD and ins[3]):
+                # indexing checks the bounds, raising IndexError
+                if c == C_STORE:
+                    cur.append(f"mem[{a}] = {value} & 0xFF")
+                else:
+                    push(f"mem[{a}]")
+                cur[-1] = marked(cur[-1])
+                continue
+            cur.append(marked(f"if {last} > size: raise _Trap(MEM_OOB)"))
+            span = f"mem[{a}:{last}]"
+            if c == C_STORE:
+                cur.append(f"{span} = ({value} & {ins[3]:#x})"
+                           f".to_bytes({width}, 'little')")
+            elif ins[3]:  # sign-extends
+                push(f"from_bytes({span}, 'little', signed=True)"
+                     f" & {ins[4]:#x}")
+            else:  # zero-extends: the mask cannot clear a bit
+                push(f"from_bytes({span}, 'little')")
+        elif c == C_MEMSIZE:
+            push(f"size // {PAGE}")
+        elif c == C_MEMGROW:
+            push(f"grow(inst, {st.pop()})")
+            cur.append("size = len(mem)")
+        elif c == C_IF:
+            cur.append(f"if not {test(take())}:")
+            cur += ["    " + line for line in jump(ins[1], 0, len(st))]
+        elif c == C_BR_IF:
+            cur.append(f"if {test(take())}:")
+            cur += ["    " + line for line in jump(*ins[1:])]
+        elif c == C_BR:
+            cur += jump(*ins[1:])
+            cur = None
+        elif c == C_BR_TABLE:
+            cur.append(f"t = {take()}")
+            brs = (*ins[1], ins[2])
+            if len({br[2:] for br in brs}) == 1:  # one arity and height
+                keys = ", ".join(str(br[1]) for br in ins[1])
+                cur.append(f"at = ({keys},)[t] if t < {len(ins[1])} "
+                           f"else {ins[2][1]}")
+                for br in brs:
+                    if br[1] > pc:
+                        pending[br[1]] = br[3] + br[2]
+                # where each goes is set; the rest of a jump is shared
+                cur += jump(ins[2][1], *ins[2][2:])[:-2] + ["continue"]
+            else:
+                for i, br in enumerate(ins[1]):
+                    cur.append(f"if t == {i}:")
+                    cur += ["    " + line for line in jump(*br[1:])]
+                cur += jump(*ins[2][1:])
+            cur = None
+        elif c == C_RETURN:
+            result = take() if meta.nresults else "None"
+            cur.append(f"return ({_RETURNS}, executed, {result})")
+            cur = None
+        elif c == C_UNREACHABLE:
+            cur.append(marked("raise _Trap(UNREACHABLE)"))
+            cur = None
+        elif c == C_CALL and ins[1] < n_host:  # a host call runs inline
+            sig = func_types[ins[1]]
+            host = call(f"HOSTS[{ins[1]}]", args_of(len(sig.params)))
+            if sig.results:
+                push(f"{host} & 0xFFFFFFFF")
+            else:
+                cur.append(host)
+            cur[-1] = marked(cur[-1])
+        elif c == C_CALL or c == C_CALL_INDIRECT:
+            if c == C_CALL:
+                sig, callee = func_types[ins[1]], str(ins[1])
+            else:
+                sig, callee = ins[1], "t"
+                cur.append(marked(f"t = callee({st.pop()}, {bind(sig)})"))
+            args = args_of(len(sig.params))
+            height = len(st) + len(sig.results)
+            if c == C_CALL_INDIRECT:  # a host callee runs inline
+                host = call("HOSTS[t]", args)
+                host = [marked(f"s{len(st)} = {host} & 0xFFFFFFFF"
+                               if sig.results else host)]
+                settle(len(st), host)
+                cur.append("if t < NHOST:")
+                cur += ["    " + line for line in
+                        host + [f"at = {pc + 1}", "continue"]]
+                pending[pc + 1] = height
+            cur.append(f"return ({_CALLS}, executed, {callee}, "
+                       f"({''.join(a + ', ' for a in args)}), {~pc}, "
+                       f"{local_list}, [{', '.join(st)}])")
+            start(~pc, height)
+            if height:
+                cur.append(f"{', '.join(st)}, = S")
+        # C_NOP: block, loop and end markers, nop, reinterprets
+
+    def dispatch(keys: list[int]) -> list[str]:
+        if len(keys) == 1:
+            return cases[keys[0]]
+        mid = len(keys) // 2
+        return ([f"if at < {keys[mid]}:"]
+                + ["    " + line for line in dispatch(keys[:mid])]
+                + ["else:"]
+                + ["    " + line for line in dispatch(keys[mid:])])
+
+    keys = sorted(cases)
+    body = dispatch(keys)
+    if jumps or len(keys) > 1:
+        body = ["while True:"] + ["    " + line for line in body]
+    params = [f"l{i}" for i in range(meta.nparams)]
+    zeros = [f"l{i}" for i in range(meta.nparams, nlocals)]
+    entry = ([f"{', '.join(params)}, = L"] if params else []) + (
+        [f"{' = '.join(zeros)} = 0"] if zeros else [])
+    if any(key < 0 for key in keys) and nlocals:  # resumes after a call
+        entry = (["if at:", f"    {', '.join(params + zeros)}, = L", "else:"]
+                 + ["    " + line for line in entry or ["pass"]])
+    lines = ([f"def {name}(inst, mem, G, fuel, executed, at, L, S):"]
+             + ["    " + line for line in entry + ["size = len(mem)"]])
+    # the lines before the body's are the def, the entry and ``try:``
+    first = len(lines) + 2
+    marks = {first + i: (int(m[1]), ends[int(m[1])] - int(m[1]))
+             for i, line in enumerate(body)
+             if (m := _MARK.search(line))}
+    if marks:
+        lines += (["    try:"] + ["        " + line for line in body]
+                  + ["    except (_Trap, _ProcExit, IndexError) as e:",
+                     f"        raise attribute(e, {meta.func_idx}, "
+                     f"{bind(marks)}, executed)"])
+    else:
+        lines += ["    " + line for line in body]
+    return "\n".join(lines + [""])
+
+
+class _FuncMeta:
+    __slots__ = ("func_idx", "ftype", "nparams", "nresults", "local_zeros",
+                 "code", "fn")
+
+    def __init__(self, func_idx, ftype: FuncType, nlocals):
+        self.func_idx = func_idx
+        self.ftype = ftype
+        self.nparams = len(ftype.params)
+        self.nresults = len(ftype.results)
+        self.local_zeros = [0] * nlocals
+        self.code = None  # the step loop's tuples, built by ``step_code``
+        self.fn = None  # built by ``Engine.compiled`` on the first call
 
 
 _WASI_MODULE = "wasi_snapshot_preview1"
@@ -966,8 +1215,14 @@ class Engine:
 
         self.exports = module.export_map()
         self.n_host = n_host
-        # run source -> its template function, filled as bodies are compiled
-        self._templates: dict[str, object] = {}
+        # what function-level code refers to and, as bodies are compiled,
+        # the functions and the constants bound by ``_bind``; nothing in
+        # it refers back to the engine or its metas
+        self._names = dict(
+            _NAMES, HOSTS=[impl for impl, _, _ in self.host_funcs],
+            NHOST=n_host,
+            callee=partial(_indirect_callee, self.table, self.func_types))
+        self._bound = 0  # how many values ``_bind`` has named
         # the map base the coverage pass wrote into its accessor; None when
         # the accessor is missing or not a constant
         exp = self.exports.get(ACCESSOR_NAME)
@@ -1054,26 +1309,35 @@ class Engine:
             )
         return meta
 
-    def compiled(self, meta: _FuncMeta) -> tuple:
-        """The compiled body of ``meta``'s function, with the function of
-        every run in it, built the first time it is asked for."""
+    def step_code(self, meta: _FuncMeta) -> tuple:
+        """The tuples the step loop runs for ``meta``'s body."""
         if meta.code is None:
             i = meta.func_idx - self.n_host
             meta.code = _compile_body(self.module.functions[i].body,
                                       meta.nresults, self.module.types,
-                                      self._blocks[i], self._run_function)
+                                      self._blocks[i])
         return meta.code
 
-    def _run_function(self, ops: list[tuple]) -> FunctionType:
-        """The template of the run ``ops``, bound to its immediates."""
-        src, params = _run_source(ops)
-        template = self._templates.get(src)
-        if template is None:
-            names = dict(_RUN_NAMES)
-            exec(compile(src, "<wasm run>", "exec"), names)
-            template = self._templates[src] = names["run"]
-        return FunctionType(template.__code__, template.__globals__, "run",
-                            tuple(params))
+    def compiled(self, meta: _FuncMeta):
+        """The function-level code of ``meta``'s body, generated and
+        compiled the first time it is asked for."""
+        if meta.fn is None:
+            name = f"f{meta.func_idx}"
+            src = _function_source(name, self.step_code(meta), meta,
+                                   self.n_host, self.func_types, self._bind)
+            exec(compile(src, f"<wasm function {meta.func_idx}>", "exec"),
+                 self._names)
+            # kept by its meta only: a function in its own globals is a
+            # cycle that only the cycle collector would free
+            meta.fn = self._names.pop(name)
+        return meta.fn
+
+    def _bind(self, value) -> str:
+        """A new name for ``value`` in function-level code."""
+        name = f"K{self._bound}"
+        self._bound += 1
+        self._names[name] = value
+        return name
 
     def _execute(self, inst: Instance, calls: list[_FuncMeta], args: list,
                  limits: RunLimits) -> tuple[ExecOutcome, list]:
@@ -1104,20 +1368,67 @@ class Engine:
 
     def _run(self, inst: Instance, meta: _FuncMeta, args: list,
              limits: RunLimits, executed: int):
+        """Call ``meta``'s function with ``args``; return its results and
+        the count. Each body's function-level code runs until it returns,
+        calls a defined function or runs short of fuel; calls keep their
+        caller on ``frames``, not on Python's stack, which could not hold
+        ``MAX_CALL_DEPTH`` of them."""
         fuel = limits.fuel
         mem = inst.memory
         glb = inst.globals
         metas = self.metas
         n_host = self.n_host
-        host_funcs = self.host_funcs
-        table = self.table
-        func_types = self.func_types
+        frames: list = []  # (meta, resume key, locals, operand stack)
+        fn = meta.fn or self.compiled(meta)
+        at, L, S = 0, args, None
+        while True:
+            r = fn(inst, mem, glb, fuel, executed, at, L, S)
+            executed = r[1]
+            if r[0] == _CALLS:
+                if len(frames) >= MAX_CALL_DEPTH:
+                    t = _Trap(STACK_EXHAUSTED)  # the call's own pc and count
+                    t.func, t.offset, t.executed = meta.func_idx, ~r[4], executed
+                    raise t
+                frames.append((meta, r[4], r[5], r[6]))
+                meta = metas[r[2] - n_host]
+                fn = meta.fn or self.compiled(meta)
+                at, L, S = 0, r[3], None
+                continue
+            if r[0] == _RETURNS:
+                result = r[2]
+            else:  # the rest of the body is stepped, up to where fuel ends
+                names = r[4]
+                locals_ = [names[f"l{i}"] for i in
+                           range(meta.nparams + len(meta.local_zeros))]
+                vals, executed = self._step(inst, meta, r[2], r[3], locals_,
+                                            executed, fuel)
+                result = vals[0] if vals else None
+            if not frames:
+                return ([result] if meta.nresults else []), executed
+            nresults = meta.nresults
+            meta, at, L, S = frames.pop()
+            fn = meta.fn
+            if nresults:
+                S.append(result)
 
-        vals: list = []
+    def _step(self, inst: Instance, meta: _FuncMeta, pc: int, vals: list,
+              locals_: list, executed: int, fuel: int):
+        """Step ``meta``'s body from ``pc``, one instruction at a time, with
+        ``vals`` on the operand stack and ``locals_``, until it returns;
+        return its results and the count.
+
+        Function-level code hands a segment here when the fuel left cannot
+        cover it, and stepping it runs the fuel out before the segment
+        ends, so such a body never gets past the call or branch that ends
+        it. The tests step whole runs here as their reference."""
+        mem = inst.memory
+        glb = inst.globals
+        metas = self.metas
+        n_host = self.n_host
+        host_funcs = self.host_funcs
+
         frames: list = []
-        code = self.compiled(meta)
-        pc = 0
-        locals_ = args + meta.local_zeros
+        code = self.step_code(meta)
         base = 0
         nresults = meta.nresults
         func_idx = meta.func_idx
@@ -1128,16 +1439,6 @@ class Engine:
                     raise _Fuel()
                 ins = code[pc]
                 c = ins[0]
-                if c == C_BLOCK:
-                    n = ins[2]
-                    if executed + n <= fuel:
-                        ins[1](vals, locals_, glb, mem)
-                        executed += n
-                        pc += n
-                        continue
-                    # the fuel runs out inside the run: step it
-                    ins = ins[3]
-                    c = ins[0]
                 executed += 1
 
                 if c == C_LOCAL_GET:
@@ -1203,15 +1504,8 @@ class Engine:
                     code, pc, locals_, base, nresults, func_idx = frames.pop()
                     continue
                 elif c == C_CALL or c == C_CALL_INDIRECT:
-                    if c == C_CALL:
-                        target = ins[1]
-                    else:
-                        elem = vals.pop()
-                        if elem >= len(table) or table[elem] is None:
-                            raise _Trap(UNINIT_TABLE)
-                        target = table[elem]
-                        if func_types[target] != ins[1]:
-                            raise _Trap(INDIRECT_MISMATCH)
+                    target = (ins[1] if c == C_CALL else _indirect_callee(
+                        self.table, self.func_types, vals.pop(), ins[1]))
                     if target < n_host:
                         fn, nargs, nres = host_funcs[target]
                         if nargs:
@@ -1236,7 +1530,7 @@ class Engine:
                         else:
                             newlocals = []
                         newlocals.extend(tmeta.local_zeros)
-                        code = tmeta.code or self.compiled(tmeta)
+                        code = tmeta.code or self.step_code(tmeta)
                         pc = 0
                         locals_ = newlocals
                         base = len(vals)
@@ -1257,30 +1551,14 @@ class Engine:
                 elif c == C_MEMSIZE:
                     vals.append(len(mem) // PAGE)
                 elif c == C_MEMGROW:
-                    delta = vals.pop()
-                    cur = len(mem) // PAGE
-                    new = cur + delta
-                    cap = MAX_PAGES
-                    if inst.mem_max is not None:
-                        cap = min(cap, inst.mem_max)
-                    if new > cap:
-                        vals.append(M32)  # -1
-                    else:
-                        mem.extend(bytes(delta * PAGE))
-                        vals.append(cur)
+                    vals[-1] = _memory_grow(inst, vals[-1])
                 elif c == C_UNREACHABLE:
                     raise _Trap(UNREACHABLE)
                 else:
                     raise AssertionError(f"bad compiled op {c}")
                 pc += 1
         except _Trap as t:
-            # a stepped op or host call has counted itself; a fused run
-            # counts up to and including the op at ``at``
-            t.func = func_idx
-            if t.at is None:
-                t.offset, t.executed = pc, executed
-            else:
-                t.offset, t.executed = pc + t.at, executed + t.at + 1
+            t.func, t.offset, t.executed = func_idx, pc, executed
             raise
         except _ProcExit as e:  # proc_exit is a host call
             e.executed = executed

@@ -398,8 +398,9 @@ def inputs(tmp_path, hardened, victim_wasm):
     instrumented ``v.h`` (with sidecar), a crashing input, a seeds dir and
     one whose seed crashes, a garbage binary, modules with one and with
     two functions that fail validation, one whose memory limit is past
-    4 GiB, one whose initial memory is past ``MAX_PAGES`` and one whose
-    is at it, a malformed sidecar, a plain file and a directory."""
+    4 GiB and one whose limit is at it, one whose initial memory is past
+    ``MAX_PAGES`` and one whose is at it, a malformed sidecar, a plain
+    file and a directory."""
     d = tmp_path / "inputs"
     d.mkdir()
     (d / "v.wasm").write_bytes(victim_wasm.read_bytes())
@@ -432,6 +433,10 @@ def inputs(tmp_path, hardened, victim_wasm):
     full = modbuild.victim_module()
     full.memory = (MAX_PAGES, None)
     (d / "full.wasm").write_bytes(encode_module(full))
+    # valid, but the trace map's page takes its maximum past 4 GiB
+    top = modbuild.victim_module()
+    top.memory = (top.memory[0], 65536)
+    (d / "top.wasm").write_bytes(encode_module(top))
     (d / "malformed.json").write_text("{not json")
     (d / "file").write_bytes(b"")
     (d / "dir").mkdir()
@@ -462,6 +467,8 @@ REFUSALS = {
     "run-memory-past-grow-limit": (["run", "big.wasm"], EXIT_USAGE, None),
     "instrument-memory-at-grow-limit": (["instrument", "full.wasm", "-o",
                                          "full.h"], EXIT_USAGE, "full.h"),
+    "instrument-memory-max-at-4-gib": (["instrument", "top.wasm", "-o",
+                                        "top.h"], EXIT_USAGE, "top.h"),
     "fuzz-invalid-module": (["fuzz", "invalid.wasm", "-o", "c", "--seeds",
                              "s", *FUZZ], EXIT_PARSE, "c"),
     "fuzz-uninstrumented": (["fuzz", "v.wasm", "-o", "c", "--seeds", "s",

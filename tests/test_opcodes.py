@@ -45,7 +45,8 @@ def test_types_derived_from_op_names():
         name for name in typed if IMM_KIND[name] == "mem")
     assert len(MEM_ACCESS) == 23
 
-    # every typed op validates and compiles with the effect derived for it
+    # every typed op validates and compiles with the effect derived for it,
+    # to a step-loop tuple and into function-level code
     for op, (params, results) in SIGS.items():
         m = ModuleIR(memory=(1, None))
         ti = m.add_type(FuncType(params, results))
@@ -54,5 +55,6 @@ def test_types_derived_from_op_names():
         m.functions.append(FunctionIR(ti, [], body))
         assert validate_module(m).ok, op
         eng = Engine(m)
-        code = eng.compiled(eng.metas[0])
+        code = eng.step_code(eng.metas[0])
         assert code[len(params)][0] == _expected_code(op, params), op
+        assert callable(eng.compiled(eng.metas[0])), op

@@ -1,20 +1,30 @@
-"""Fused runs against the step interpreter.
+"""Function-level code against the step interpreter.
 
-An engine whose runs are unwrapped back to their stepped tuples is the
+An engine that steps every call from its first instruction is the
 reference: every ``ExecOutcome`` field, the memory, the globals and the
-trace bits of a fused engine must equal its.
+trace bits of an engine that runs function-level code must equal its.
 """
 
-from types import FunctionType
+import gc
+import weakref
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
 import modbuild
 from wasmwarden import Engine, RunLimits, WasiConfig
-from wasmwarden.interp import C_BLOCK, DIV_ZERO, MEM_OOB
+from wasmwarden.interp import (
+    DIV_ZERO,
+    INDIRECT_MISMATCH,
+    MAX_CALL_DEPTH,
+    MEM_OOB,
+    STACK_EXHAUSTED,
+    UNINIT_TABLE,
+    _function_source,
+)
 from wasmwarden.ir import (
     DataSegment,
+    ElemSegment,
     Export,
     FuncType,
     FunctionIR,
@@ -25,19 +35,19 @@ from wasmwarden.ir import (
 from wasmwarden.opcodes import MEM_ACCESS, SIGS
 
 
-def stepped(eng: Engine) -> Engine:
-    """``eng`` with every run put back to its stepped tuples."""
-    for meta in eng.metas:
-        meta.code = [ins[3] if ins[0] == C_BLOCK else ins
-                     for ins in eng.compiled(meta)]
-    return eng
+class Stepped(Engine):
+    """The reference: every call is stepped, one instruction at a time."""
+
+    def _run(self, inst, meta, args, limits, executed):
+        return self._step(inst, meta, 0, [], list(args) + meta.local_zeros,
+                          executed, limits.fuel)
 
 
 def run_both(m: ModuleIR, fuel: int, wasi=None, export=None, args=()):
-    """(outcome, results, memory, globals) from a fused and a stepped
+    """(outcome, results, memory, globals) from a compiled and a stepped
     engine; with ``export`` it is called, otherwise ``_start`` runs."""
     runs = []
-    for eng in (Engine(m), stepped(Engine(m))):
+    for eng in (Engine(m), Stepped(m)):
         inst = eng.instantiate(wasi)
         if export is None:
             out, res = eng.run_start(inst, RunLimits(fuel=fuel)), None
@@ -48,87 +58,267 @@ def run_both(m: ModuleIR, fuel: int, wasi=None, export=None, args=()):
     return runs
 
 
+def sweep_fuel(m: ModuleIR, data: bytes) -> list:
+    """Run ``m`` on ``data`` at every fuel value up to one past what it
+    needs, compiled and stepped, and check that both agree on the outcome,
+    the trace bits (when ``m`` has a trace map), the memory and the
+    globals; returns the outcome with all the fuel it needs."""
+    compiled, ref = Engine(m), Stepped(m)
+    full = ref.run_start(ref.instantiate(WasiConfig(stdin=data)),
+                         RunLimits(fuel=1_000_000))
+    for fuel in range(full.instructions_executed + 2):
+        seen = []
+        for eng in (compiled, ref):
+            inst = eng.instantiate(WasiConfig(stdin=data))
+            out = eng.run_start(inst, RunLimits(fuel=fuel))
+            bits = (None if eng.trace_base is None
+                    else bytes(eng.read_trace_bits(inst)))
+            seen.append((out, bits, bytes(inst.memory), inst.globals))
+        assert seen[0] == seen[1], fuel
+        if fuel < full.instructions_executed:
+            assert seen[0][0].status == "fuel-exhausted"
+    return full
+
+
 def test_corpus_matches_the_step_path():
     compared = 0
     for name, m, inputs in modbuild.corpus():
         for module in (m, modbuild.hardened(m)):
             for data in inputs:
-                fused, ref = run_both(module, 1_000_000,
-                                      WasiConfig(stdin=data))
-                assert fused == ref, (name, data)
+                compiled, ref = run_both(module, 1_000_000,
+                                         WasiConfig(stdin=data))
+                assert compiled == ref, (name, data)
                 compared += 1
     assert compared >= 40
+
+
+# ------------------------------------------- compiled code, per engine
+
+def _compiled_functions(eng: Engine) -> dict:
+    return {meta.func_idx: meta.fn for meta in eng.metas
+            if meta.fn is not None}
 
 
 def test_engine_makes_no_source_until_a_body_is_entered():
     m = modbuild.hardened(modbuild.victim_module())
     eng = Engine(m)
-    assert eng._templates == {}
-    blocks = [ins for meta in eng.metas for ins in eng.compiled(meta)
-              if ins[0] == C_BLOCK]
-    assert blocks and all(isinstance(ins[1], FunctionType) for ins in blocks)
-    assert 0 < len(eng._templates) <= len(blocks)
-    assert Engine(m)._templates == {}  # nothing is shared across engines
+    names = dict(eng._names)
+    assert _compiled_functions(eng) == {} and eng._bound == 0
+    assert all(meta.code is None for meta in eng.metas)
+    eng.run_start(eng.instantiate(WasiConfig(stdin=b"AAAA")))
+    # the constants the two entered bodies bound, and no functions
+    assert eng._names.keys() - names.keys() - {"__builtins__"} == {
+        f"K{i}" for i in range(eng._bound)}
+    entered = _compiled_functions(eng)
+    # _start and process; the trace-map accessor is never called
+    assert len(entered) == 2 and len(eng.metas) == 3
+    assert _compiled_functions(Engine(m)) == {}  # nothing across engines
+
+
+def test_each_entered_body_is_one_function_per_engine():
+    m = modbuild.hardened(modbuild.victim_module())
+    engines = [Engine(m), Engine(m)]
+    for eng in engines:
+        for data in (b"AAAA", b"42" + b"A" * 14, b"4"):
+            eng.run_start(eng.instantiate(WasiConfig(stdin=data)))
+    first, second = map(_compiled_functions, engines)
+    assert first.keys() == second.keys() and len(first) == 2
+    for idx, fn in first.items():
+        assert fn.__name__ == f"f{idx}"
+        # each engine compiles its own, in its own namespace
+        assert second[idx] is not fn
+        assert fn.__globals__ is engines[0]._names
+        assert second[idx].__globals__ is engines[1]._names
+    assert engines[0]._names["HOSTS"] is not engines[1]._names["HOSTS"]
+
+
+def test_an_engine_and_its_code_are_freed_without_the_cycle_collector():
+    m = modbuild.hardened(modbuild.victim_module())
+    gc.disable()
+    try:
+        eng = Engine(m)
+        eng.run_start(eng.instantiate(WasiConfig(stdin=b"42" + b"A" * 14)))
+        refs = [weakref.ref(eng)] + [weakref.ref(meta.fn)
+                                     for meta in eng.metas if meta.fn]
+        assert len(refs) == 3
+        del eng
+        assert [ref() for ref in refs] == [None] * 3
+    finally:
+        gc.enable()
 
 
 def test_running_never_changes_a_compiled_body():
     eng = Engine(modbuild.hardened(modbuild.victim_module()))
-    before = [(eng.compiled(meta), list(eng.compiled(meta)))
+    for meta in eng.metas:
+        eng.compiled(meta)
+    before = [(meta.fn, meta.fn.__code__, meta.code, list(meta.code))
               for meta in eng.metas]
-    templates = dict(eng._templates)
+    names = dict(eng._names)
     for data in (b"AAAA", b"42" + b"A" * 14, b"42" + b"A" * 21, b""):
-        eng.run_start(eng.instantiate(WasiConfig(stdin=data)))
-    for meta, (code, ops) in zip(eng.metas, before):
-        assert eng.compiled(meta) is code and list(code) == ops
-    assert eng._templates == templates
-
-
-def test_runs_that_differ_in_immediates_share_a_template():
-    body = [I("i32.const", 1), I("global.set", 0),
-            I("i32.const", 0), I("br_if", 0),
-            I("i32.const", 2), I("global.set", 0),
-            I("i32.const", 3), I("br_if", 0),
-            I("end")]
-    m = ModuleIR()
-    ti = m.add_type(FuncType((), ()))
-    m.functions.append(FunctionIR(ti, [], body))
-    m.globals.append(Global("i32", True, [I("i32.const", 0)]))
-    m.exports.append(Export("f", "func", 0))
-    eng = Engine(m)
-    inst = eng.instantiate()
-    out, _ = eng.call_export(inst, "f", [])
-    assert out.status == "exit" and inst.globals == [2]
-    code = eng.compiled(eng.metas[0])
-    assert code[0][1] is not None and code[4][1] is not None
-    assert len(eng._templates) == 1
+        for fuel in (1_000_000, 30):
+            eng.run_start(eng.instantiate(WasiConfig(stdin=data)),
+                          RunLimits(fuel=fuel))
+    for meta, (fn, fn_code, code, ops) in zip(eng.metas, before):
+        assert eng.compiled(meta) is fn and fn.__code__ is fn_code
+        assert meta.code is code and list(code) == ops
+    assert eng._names == names
 
 
 # ---------------------------------------------------- the victim, fuel swept
 
 @pytest.mark.parametrize("data", [b"42" + b"A" * 14, b"AAAA"])
 def test_victim_fuel_sweep_matches_the_step_path(data):
-    m = modbuild.hardened(modbuild.victim_module())
-    fused_eng, ref_eng = Engine(m), stepped(Engine(m))
-    total = ref_eng.run_start(ref_eng.instantiate(WasiConfig(stdin=data)),
-                              RunLimits(fuel=1_000_000)).instructions_executed
-    for fuel in range(total + 2):
-        seen = []
-        for eng in (fused_eng, ref_eng):
-            inst = eng.instantiate(WasiConfig(stdin=data))
-            out = eng.run_start(inst, RunLimits(fuel=fuel))
-            seen.append((out, eng.read_trace_bits(inst), bytes(inst.memory),
-                         inst.globals))
-        assert seen[0] == seen[1], fuel
-        if fuel < total:
-            assert seen[0][0].status == "fuel-exhausted"
+    sweep_fuel(modbuild.hardened(modbuild.victim_module()), data)
 
 
-# -------------------------------------------------- a trap inside a run
+# ------------------------------------------ calls, resumes and hand-offs
+
+def _resume_in_a_loop() -> ModuleIR:
+    """``_start`` calls ``pick`` four times from inside a loop, with two
+    values of its own below the call's argument, and stores each result
+    with them."""
+    m = modbuild.new_module(imports=("fd_read",))
+    pick = modbuild.add_func(m, ("i32",), ("i32",), (), [
+        I("local.get", 0), I("i32.load8_u", 0, modbuild.INPUT_ADDR),
+        I("local.get", 0), I("i32.add"), I("end"),
+    ])
+    modbuild.add_start(m, modbuild.read_stdin(maxlen=4) + [
+        I("i32.const", 4), I("local.set", 0),
+        I("loop", None),
+        I("i32.const", modbuild.OUT_ADDR), I("local.get", 0), I("i32.add"),
+        I("i32.const", 7),
+        I("local.get", 0), I("i32.const", 1), I("i32.sub"),
+        I("call", pick),  # returns into the loop, above the two values
+        I("i32.mul"),
+        I("i32.store8", 0, 0),
+        I("local.get", 0), I("i32.const", 1), I("i32.sub"),
+        I("local.tee", 0),
+        I("br_if", 0),
+        I("end"),
+        I("end"),
+    ], locals_=("i32",))
+    return m
+
+
+def _indirect_callback() -> ModuleIR:
+    """The first input byte picks a table slot: two functions that each
+    call ``triple``, ``fd_read`` under the wrong type, or an empty slot.
+    Then ``fd_read`` is called through the table under its own type."""
+    m = modbuild.new_module(imports=("fd_read",))
+    unary = m.add_type(FuncType(("i32",), ("i32",)))
+    triple = modbuild.add_func(m, ("i32",), ("i32",), (), [
+        I("local.get", 0), I("i32.const", 3), I("i32.mul"), I("end"),
+    ])
+    plus_one = modbuild.add_func(m, ("i32",), ("i32",), (), [
+        I("local.get", 0), I("call", triple), I("i32.const", 1),
+        I("i32.add"), I("end"),
+    ])
+    shifted = modbuild.add_func(m, ("i32",), ("i32",), (), [
+        I("local.get", 0), I("i32.const", 2), I("i32.add"),
+        I("call", triple), I("end"),
+    ])
+    m.table = (4, 4)
+    m.elems.append(ElemSegment([I("i32.const", 0)], [plus_one, shifted, 0]))
+    modbuild.add_start(m, modbuild.read_stdin(maxlen=2) + [
+        I("i32.const", modbuild.OUT_ADDR),
+        I("i32.const", 5),  # left below the call
+        I("i32.const", modbuild.INPUT_ADDR), I("i32.load8_u", 0, 1),
+        I("i32.const", modbuild.INPUT_ADDR), I("i32.load8_u", 0, 0),
+        I("i32.const", 3), I("i32.and"),
+        I("call_indirect", unary),
+        I("i32.add"),
+        I("i32.store", 2, 0),
+        # fd_read with no iovecs, through the table: a host callee
+        I("i32.const", 0), I("i32.const", modbuild.IOV_ADDR),
+        I("i32.const", 0), I("i32.const", modbuild.NREAD_ADDR),
+        I("i32.const", 2),
+        I("call_indirect", 0),
+        I("i32.const", modbuild.OUT_ADDR + 4), I("i32.add"),
+        I("i32.const", 9), I("i32.store8", 0, 0),
+        I("end"),
+    ])
+    return m
+
+
+def _trap_two_calls_deep() -> tuple[ModuleIR, int, int]:
+    """``_start`` -> ``middle`` -> ``leaf``, which divides by the first
+    input byte minus '0'; returns the module, ``leaf``'s index and the pc
+    of its division."""
+    m = modbuild.new_module(imports=("fd_read",))
+    leaf_body = [
+        I("i32.const", 100),
+        I("local.get", 0), I("i32.const", 0x30), I("i32.sub"),
+        I("i32.div_u"),
+        I("end"),
+    ]
+    leaf = modbuild.add_func(m, ("i32",), ("i32",), (), leaf_body)
+    middle = modbuild.add_func(m, ("i32",), ("i32",), (), [
+        I("i32.const", 1), I("local.get", 0), I("call", leaf), I("i32.add"),
+        I("end"),
+    ])
+    modbuild.add_start(m, modbuild.read_stdin(maxlen=1) + [
+        I("i32.const", modbuild.OUT_ADDR),
+        I("i32.const", modbuild.INPUT_ADDR), I("i32.load8_u", 0, 0),
+        I("call", middle),
+        I("i32.store", 2, 0),
+        I("end"),
+    ])
+    return m, leaf, 4
+
+
+@pytest.mark.parametrize("data", [b"\x01\x02\x03\x04", b"AB", b""],
+                         ids=["small-bytes", "letters", "empty"])
+def test_call_returning_into_a_loop_matches_the_step_path(data):
+    full = sweep_fuel(modbuild.hardened(_resume_in_a_loop()), data)
+    assert full.status == "exit"
+
+
+@pytest.mark.parametrize("data,status,kind", [
+    (b"\x00\x05", "exit", ""),
+    (b"\x01\x05", "exit", ""),
+    (b"\x02\x05", "trap", INDIRECT_MISMATCH),
+    (b"\x03\x05", "trap", UNINIT_TABLE),
+], ids=["plus-one", "shifted", "wrong-type", "empty-slot"])
+def test_indirect_callee_calling_back_matches_the_step_path(data, status,
+                                                             kind):
+    full = sweep_fuel(modbuild.hardened(_indirect_callback()), data)
+    assert (full.status, full.trap_kind) == (status, kind)
+
+
+def test_trap_two_calls_deep_keeps_its_place_and_count():
+    m, leaf, div_pc = _trap_two_calls_deep()
+    full = sweep_fuel(m, b"0")  # not hardened: the pc is the body's own
+    assert (full.status, full.trap_kind) == ("trap", DIV_ZERO)
+    assert (full.trap_function, full.trap_offset) == (leaf, div_pc)
+    # _start to its call (16), middle to its call (3), leaf to the div (5)
+    assert full.instructions_executed == 16 + 3 + 5
+    hardened = sweep_fuel(modbuild.hardened(m), b"0")
+    assert (hardened.trap_kind, hardened.trap_function) == (DIV_ZERO, leaf)
+    assert sweep_fuel(modbuild.hardened(m), b"5").status == "exit"
+
+
+def test_recursion_to_the_depth_limit_traps_at_the_same_count():
+    m = ModuleIR()
+    ti = m.add_type(FuncType((), ()))
+    m.functions.append(FunctionIR(ti, [], [I("nop"), I("call", 0),
+                                           I("end")]))
+    m.exports.append(Export("f", "func", 0))
+    compiled, ref = run_both(m, 10_000_000, export="f")
+    assert compiled == ref
+    out = compiled[0]
+    assert (out.status, out.trap_kind) == ("trap", STACK_EXHAUSTED)
+    assert (out.trap_function, out.trap_offset) == (0, 1)
+    # the entry and MAX_CALL_DEPTH calls below it run, and the next call
+    # traps: two instructions per function
+    assert out.instructions_executed == 2 * (MAX_CALL_DEPTH + 1)
+
+
+# -------------------------------------------------- a trap inside a segment
 
 def _trap_in_run(trap_ops):
-    """A run of three ops, a br_if that does not branch, then a run that
-    stores, sets a global and a local, and then runs ``trap_ops``; the
-    last of those traps at pc ``len(body) - 6``."""
+    """A segment of three ops ending in a br_if that does not branch, then
+    one that stores, sets a global and a local, and then runs
+    ``trap_ops``; the last of those traps at pc ``len(body) - 6``."""
     body = [
         I("i32.const", 1), I("drop"), I("i32.const", 0), I("br_if", 0),
         I("i32.const", 16), I("i32.const", 0x55), I("i32.store8", 0, 0),
@@ -154,14 +344,18 @@ def _trap_in_run(trap_ops):
 ])
 def test_trap_in_a_run_reports_its_own_pc(trap_ops, kind):
     m = _trap_in_run(trap_ops)
-    trap_pc = len(m.functions[0].body) - 6
+    n = len(m.functions[0].body)
+    trap_pc = n - 6
     eng = Engine(m)
-    code = eng.compiled(eng.metas[0])
-    assert code[0][0] == C_BLOCK and code[0][2] == 3
-    assert code[4][0] == C_BLOCK and 4 + code[4][2] > trap_pc + 1
-    fused, ref = run_both(m, 1000, export="f")
-    assert fused == ref
-    out, _, mem, glb = fused
+    src = _function_source("f", eng.step_code(eng.metas[0]), eng.metas[0],
+                           eng.n_host, eng.func_types, eng._bind)
+    # pc 0 heads a segment of 4 and pc 4 one that runs past the trapping
+    # op, charged at once, up to the final end, where the br_if goes
+    assert "executed += 4\n" in src and f"executed += {n - 5}\n" in src
+    assert src.count("executed += ") == 3
+    compiled, ref = run_both(m, 1000, export="f")
+    assert compiled == ref
+    out, _, mem, glb = compiled
     assert (out.status, out.trap_kind) == ("trap", kind)
     assert (out.trap_function, out.trap_offset) == (0, trap_pc)
     assert out.instructions_executed == trap_pc + 1
@@ -183,7 +377,7 @@ _LOADS = sorted(op for op, (t, _, _) in MEM_ACCESS.items()
 _STORES = sorted(op for op, (t, _, _) in MEM_ACCESS.items()
                  if t in _TYPES and not SIGS[op][1])
 # locals: params 0 (i32) and 1 (i64), then i32 and i64 scratch (2, 3) and
-# the loop counter (4); global 0 is i32, global 1 is i64
+# the loop counter (4), and an address (5); global 0 is i32, global 1 is i64
 _LOCAL = {"i32": 2, "i64": 3}
 _GLOBAL = {"i32": 0, "i64": 1}
 _PAGE = 65536
@@ -195,17 +389,27 @@ _consts = {
     "i64": st.sampled_from([0, 0, 1, 63, 64, 2**63 - 1, 2**63, 2**64 - 1])
     | st.integers(0, 2**64 - 1),
 }
-# mostly in bounds, some across or past the end of the one page
+# mostly in bounds, often in the data at the start of memory, some
+# across or past the end of the one page
 _in_bounds = st.integers(0, _PAGE - 8)
-_addrs = st.one_of(_in_bounds, _in_bounds, _in_bounds,
+_in_data = st.integers(0, 248)
+_addrs = st.one_of(_in_data, _in_data, _in_bounds,
                    st.integers(_PAGE - 8, _PAGE + 8))
+
+
+def _address(data) -> list:
+    """An address, as a constant or read back from local 5."""
+    addr = I("i32.const", data.draw(_addrs))
+    if data.draw(st.booleans()):
+        return [addr]
+    return [addr, I("local.set", 5), I("local.get", 5)]
 
 
 def _straight(data, stack: list, n: int) -> list:
     """``n`` random steps of straight-line code over the typed ``stack``."""
     out = []
     for _ in range(n):
-        moves = ["const", "local.get", "global.get", "load"]
+        moves = ["const", "local.get", "global.get", "load", "copy"]
         if stack:
             moves += ["local.set", "local.tee", "global.set", "drop",
                       "store", "op", "op", "divide"]
@@ -227,9 +431,17 @@ def _straight(data, stack: list, n: int) -> list:
             stack.append(t)
         elif move == "load":
             op = data.draw(st.sampled_from(_LOADS))
-            out += [I("i32.const", data.draw(_addrs)),
+            out += [*_address(data),
                     I(op, 0, data.draw(st.sampled_from([0, 0, 4])))]
             stack.append(SIGS[op][1][0])
+        elif move == "copy":  # a load stored at once, no stack change
+            op = data.draw(st.sampled_from(_STORES))
+            load = data.draw(st.sampled_from(
+                [x for x in _LOADS if SIGS[x][1][0] == SIGS[op][0][1]]))
+            offset = st.sampled_from([0, 0, 4])
+            out += [*_address(data), *_address(data),
+                    I(load, 0, data.draw(offset)),
+                    I(op, 0, data.draw(offset))]
         elif move in ("local.set", "local.tee"):
             out.append(I(move, _LOCAL[stack[-1]]))
             if move == "local.set":
@@ -244,8 +456,9 @@ def _straight(data, stack: list, n: int) -> list:
             op = data.draw(st.sampled_from(
                 [s for s in _STORES if SIGS[s][0][1] == t]))
             out += [I("local.set", _LOCAL[t]),
-                    I("i32.const", data.draw(_addrs)),
-                    I("local.get", _LOCAL[t]), I(op, 0, 0)]
+                    *_address(data),
+                    I("local.get", _LOCAL[t]),
+                    I(op, 0, data.draw(st.sampled_from([0, 0, 4])))]
         elif move == "divide":  # by a divisor that is often 0 or -1
             t = stack[-1]
             out += [I(f"{t}.const", data.draw(st.sampled_from(
@@ -307,17 +520,20 @@ def test_generated_bodies_match_the_step_path(data):
     m = ModuleIR()
     m.memory = (1, None)
     ti = m.add_type(FuncType(("i32", "i64"), ()))
-    m.functions.append(FunctionIR(ti, ["i32", "i64", "i32"], body))
+    m.functions.append(FunctionIR(ti, ["i32", "i64", "i32", "i32"], body))
     m.globals += [Global("i32", True, [I("i32.const", 5)]),
                   Global("i64", True, [I("i64.const", 6)])]
     m.exports.append(Export("f", "func", 0))
-    m.data_segments.append(DataSegment(
-        [I("i32.const", _PAGE - 64)], bytes(range(1, 65))))
+    m.data_segments += [
+        DataSegment([I("i32.const", 0)],
+                    bytes(i * 7 & 0xFF for i in range(1, 257))),
+        DataSegment([I("i32.const", _PAGE - 64)], bytes(range(1, 65))),
+    ]
     args = (data.draw(st.sampled_from([0, 1])), data.draw(_consts["i64"]))
     # all the fuel it needs, then a cut somewhere inside
-    fused, ref = run_both(m, 100_000, export="f", args=args)
-    assert fused == ref
-    event(f"{fused[0].status} {fused[0].trap_kind}".strip())
-    fuel = data.draw(st.integers(0, fused[0].instructions_executed))
-    fused, ref = run_both(m, fuel, export="f", args=args)
-    assert fused == ref
+    compiled, ref = run_both(m, 100_000, export="f", args=args)
+    assert compiled == ref
+    event(f"{compiled[0].status} {compiled[0].trap_kind}".strip())
+    fuel = data.draw(st.integers(0, compiled[0].instructions_executed))
+    compiled, ref = run_both(m, fuel, export="f", args=args)
+    assert compiled == ref
