@@ -156,6 +156,18 @@ def cmd_instrument(args) -> int:
     return EXIT_OK
 
 
+def _fuel(text: str) -> int:
+    """A ``--fuel`` value: how many instructions a run may execute."""
+    try:
+        fuel = int(text)
+    except ValueError:
+        fuel = -1
+    if fuel < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a count of instructions, 0 or more, got {text!r}")
+    return fuel
+
+
 def _argv_template(args) -> list[str]:
     return args.argv.split() if args.argv else ["prog"]
 
@@ -311,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("input", nargs="?", default=None)
     pr.add_argument("--sites", default=None,
                     help="sites sidecar (default: <binary>.sites.json)")
-    pr.add_argument("--fuel", type=int, default=RunLimits.fuel)
+    pr.add_argument("--fuel", type=_fuel, default=RunLimits.fuel)
     pr.add_argument("--argv", default=None,
                     help='argv template, e.g. "prog @@"; @@ stands for '
                          f'{INPUT_PATH}, and the input is on stdin')
@@ -324,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--sites", default=None)
     pf.add_argument("--time", type=float, default=None, help="seconds")
     pf.add_argument("--execs", type=int, default=None)
-    pf.add_argument("--fuel", type=int, default=RunLimits.fuel)
+    pf.add_argument("--fuel", type=_fuel, default=RunLimits.fuel)
     pf.add_argument("--argv", default=None)
     pf.add_argument("--seed", type=int, default=0, help="campaign rng seed")
     pf.add_argument("--resume", action="store_true",
@@ -336,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc = sub.add_parser("cov", help="dump trace map for one input")
     pc.add_argument("binary")
     pc.add_argument("input", nargs="?", default=None)
-    pc.add_argument("--fuel", type=int, default=RunLimits.fuel)
+    pc.add_argument("--fuel", type=_fuel, default=RunLimits.fuel)
     pc.add_argument("--argv", default=None)
     pc.set_defaults(fn=cmd_cov)
     return p

@@ -21,18 +21,19 @@ callee returns.
 Function-level code is exact. Fuel is charged once per segment, the ops
 from a block's head to the branch, call or branch target that ends it,
 when that fits the budget; otherwise the function hands its pc, operand
-stack and locals to the step loop (``Engine._step``), which runs the fuel
-out on the same instruction with the same memory. The step loop runs
-only there and as the tests' reference. The integer ops are written once,
-as expressions (``_INT_EXPR``) that both use; the other numeric ops call
-the same ``_NUMERIC`` function on both.
+stack and locals back to ``Engine._run``, which generates and runs the
+segment's first ``fuel - executed`` ops the same way, so fuel runs out on
+the same instruction with the same memory. Each op is written once: the
+integer ops as expressions (``_INT_FMT``), the other numeric ops as the
+``_NUMERIC`` functions that the generated code calls, and everything else
+as a template in ``_function_source``.
 
 A trap is raised where it happens (a numeric helper, a memory check, a
-WASI host function, function-level code or the step loop) as
-``_Trap(kind)``. The handler around the code that ran the op attributes
-it to the function, pc and instruction count at hand; in function-level
-code, each line that may trap names its op's pc in a ``# @pc`` comment,
-which the handler finds from the traceback.
+WASI host function or function-level code) as ``_Trap(kind)``. The
+handler around the code that ran the op attributes it to the function,
+pc and instruction count at hand; in function-level code, each line that
+may trap names its op's pc in a ``# @pc`` comment, which the handler
+finds from the traceback.
 """
 
 from __future__ import annotations
@@ -345,9 +346,7 @@ def _trunc_to_int(x: float, lo: int, hi: int) -> int:
 
 def _int_exprs() -> dict[str, str]:
     """Integer ops that are one Python expression over their operands
-    ``a`` and ``b``. The step lambdas are made from these strings and
-    function-level code splices them in, so each op's semantics is
-    written once.
+    ``a`` and ``b``, which function-level code splices in.
 
     A signed comparison flips the sign bits, which maps signed order onto
     unsigned order; ``(a ^ S) - S`` is ``a`` read as signed.
@@ -386,15 +385,16 @@ def _int_exprs() -> dict[str, str]:
     return ex
 
 
-_INT_EXPR = _int_exprs()
+# the integer expressions with their operands as format fields; an
+# operand may be a literal, which needs parentheses before an attribute
+_INT_FMT = {op: re.sub(r"\b([ab])\b", r"{\1}", ex).replace("{a}.", "({a}).")
+            for op, ex in _int_exprs().items()}
 
 
 def _build_numeric() -> dict[str, object]:
-    """opname -> fn on bit patterns; its arity is in ``opcodes.SIGS``."""
-    ops: dict[str, object] = {
-        op: eval(f"lambda {'a, b' if len(SIGS[op][0]) == 2 else 'a'}: {ex}")
-        for op, ex in _INT_EXPR.items()
-    }
+    """opname -> fn on bit patterns, for the numeric ops that are not one
+    expression (``_INT_FMT``); its arity is in ``opcodes.SIGS``."""
+    ops: dict[str, object] = {}
     put = ops.__setitem__
     for bits in (32, 64):
         p = f"i{bits}"
@@ -487,11 +487,9 @@ _WITH_ARGS = {
 
 _NUMERIC = _build_numeric()
 
-# numeric ops compile to (C_NUM1 or C_NUM2, fn, op), by arity
-_PLAIN.update(
-    (op, (C_NUM1 if len(SIGS[op][0]) == 1 else C_NUM2, fn, op))
-    for op, fn in _NUMERIC.items()
-)
+# numeric ops compile to (C_NUM1 or C_NUM2, op), by arity
+_PLAIN.update((op, (C_NUM1 if len(SIGS[op][0]) == 1 else C_NUM2, op))
+              for op in (*_INT_FMT, *_NUMERIC))
 
 _MASK = {t: (1 << 8 * width) - 1 for t, width in VALTYPE_WIDTH.items()}
 _CONST_MASK = {f"{t}.const": mask for t, mask in _MASK.items()}
@@ -506,9 +504,9 @@ _MEMORY = {
 
 def _compile_body(body, nresults: int, types: list[FuncType],
                   blocks: dict[int, tuple]) -> tuple:
-    """Flat body of a validated function -> the tuples the step loop runs,
-    one per instruction. ``blocks`` is the validator's record of the
-    body's blocks (``ValidationReport.blocks``).
+    """Flat body of a validated function -> one tuple per instruction, from
+    which its function-level code is generated. ``blocks`` is the
+    validator's record of the body's blocks (``ValidationReport.blocks``).
 
     A branch compiles to (code, target pc, arity, height): it keeps its top
     ``arity`` values, cuts the operand stack to ``height`` values above
@@ -581,14 +579,16 @@ def _compile_body(body, nresults: int, types: list[FuncType],
 # ``Engine._run``:
 _RETURNS = 0  # (_RETURNS, executed, result or None)
 _CALLS = 1  # (_CALLS, executed, callee's index, args, resume key, L, S)
-_HANDS_OFF = 2  # (_HANDS_OFF, executed, pc, operand stack, locals())
+_HANDS_OFF = 2  # (_HANDS_OFF, executed, pc, operand stack, locals)
 #
 # A segment is the code from a block's head up to and including the op
 # that ends it: a branch, ``if``, ``return``, ``unreachable``, a call that
 # may leave the function, or the op before the next branch target. Its
 # head charges its length in fuel when that fits the budget, and hands its
-# pc, stack and locals to the step loop when it does not, so fuel runs
-# out on the same instruction with the same memory.
+# pc, stack and locals back when it does not. ``Engine._run`` then runs
+# the cut of that segment, its first ``fuel - executed`` ops, generated
+# the same way, which raises ``_Fuel`` at its end: fuel runs out on the
+# same instruction with the same memory.
 #
 # Each line that may trap or call the host ends in ``# @pc``, its op's pc.
 # The handler around the body finds that line from the traceback and
@@ -598,11 +598,6 @@ _HANDS_OFF = 2  # (_HANDS_OFF, executed, pc, operand stack, locals())
 # ops after which control does not simply go on to the next pc
 _LEAVES = frozenset((C_IF, C_BR, C_BR_IF, C_BR_TABLE, C_RETURN,
                      C_UNREACHABLE, C_CALL_INDIRECT))
-
-# the integer expressions with their operands as format fields; an
-# operand may be a literal, which needs parentheses before an attribute
-_INT_FMT = {op: re.sub(r"\b([ab])\b", r"{\1}", ex).replace("{a}.", "({a}).")
-            for op, ex in _INT_EXPR.items()}
 
 _TEST = re.compile(r"1 if (.*) else 0")  # a comparison, as _INT_FMT has it
 _MARK = re.compile(r"  # @(\d+)$")
@@ -643,9 +638,8 @@ def _attribute(e, func_idx: int, marks: dict, executed: int):
 _NAMES = {
     "_Trap": _Trap, "_ProcExit": _ProcExit, "MEM_OOB": MEM_OOB,
     "UNREACHABLE": UNREACHABLE, "from_bytes": int.from_bytes,
-    "grow": _memory_grow, "attribute": _attribute,
-    **{_helper_name(op): fn for op, fn in _NUMERIC.items()
-       if op not in _INT_FMT},
+    "_Fuel": _Fuel, "grow": _memory_grow, "attribute": _attribute,
+    **{_helper_name(op): fn for op, fn in _NUMERIC.items()},
 }
 
 
@@ -666,10 +660,15 @@ def _is_leaving(ins: tuple, n_host: int) -> bool:
 
 
 def _function_source(name: str, code: tuple, meta, n_host: int,
-                     func_types: list, bind) -> str:
+                     func_types: list, bind, cut=None) -> str:
     """Python source of ``name``, the function-level code of ``meta``'s
     body, compiled to ``code``. ``bind(value)`` gives the name a value is
-    bound to in the generated code's namespace."""
+    bound to in the generated code's namespace.
+
+    With ``cut``, ``(pc, k, height)``, it is the code of the ``k`` ops
+    from the segment head ``pc`` on, entered with ``height`` values on the
+    operand stack, that raises ``_Fuel`` after them; ``k`` is less than
+    the segment's length, so none of those ops branches or leaves."""
     nlocals = meta.nparams + len(meta.local_zeros)
     local_list = "[" + ", ".join(f"l{i}" for i in range(nlocals)) + "]"
 
@@ -689,6 +688,11 @@ def _function_source(name: str, code: tuple, meta, n_host: int,
     for pc in range(len(code) - 1, -1, -1):
         ends[pc] = (pc if _is_leaving(code[pc], n_host) or pc + 1 in labels
                     else ends[pc + 1])
+    head, height, pcs = 0, 0, range(len(code))
+    if cut:  # the cut's ops are one segment, which ends at its last op
+        head, k, height = cut
+        pcs = range(head, head + k)
+        ends[head: head + k] = [head + k - 1] * k
 
     cases: dict[int, list[str]] = {}  # dispatch key -> its lines
     cur: Optional[list[str]] = None  # the live case's lines, None if dead
@@ -761,11 +765,12 @@ def _function_source(name: str, code: tuple, meta, n_host: int,
         m = _TEST.fullmatch(cond)
         return f"({m[1] if m else cond})" if " " in cond else cond
 
-    pc = 0
-    start(0, 0)
-    for pc, ins in enumerate(code):
+    pc = head
+    start(0, height)
+    for pc in pcs:
+        ins = code[pc]
         c = ins[0]
-        if pc in labels and pc:  # the entry is the label of pc 0
+        if pc in labels and pc != head:  # the entry is the label of the head
             if cur is not None:  # falls into the label
                 cur += jump(pc, 0, len(st))
                 start(pc, len(st))
@@ -773,10 +778,11 @@ def _function_source(name: str, code: tuple, meta, n_host: int,
                 start(pc, pending[pc])
         if cur is None:  # no live code reaches this pc
             continue
-        if pc == 0 or pc in labels or _is_leaving(code[pc - 1], n_host):
+        if pc == head or pc in labels or _is_leaving(code[pc - 1], n_host):
             n = ends[pc] - pc + 1
-            cur.append(f"if executed + {n} > fuel: return ({_HANDS_OFF}, "
-                       f"executed, {pc}, [{', '.join(st)}], locals())")
+            if not cut:
+                cur.append(f"if executed + {n} > fuel: return ({_HANDS_OFF}, "
+                           f"executed, {pc}, [{', '.join(st)}], {local_list})")
             cur.append(f"executed += {n}")
 
         if c == C_CONST:
@@ -804,13 +810,13 @@ def _function_source(name: str, code: tuple, meta, n_host: int,
             cond, b, a = st.pop(), st.pop(), st.pop()
             push(f"{a} if {cond} else {b}")
         elif c == C_NUM1 or c == C_NUM2:
-            fmt = _INT_FMT.get(ins[2], "{a}{b}")
+            fmt = _INT_FMT.get(ins[1], "{a}{b}")
             b = operand(fmt.count("{b}") == 1) if c == C_NUM2 else ""
             a = operand(fmt.count("{a}") == 1)
-            if ins[2] in _INT_FMT:
+            if ins[1] in _INT_FMT:
                 push(fmt.format(a=a, b=b))
             else:  # div, rem, trunc and the float ops
-                push(f"{_helper_name(ins[2])}({a}{', ' + b if b else ''})")
+                push(f"{_helper_name(ins[1])}({a}{', ' + b if b else ''})")
                 cur[-1] = marked(cur[-1])
         elif c == C_LOAD or c == C_STORE:
             width = ins[2]
@@ -913,6 +919,8 @@ def _function_source(name: str, code: tuple, meta, n_host: int,
             if height:
                 cur.append(f"{', '.join(st)}, = S")
         # C_NOP: block, loop and end markers, nop, reinterprets
+    if cut:
+        cur.append("raise _Fuel()")
 
     def dispatch(keys: list[int]) -> list[str]:
         if len(keys) == 1:
@@ -934,6 +942,10 @@ def _function_source(name: str, code: tuple, meta, n_host: int,
     if any(key < 0 for key in keys) and nlocals:  # resumes after a call
         entry = (["if at:", f"    {', '.join(params + zeros)}, = L", "else:"]
                  + ["    " + line for line in entry or ["pass"]])
+    if cut:  # entered with its locals and stack
+        stack = ", ".join(f"s{i}" for i in range(height))
+        entry = ([f"{local_list[1:-1]}, = L"] if nlocals else []) + (
+            [f"{stack}, = S"] if height else [])
     lines = ([f"def {name}(inst, mem, G, fuel, executed, at, L, S):"]
              + ["    " + line for line in entry + ["size = len(mem)"]])
     # the lines before the body's are the def, the entry and ``try:``
@@ -961,7 +973,7 @@ class _FuncMeta:
         self.nparams = len(ftype.params)
         self.nresults = len(ftype.results)
         self.local_zeros = [0] * nlocals
-        self.code = None  # the step loop's tuples, built by ``step_code``
+        self.code = None  # the body's tuples, built by ``body_code``
         self.fn = None  # built by ``Engine.compiled`` on the first call
 
 
@@ -1163,7 +1175,7 @@ class Engine:
         if not report.ok:
             raise InvalidModule(str(report))
 
-        self.host_funcs = []
+        hosts = []
         for im in module.imports:
             if im.kind != "func":
                 raise UnsupportedImport(
@@ -1177,13 +1189,11 @@ class Engine:
                 raise UnsupportedImport(
                     f"{im.module}.{im.name}: signature mismatch"
                 )
-            self.host_funcs.append(
-                (impl, len(expected.params), len(expected.results))
-            )
+            hosts.append(impl)
 
         # signature of every function index, for call_indirect
         self.func_types = report.func_types
-        n_host = len(self.host_funcs)
+        n_host = len(hosts)
         self.metas = [_FuncMeta(n_host + i, self.func_types[n_host + i],
                                 len(f.locals))
                       for i, f in enumerate(module.functions)]
@@ -1219,8 +1229,7 @@ class Engine:
         # the functions and the constants bound by ``_bind``; nothing in
         # it refers back to the engine or its metas
         self._names = dict(
-            _NAMES, HOSTS=[impl for impl, _, _ in self.host_funcs],
-            NHOST=n_host,
+            _NAMES, HOSTS=hosts, NHOST=n_host,
             callee=partial(_indirect_callee, self.table, self.func_types))
         self._bound = 0  # how many values ``_bind`` has named
         # the map base the coverage pass wrote into its accessor; None when
@@ -1309,8 +1318,9 @@ class Engine:
             )
         return meta
 
-    def step_code(self, meta: _FuncMeta) -> tuple:
-        """The tuples the step loop runs for ``meta``'s body."""
+    def body_code(self, meta: _FuncMeta) -> tuple:
+        """The tuples ``meta``'s body compiles to, which its function-level
+        code is generated from."""
         if meta.code is None:
             i = meta.func_idx - self.n_host
             meta.code = _compile_body(self.module.functions[i].body,
@@ -1322,15 +1332,24 @@ class Engine:
         """The function-level code of ``meta``'s body, generated and
         compiled the first time it is asked for."""
         if meta.fn is None:
-            name = f"f{meta.func_idx}"
-            src = _function_source(name, self.step_code(meta), meta,
-                                   self.n_host, self.func_types, self._bind)
-            exec(compile(src, f"<wasm function {meta.func_idx}>", "exec"),
-                 self._names)
-            # kept by its meta only: a function in its own globals is a
-            # cycle that only the cycle collector would free
-            meta.fn = self._names.pop(name)
+            meta.fn = self._define(meta)
         return meta.fn
+
+    def _define(self, meta: _FuncMeta, cut=None):
+        """Generate and compile the function-level code of ``meta``'s body,
+        or of a ``cut`` of it (see ``_function_source``), against the
+        engine's namespace. The function is kept by its caller only: in its
+        own globals it would be a cycle that only the cycle collector
+        frees. A cut binds no name, so the namespace does not change: it
+        writes its trap marks out as a literal."""
+        name = f"f{meta.func_idx}"
+        src = _function_source(name, self.body_code(meta), meta, self.n_host,
+                               self.func_types,
+                               self._bind if cut is None else repr, cut)
+        made: dict = {}
+        exec(compile(src, f"<wasm function {meta.func_idx}>", "exec"),
+             self._names, made)
+        return made[name]
 
     def _bind(self, value) -> str:
         """A new name for ``value`` in function-level code."""
@@ -1394,15 +1413,11 @@ class Engine:
                 fn = meta.fn or self.compiled(meta)
                 at, L, S = 0, r[3], None
                 continue
-            if r[0] == _RETURNS:
-                result = r[2]
-            else:  # the rest of the body is stepped, up to where fuel ends
-                names = r[4]
-                locals_ = [names[f"l{i}"] for i in
-                           range(meta.nparams + len(meta.local_zeros))]
-                vals, executed = self._step(inst, meta, r[2], r[3], locals_,
-                                            executed, fuel)
-                result = vals[0] if vals else None
+            if r[0] == _HANDS_OFF:  # raises _Fuel, _Trap or _ProcExit
+                cut = (r[2], fuel - executed, len(r[3]))
+                self._define(meta, cut)(inst, mem, glb, fuel, executed, 0,
+                                        r[4], r[3])
+            result = r[2]
             if not frames:
                 return ([result] if meta.nresults else []), executed
             nresults = meta.nresults
@@ -1410,156 +1425,3 @@ class Engine:
             fn = meta.fn
             if nresults:
                 S.append(result)
-
-    def _step(self, inst: Instance, meta: _FuncMeta, pc: int, vals: list,
-              locals_: list, executed: int, fuel: int):
-        """Step ``meta``'s body from ``pc``, one instruction at a time, with
-        ``vals`` on the operand stack and ``locals_``, until it returns;
-        return its results and the count.
-
-        Function-level code hands a segment here when the fuel left cannot
-        cover it, and stepping it runs the fuel out before the segment
-        ends, so such a body never gets past the call or branch that ends
-        it. The tests step whole runs here as their reference."""
-        mem = inst.memory
-        glb = inst.globals
-        metas = self.metas
-        n_host = self.n_host
-        host_funcs = self.host_funcs
-
-        frames: list = []
-        code = self.step_code(meta)
-        base = 0
-        nresults = meta.nresults
-        func_idx = meta.func_idx
-
-        try:
-            while True:
-                if executed >= fuel:
-                    raise _Fuel()
-                ins = code[pc]
-                c = ins[0]
-                executed += 1
-
-                if c == C_LOCAL_GET:
-                    vals.append(locals_[ins[1]])
-                elif c == C_CONST:
-                    vals.append(ins[1])
-                elif c == C_NUM2:
-                    b = vals.pop()
-                    vals[-1] = ins[1](vals[-1], b)
-                elif c == C_NUM1:
-                    vals[-1] = ins[1](vals[-1])
-                elif c == C_LOCAL_SET:
-                    locals_[ins[1]] = vals.pop()
-                elif c == C_LOCAL_TEE:
-                    locals_[ins[1]] = vals[-1]
-                elif c == C_LOAD:
-                    addr = vals[-1] + ins[1]
-                    width = ins[2]
-                    if addr + width > len(mem):
-                        raise _Trap(MEM_OOB)
-                    vals[-1] = int.from_bytes(
-                        mem[addr: addr + width], "little", signed=ins[3]
-                    ) & ins[4]
-                elif c == C_STORE:
-                    v = vals.pop()
-                    addr = vals.pop() + ins[1]
-                    width = ins[2]
-                    if addr + width > len(mem):
-                        raise _Trap(MEM_OOB)
-                    mem[addr: addr + width] = (v & ins[3]).to_bytes(
-                        width, "little"
-                    )
-                elif c == C_NOP:
-                    pass
-                elif c == C_IF:
-                    if not vals.pop():
-                        pc = ins[1]
-                        continue
-                elif c == C_BR or c == C_BR_IF or c == C_BR_TABLE:
-                    if c == C_BR_IF:
-                        if not vals.pop():
-                            pc += 1
-                            continue
-                    elif c == C_BR_TABLE:
-                        idx = vals.pop()
-                        ins = ins[1][idx] if idx < len(ins[1]) else ins[2]
-                    _, pc, arity, height = ins
-                    height += base
-                    if arity:
-                        vals[height:] = vals[-arity:]
-                    else:
-                        del vals[height:]
-                    continue
-                elif c == C_RETURN:
-                    if nresults:
-                        res = vals[-nresults:]
-                        del vals[base:]
-                        vals.extend(res)
-                    else:
-                        del vals[base:]
-                    if not frames:
-                        return vals, executed
-                    code, pc, locals_, base, nresults, func_idx = frames.pop()
-                    continue
-                elif c == C_CALL or c == C_CALL_INDIRECT:
-                    target = (ins[1] if c == C_CALL else _indirect_callee(
-                        self.table, self.func_types, vals.pop(), ins[1]))
-                    if target < n_host:
-                        fn, nargs, nres = host_funcs[target]
-                        if nargs:
-                            hargs = vals[-nargs:]
-                            del vals[-nargs:]
-                        else:
-                            hargs = []
-                        r = fn(inst, *hargs)
-                        if nres:
-                            vals.append(r & M32)
-                    else:
-                        if len(frames) >= MAX_CALL_DEPTH:
-                            raise _Trap(STACK_EXHAUSTED)
-                        tmeta = metas[target - n_host]
-                        frames.append(
-                            (code, pc + 1, locals_, base, nresults, func_idx)
-                        )
-                        nargs = tmeta.nparams
-                        if nargs:
-                            newlocals = vals[-nargs:]
-                            del vals[-nargs:]
-                        else:
-                            newlocals = []
-                        newlocals.extend(tmeta.local_zeros)
-                        code = tmeta.code or self.step_code(tmeta)
-                        pc = 0
-                        locals_ = newlocals
-                        base = len(vals)
-                        nresults = tmeta.nresults
-                        func_idx = tmeta.func_idx
-                        continue
-                elif c == C_GLOBAL_GET:
-                    vals.append(glb[ins[1]])
-                elif c == C_GLOBAL_SET:
-                    glb[ins[1]] = vals.pop()
-                elif c == C_DROP:
-                    vals.pop()
-                elif c == C_SELECT:
-                    cond = vals.pop()
-                    b = vals.pop()
-                    if not cond:
-                        vals[-1] = b
-                elif c == C_MEMSIZE:
-                    vals.append(len(mem) // PAGE)
-                elif c == C_MEMGROW:
-                    vals[-1] = _memory_grow(inst, vals[-1])
-                elif c == C_UNREACHABLE:
-                    raise _Trap(UNREACHABLE)
-                else:
-                    raise AssertionError(f"bad compiled op {c}")
-                pc += 1
-        except _Trap as t:
-            t.func, t.offset, t.executed = func_idx, pc, executed
-            raise
-        except _ProcExit as e:  # proc_exit is a host call
-            e.executed = executed
-            raise

@@ -109,6 +109,30 @@ def test_run_fuel_exhaustion_exits_eleven(hardened, tmp_path):
         == EXIT_FUEL
 
 
+@pytest.mark.parametrize("command", ["run", "fuzz", "cov"])
+@pytest.mark.parametrize("fuel", ["-5", "-1", "many"])
+def test_fuel_that_is_not_a_count_is_a_usage_error(hardened, tmp_path, capsys,
+                                                     command, fuel):
+    out = tmp_path / "c"
+    seeds = tmp_path / "s"
+    seeds.mkdir()
+    (seeds / "s0").write_bytes(b"AAAA")
+    campaign = ["-o", str(out), "--seeds", str(seeds), "--execs", "10"]
+    with pytest.raises(SystemExit) as e:
+        main([command, str(hardened), *(campaign if command == "fuzz"
+                                         else []), "--fuel", fuel])
+    assert e.value.code == EXIT_USAGE
+    assert "argument --fuel: expected a count of instructions" in (
+        capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_run_at_zero_fuel_exhausts_it(hardened, tmp_path):
+    inp = tmp_path / "in"
+    inp.write_bytes(b"hello")
+    assert main(["run", str(hardened), str(inp), "--fuel", "0"]) == EXIT_FUEL
+
+
 def test_run_without_start_export_is_usage_error(tmp_path):
     p = tmp_path / "lib.wasm"
     p.write_bytes(encode_module(modbuild.bump_alloc_module()))

@@ -107,6 +107,39 @@ def test_i64_ops():
     )
 
 
+# shl, shr_s, shr_u, rotl and rotr of a value with its sign bit set, by
+# counts around the width, which are taken modulo it
+_SHIFTED = {"i32": 0x87654321, "i64": 0x8123456789ABCDEF}
+_SHIFTS = [
+    ("i32", 15, (0xA1908000, 0xFFFF0ECA, 0x00010ECA, 0xA190C3B2, 0x86430ECA)),
+    ("i32", 16, (0x43210000, 0xFFFF8765, 0x00008765, 0x43218765, 0x43218765)),
+    ("i32", 20, (0x32100000, 0xFFFFF876, 0x00000876, 0x32187654, 0x54321876)),
+    ("i32", 31, (0x80000000, 0xFFFFFFFF, 0x00000001, 0xC3B2A190, 0x0ECA8643)),
+    ("i32", 32, (0x87654321, 0x87654321, 0x87654321, 0x87654321, 0x87654321)),
+    ("i32", 33, (0x0ECA8642, 0xC3B2A190, 0x43B2A190, 0x0ECA8643, 0xC3B2A190)),
+    ("i64", 31, (0xC4D5E6F780000000, 0xFFFFFFFF02468ACF, 0x0000000102468ACF,
+                 0xC4D5E6F7C091A2B3, 0x13579BDF02468ACF)),
+    ("i64", 32, (0x89ABCDEF00000000, 0xFFFFFFFF81234567, 0x0000000081234567,
+                 0x89ABCDEF81234567, 0x89ABCDEF81234567)),
+    ("i64", 40, (0xABCDEF0000000000, 0xFFFFFFFFFF812345, 0x0000000000812345,
+                 0xABCDEF8123456789, 0x6789ABCDEF812345)),
+    ("i64", 63, (0x8000000000000000, 0xFFFFFFFFFFFFFFFF, 0x0000000000000001,
+                 0xC091A2B3C4D5E6F7, 0x02468ACF13579BDF)),
+    ("i64", 64, (0x8123456789ABCDEF, 0x8123456789ABCDEF, 0x8123456789ABCDEF,
+                 0x8123456789ABCDEF, 0x8123456789ABCDEF)),
+    ("i64", 65, (0x02468ACF13579BDE, 0xC091A2B3C4D5E6F7, 0x4091A2B3C4D5E6F7,
+                 0x02468ACF13579BDF, 0xC091A2B3C4D5E6F7)),
+]
+
+
+@pytest.mark.parametrize("ty,count,want", _SHIFTS,
+                         ids=[f"{ty}-{count}" for ty, count, _ in _SHIFTS])
+def test_shift_and_rotate_counts_around_the_width(ty, count, want):
+    got = tuple(binop(f"{ty}.{op}", _SHIFTED[ty], count, (ty, ty), ty)[1]
+                for op in ("shl", "shr_s", "shr_u", "rotl", "rotr"))
+    assert got == want
+
+
 def test_clz_ctz_popcnt():
     m = make_func_module(("i32",), ("i32",),
                          [I("local.get", 0), I("i32.clz"), I("end")])
@@ -474,7 +507,8 @@ _DIV = [I("i32.const", 7), I("i32.const", 0), I("i32.div_u"), I("drop"),
 _LOAD = [I("i32.const", PAGE), I("i32.load", 2, 0), I("drop"), I("end")]
 _ATTRIBUTIONS = {
     "fused-div": (_DIV, None, ("trap", DIV_ZERO, _CALLEE, 2, 7)),
-    # fuel for the count at the trap, short of the run's end: it is stepped
+    # fuel for the count at the trap, short of the run's end: the trap is
+    # in the cut that the fuel hand-off runs
     "stepped-div": (_DIV, 7, ("trap", DIV_ZERO, _CALLEE, 2, 7)),
     "fused-load": (_LOAD, None, ("trap", MEM_OOB, _CALLEE, 1, 6)),
     "stepped-load": (_LOAD, 6, ("trap", MEM_OOB, _CALLEE, 1, 6)),

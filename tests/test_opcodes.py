@@ -46,7 +46,7 @@ def test_types_derived_from_op_names():
     assert len(MEM_ACCESS) == 23
 
     # every typed op validates and compiles with the effect derived for it,
-    # to a step-loop tuple and into function-level code
+    # to a body tuple and into function-level code
     for op, (params, results) in SIGS.items():
         m = ModuleIR(memory=(1, None))
         ti = m.add_type(FuncType(params, results))
@@ -55,6 +55,6 @@ def test_types_derived_from_op_names():
         m.functions.append(FunctionIR(ti, [], body))
         assert validate_module(m).ok, op
         eng = Engine(m)
-        code = eng.step_code(eng.metas[0])
+        code = eng.body_code(eng.metas[0])
         assert code[len(params)][0] == _expected_code(op, params), op
         assert callable(eng.compiled(eng.metas[0])), op

@@ -1,7 +1,7 @@
-"""Function-level code against the step interpreter.
+"""Function-level code against the reference interpreter.
 
-An engine that steps every call from its first instruction is the
-reference: every ``ExecOutcome`` field, the memory, the globals and the
+``reference.Reference`` runs every call one instruction at a time, from
+the spec: every ``ExecOutcome`` field, the memory, the globals and the
 trace bits of an engine that runs function-level code must equal its.
 """
 
@@ -12,6 +12,7 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 import modbuild
+from reference import Reference
 from wasmwarden import Engine, RunLimits, WasiConfig
 from wasmwarden.interp import (
     DIV_ZERO,
@@ -35,19 +36,11 @@ from wasmwarden.ir import (
 from wasmwarden.opcodes import MEM_ACCESS, SIGS
 
 
-class Stepped(Engine):
-    """The reference: every call is stepped, one instruction at a time."""
-
-    def _run(self, inst, meta, args, limits, executed):
-        return self._step(inst, meta, 0, [], list(args) + meta.local_zeros,
-                          executed, limits.fuel)
-
-
 def run_both(m: ModuleIR, fuel: int, wasi=None, export=None, args=()):
-    """(outcome, results, memory, globals) from a compiled and a stepped
+    """(outcome, results, memory, globals) from a compiled and a reference
     engine; with ``export`` it is called, otherwise ``_start`` runs."""
-    runs = []
-    for eng in (Engine(m), Stepped(m)):
+    runs, ref = [], Reference(m)
+    for eng in (Engine(m), ref):
         inst = eng.instantiate(wasi)
         if export is None:
             out, res = eng.run_start(inst, RunLimits(fuel=fuel)), None
@@ -55,15 +48,16 @@ def run_both(m: ModuleIR, fuel: int, wasi=None, export=None, args=()):
             out, res = eng.call_export(inst, export, list(args),
                                        RunLimits(fuel=fuel))
         runs.append((out, res, bytes(inst.memory), list(inst.globals)))
+    assert _compiled_nothing(ref)
     return runs
 
 
 def sweep_fuel(m: ModuleIR, data: bytes) -> list:
     """Run ``m`` on ``data`` at every fuel value up to one past what it
-    needs, compiled and stepped, and check that both agree on the outcome,
-    the trace bits (when ``m`` has a trace map), the memory and the
-    globals; returns the outcome with all the fuel it needs."""
-    compiled, ref = Engine(m), Stepped(m)
+    needs, compiled and on the reference, and check that both agree on
+    the outcome, the trace bits (when ``m`` has a trace map), the memory
+    and the globals; returns the outcome with all the fuel it needs."""
+    compiled, ref = Engine(m), Reference(m)
     full = ref.run_start(ref.instantiate(WasiConfig(stdin=data)),
                          RunLimits(fuel=1_000_000))
     for fuel in range(full.instructions_executed + 2):
@@ -77,7 +71,13 @@ def sweep_fuel(m: ModuleIR, data: bytes) -> list:
         assert seen[0] == seen[1], fuel
         if fuel < full.instructions_executed:
             assert seen[0][0].status == "fuel-exhausted"
+    assert _compiled_nothing(ref)
     return full
+
+
+def _compiled_nothing(ref: Reference) -> bool:
+    """Whether the reference ran without function-level code."""
+    return all(meta.code is meta.fn is None for meta in ref.metas)
 
 
 def test_corpus_matches_the_step_path():
@@ -297,6 +297,56 @@ def test_trap_two_calls_deep_keeps_its_place_and_count():
     assert sweep_fuel(modbuild.hardened(m), b"5").status == "exit"
 
 
+def _grow_then_load() -> ModuleIR:
+    """``_start`` grows memory by as many pages as the first input byte
+    says, stores the result, and then, in the same segment, stores to and
+    loads from 8 bytes past the old end and stores ``memory.size``. Memory
+    may grow by one page only, so a byte of 0 or 2 traps at that store."""
+    m = modbuild.new_module(imports=("fd_read",))
+    m.memory = (2, 3)
+    modbuild.add_start(m, modbuild.read_stdin(maxlen=1) + [
+        I("memory.size"), I("i32.const", 16), I("i32.shl"),
+        I("local.set", 0),
+        I("i32.const", modbuild.OUT_ADDR),
+        I("i32.const", modbuild.INPUT_ADDR), I("i32.load8_u", 0, 0),
+        I("memory.grow"),
+        I("i32.store", 2, 0),
+        I("local.get", 0), I("i32.const", 0x5A5A), I("i32.store", 2, 8),
+        I("i32.const", modbuild.OUT_ADDR + 4),
+        I("local.get", 0), I("i32.load", 2, 8),
+        I("i32.store", 2, 0),
+        I("i32.const", modbuild.OUT_ADDR + 8), I("memory.size"),
+        I("i32.store", 2, 0),
+        I("end"),
+    ], locals_=("i32",))
+    return m
+
+
+# straight-line segments whose cuts grow memory, read its size, or call
+# the host inline
+_SEGMENTS = {
+    "grow-then-load": _grow_then_load,
+    "fd-write": modbuild.echo_module,
+    "proc-exit": modbuild._exit_code_program,
+}
+
+
+@pytest.mark.parametrize("name,data,want", [
+    ("grow-then-load", b"\x01", ("exit", 0, "")),
+    ("grow-then-load", b"\x00", ("trap", 0, MEM_OOB)),
+    ("grow-then-load", b"\x02", ("trap", 0, MEM_OOB)),
+    ("fd-write", b"hello", ("exit", 0, "")),
+    ("proc-exit", b"\x07\x00\x00\x00", ("exit", 3, "")),
+])
+def test_hand_offs_in_growing_and_host_calling_segments_match(name, data,
+                                                               want):
+    for m in (_SEGMENTS[name](), modbuild.hardened(_SEGMENTS[name]())):
+        full = sweep_fuel(m, data)
+        assert (full.status, full.exit_code, full.trap_kind) == want
+        if name == "fd-write":
+            assert full.stdout == data
+
+
 def test_recursion_to_the_depth_limit_traps_at_the_same_count():
     m = ModuleIR()
     ti = m.add_type(FuncType((), ()))
@@ -347,7 +397,7 @@ def test_trap_in_a_run_reports_its_own_pc(trap_ops, kind):
     n = len(m.functions[0].body)
     trap_pc = n - 6
     eng = Engine(m)
-    src = _function_source("f", eng.step_code(eng.metas[0]), eng.metas[0],
+    src = _function_source("f", eng.body_code(eng.metas[0]), eng.metas[0],
                            eng.n_host, eng.func_types, eng._bind)
     # pc 0 heads a segment of 4 and pc 4 one that runs past the trapping
     # op, charged at once, up to the final end, where the br_if goes
@@ -503,13 +553,20 @@ def _body(data) -> list:
             body += _drain(stack)
             body += [I("local.get", 4), I("i32.const", 1), I("i32.sub"),
                      I("local.tee", 4), I("br_if", 0), I("end")]
-        else:  # leave values below a br_if out of the block, then use them
+        else:  # leave values below a br_if out of the block, then use
+            # them, and values below the block, used after it; a br may
+            # end the block, so that only branches reach its end
+            body += _straight(data, stack, data.draw(st.integers(0, 4)))
+            inner = []
             body.append(I("block", None))
-            body += _straight(data, stack, data.draw(st.integers(1, 8)))
+            body += _straight(data, inner, data.draw(st.integers(1, 8)))
             body += [I("local.get", 0), I("br_if", 0)]
-            body += _straight(data, stack, data.draw(st.integers(1, 8)))
-            body += _drain(stack)
+            body += _straight(data, inner, data.draw(st.integers(1, 8)))
+            body += _drain(inner)
+            if data.draw(st.booleans()):
+                body.append(I("br", 0))
             body.append(I("end"))
+            body += _drain(stack)
     return body + [I("end")]
 
 
