@@ -156,16 +156,22 @@ def cmd_instrument(args) -> int:
     return EXIT_OK
 
 
-def _fuel(text: str) -> int:
-    """A ``--fuel`` value: how many instructions a run may execute."""
-    try:
-        fuel = int(text)
-    except ValueError:
-        fuel = -1
-    if fuel < 0:
-        raise argparse.ArgumentTypeError(
-            f"expected a count of instructions, 0 or more, got {text!r}")
-    return fuel
+def _at_least(least: int, what: str, kind=int):
+    """An argparse type: a ``kind`` value of ``least`` or more."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if value is None or not value >= least:  # NaN is not >= least
+            raise argparse.ArgumentTypeError(
+                f"expected {what}, {least} or more, got {text!r}")
+        return value
+    return parse
+
+
+# --fuel: how many instructions a run may execute
+_fuel = _at_least(0, "a count of instructions")
 
 
 def _argv_template(args) -> list[str]:
@@ -294,8 +300,17 @@ def cmd_fuzz(args) -> int:
 
 
 # ---------------------------------------------------------------------------
+class _Parser(argparse.ArgumentParser):
+    """Refuses a command line as ``main`` refuses any other command: one
+    ``error:`` line and exit code 2, without argparse's usage lines. The
+    subcommands' parsers are of this class too."""
+
+    def error(self, message: str):
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="wasmwarden",
         description="Binary-only Wasm hardening and greybox fuzzing",
     )
@@ -307,7 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
     pi.add_argument("--no-stack-canaries", action="store_true")
     pi.add_argument("--no-heap-canaries", action="store_true")
     pi.add_argument("--no-coverage", action="store_true")
-    pi.add_argument("--sp-global", type=int, default=0,
+    pi.add_argument("--sp-global", type=_at_least(0, "a global index"),
+                    default=0,
                     help="global index of the shadow stack pointer")
     pi.add_argument("--canary-seed", type=int, default=None)
     pi.add_argument("--cov-seed", type=int, default=None)
@@ -334,15 +350,18 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("-o", "--output", required=True, help="campaign dir")
     pf.add_argument("--seeds", default=None, help="seed inputs dir")
     pf.add_argument("--sites", default=None)
-    pf.add_argument("--time", type=float, default=None, help="seconds")
-    pf.add_argument("--execs", type=int, default=None)
+    pf.add_argument("--time", type=_at_least(0, "seconds", float),
+                    default=None, help="seconds")
+    pf.add_argument("--execs", type=_at_least(0, "a count of execs"),
+                    default=None)
     pf.add_argument("--fuel", type=_fuel, default=RunLimits.fuel)
     pf.add_argument("--argv", default=None)
     pf.add_argument("--seed", type=int, default=0, help="campaign rng seed")
     pf.add_argument("--resume", action="store_true",
                     help="require the campaign dir to hold a queue "
                          "already (with --jobs, each job its own)")
-    pf.add_argument("--jobs", type=int, default=1)
+    pf.add_argument("--jobs", type=_at_least(1, "a count of campaigns"),
+                    default=1)
     pf.set_defaults(fn=cmd_fuzz)
 
     pc = sub.add_parser("cov", help="dump trace map for one input")
@@ -356,8 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.WARNING)
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except (WasmError, OSError) as e:
         return _refuse(e)

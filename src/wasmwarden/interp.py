@@ -866,8 +866,8 @@ def _function_source(name: str, code: tuple, meta, n_host: int,
             cur.append(f"t = {take()}")
             brs = (*ins[1], ins[2])
             if len({br[2:] for br in brs}) == 1:  # one arity and height
-                keys = ", ".join(str(br[1]) for br in ins[1])
-                cur.append(f"at = ({keys},)[t] if t < {len(ins[1])} "
+                keys = tuple(br[1] for br in ins[1])  # () for none
+                cur.append(f"at = {keys}[t] if t < {len(keys)} "
                            f"else {ins[2][1]}")
                 for br in brs:
                     if br[1] > pc:

@@ -8,6 +8,13 @@ map's base, a multiple of ``MAP_SIZE``, is folded into each site's
 constant (``(base | cur) ^ prev == base + (cur ^ prev)``) and is what the
 accessor returns, as an ``i32.const`` the engine reads once.
 
+Where the walk of ``mark_branch_sites`` knows the previous location, on
+every path to a site, the shim counts the edge at a constant address and
+reads no global; where no reader sees a shim's update of the previous
+location, the update is left out. Every run that exits or traps bumps
+the same counters as with the full shim at every site; only the count of
+instructions it executes changes.
+
 The module does not clear the map: a fresh instance starts with zeroed
 memory and a zero previous location, and every run gets one, as AFL's
 host clears ``trace_bits`` before each run.
@@ -16,8 +23,7 @@ host clears ``trace_bits`` before each run.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ..ir import (
     PAGE,
@@ -49,67 +55,130 @@ class NoMemory(WasmError):
     pass
 
 
-@dataclass(frozen=True)
-class CoverageSite:
+class CoverageSite(NamedTuple):
     position: int  # instruction offset in the uninstrumented body
     site_kind: str  # entry | if | else | loop | br_if | end
+    # the site whose shim set the previous location on every path that
+    # reaches this one (an index into the function's sites), or None
+    prev_site: Optional[int] = None
+    # whether some reader sees this shim's update of the previous location
+    update_seen: bool = True
 
 
 # the ops ``mark_branch_sites`` looks at
-_CONTROL = frozenset(("block", "if", "loop", "else", "br_if", "br_table",
-                      "end"))
+_CONTROL = frozenset(("block", "if", "loop", "else", "br", "br_if",
+                      "br_table", "end", "return", "unreachable", "call",
+                      "call_indirect"))
+# the walk's sets of shims are bit sets: site i is bit i + 1, and bit 0
+# is what set the previous location where a path enters from outside the
+# function's own shims: the caller, at entry, or a callee, after a call
+_OUTSIDE = 1
+_UNREACHED = 0
 
 
-def mark_branch_sites(f: FunctionIR) -> list[CoverageSite]:
+def mark_branch_sites(f: FunctionIR,
+                      num_imported_funcs: int = 0) -> list[CoverageSite]:
     """Mark every branching point: if/else/loop openers, br_if, the ends
     that are branch targets, plus the function entry (indirect calls make
     every function a potential branch target). A branch to a loop goes to
-    its head, which has a site already, so it marks no end."""
-    sites = [CoverageSite(0, "entry")]
-    # the op that opened each open label, the function's own label first
-    openers = ["block"]
-    targets: set[int] = set()  # depths of the labels a branch goes to
+    its head, which has a site already, so it marks no end.
+
+    The same forward walk finds, for each site, the shim that set the
+    previous location on every path to it, if there is one, and whether a
+    reader sees its own update. Its state is the set of shims (or
+    ``_OUTSIDE``) whose update may be the previous location at that
+    point, empty where no path reaches. A reader is a full shim, a call
+    to a defined function or through the table, a branch to a loop head
+    (whose shim is full), and the function's exit. Host calls
+    (``num_imported_funcs`` of them) do not touch the previous location.
+    """
+    sites: list[tuple[int, str, Optional[int]]] = []
+    seen = 0  # the shims whose update a reader sees
+
+    def shim(pos: int, kind: str, state: int) -> int:
+        nonlocal seen
+        prev = None
+        if state > _OUTSIDE and state & (state - 1) == 0:  # one shim
+            prev = state.bit_length() - 2
+        else:  # a full shim reads the previous location
+            seen |= state
+        sites.append((pos, kind, prev))
+        return 1 << len(sites) if state else state
+
+    # per open label: [opener, what branches bring to its end, what the
+    # false edge of an if without an else brings there, whether a br_if
+    # or br_table goes to it]; the function's own label first
+    labels = [["func", _UNREACHED, _UNREACHED, False]]
+
+    def branch(depths, state: int, marks: bool) -> None:
+        nonlocal seen
+        for t in depths:
+            label = labels[-1 - t]
+            if label[0] in ("func", "loop"):  # a return or a loop head
+                seen |= state
+            else:
+                label[1] |= state
+                label[3] |= marks
+
+    state = shim(0, "entry", _OUTSIDE)
     last = len(f.body) - 1
-
-    def branch_to(labels):
-        for t in labels:
-            depth = len(openers) - 1 - t
-            if openers[depth] != "loop":
-                targets.add(depth)
-
     for pos, instr in enumerate(f.body):
         op = instr.op
         if op not in _CONTROL:
             continue
-        if op in ("block", "if", "loop"):
-            openers.append(op)
-            if op in ("if", "loop"):
-                sites.append(CoverageSite(pos, op))
+        if op == "block":
+            labels.append([op, _UNREACHED, _UNREACHED, False])
+        elif op == "loop":
+            # branches back to the head bring other values: its shim is
+            # full wherever the loop is reached
+            labels.append([op, _UNREACHED, _UNREACHED, False])
+            state = shim(pos, op, state | _OUTSIDE if state else state)
+        elif op == "if":
+            labels.append([op, _UNREACHED, state, False])
+            state = shim(pos, op, state)
         elif op == "else":
-            sites.append(CoverageSite(pos, "else"))
+            label = labels[-1]
+            label[1] |= state
+            state, label[2] = label[2], _UNREACHED
+            state = shim(pos, op, state)
         elif op == "br_if":
-            branch_to(instr.args)
-            sites.append(CoverageSite(pos, "br_if"))
-        elif op == "br_table":
-            labels, default = instr.args
-            branch_to((*labels, default))
+            branch(instr.args, state, True)
+            state = shim(pos, op, state)
         elif op == "end":
             # the terminal end closes the function itself; a branch there
             # is a return and is covered by the caller's next site
-            depth = len(openers) - 1
-            if depth in targets and pos != last:
-                sites.append(CoverageSite(pos, "end"))
-                targets.discard(depth)
-            openers.pop()
-    return sites
+            label = labels.pop()
+            state = state | label[1] | label[2]
+            if pos == last:
+                seen |= state
+            elif label[3]:
+                state = shim(pos, op, state)
+        elif op in ("call", "call_indirect"):
+            if op == "call_indirect" or instr.args[0] >= num_imported_funcs:
+                seen |= state
+                state = state and _OUTSIDE  # unreached stays unreached
+        else:  # nothing falls through
+            if op == "br":
+                branch(instr.args, state, False)
+            elif op == "br_table":
+                targets, default = instr.args
+                branch((*targets, default), state, True)
+            elif op == "return":
+                seen |= state
+            state = _UNREACHED
+    return [CoverageSite(pos, kind, prev, bool(seen >> (i + 1) & 1))
+            for i, (pos, kind, prev) in enumerate(sites)]
 
 
 def _shim_emitter(prev_global: int, trace_base: int, scratch_local: int):
-    """``emit(cur_location, site_kind="")``, which returns the shim of one
-    site: trace[cur ^ prev]++ then prev = cur >> 1, with the map at
-    ``trace_base``. Nine of a shim's 11 instructions depend only on the
-    function; they are built here once and shared by every shim ``emit``
-    returns."""
+    """``emit(cur_location, site_kind="", prev=None, update=True)``, which
+    returns the shim of one site: trace[cur ^ prev]++ then
+    prev = cur >> 1, with the map at ``trace_base``. With ``prev`` None
+    the shim reads the previous-location global (11 instructions); with a
+    known ``prev`` the counter's address is a constant (8). Without
+    ``update`` the last two, which set the global, are left out. The
+    instructions that depend only on the function are built here once
+    and shared by every shim ``emit`` returns."""
     assert trace_base % MAP_SIZE == 0
     count_edge = [
         I("global.get", prev_global),
@@ -121,21 +190,26 @@ def _shim_emitter(prev_global: int, trace_base: int, scratch_local: int):
         I("i32.add"),
         I("i32.store8", 0, 0),
     ]
+    bump = count_edge[4:]  # load the counter, add 1, store it back
     set_prev = I("global.set", prev_global)
 
-    def emit(cur_location: int, site_kind: str = "") -> list[Instr]:
+    def emit(cur_location: int, site_kind: str = "",
+             prev: Optional[int] = None, update: bool = True) -> list[Instr]:
         assert 0 <= cur_location < MAP_SIZE
-        return [
-            Instr(
-                "i32.const",
-                (signed(trace_base | cur_location, 32),),
-                site=SiteInfo(f"cov-{site_kind}" if site_kind else "cov",
-                              id=cur_location),
-            ),
-            *count_edge,
-            I("i32.const", cur_location >> 1),
-            set_prev,
-        ]
+        site = SiteInfo(f"cov-{site_kind}" if site_kind else "cov",
+                        id=cur_location)
+        if prev is None:
+            shim = [Instr("i32.const", (signed(trace_base | cur_location,
+                                               32),), site=site),
+                    *count_edge]
+        else:
+            assert 0 <= prev < MAP_SIZE
+            addr = (signed(trace_base | (cur_location ^ prev), 32),)
+            shim = [Instr("i32.const", addr, site=site),
+                    Instr("i32.const", addr), *bump]
+        if update:
+            shim += [Instr("i32.const", (cur_location >> 1,)), set_prev]
+        return shim
 
     return emit
 
@@ -146,12 +220,16 @@ def emit_coverage_shim(
     trace_base: int,
     scratch_local: int,
     site_kind: str = "",
+    prev: Optional[int] = None,
 ) -> list[Instr]:
-    """11-instruction counter update: trace[cur ^ prev]++ then
-    prev = cur >> 1, with the map at ``trace_base``. The pass builds its
-    shims the same way, with one ``_shim_emitter`` per function."""
+    """Counter update: trace[cur ^ prev]++ then prev = cur >> 1, with the
+    map at ``trace_base``. The full form (11 instructions) reads the
+    previous location from ``prev_global``; given a known ``prev``, the
+    short form (8) counts the same edge at a constant address. The pass
+    builds its shims the same way, with one ``_shim_emitter`` per
+    function."""
     emit = _shim_emitter(prev_global, trace_base, scratch_local)
-    return emit(cur_location, site_kind)
+    return emit(cur_location, site_kind, prev)
 
 
 def _instrument_function(
@@ -160,18 +238,21 @@ def _instrument_function(
     rng: random.Random,
     prev_global: int,
     trace_base: int,
+    num_imported_funcs: int,
 ) -> None:
     """Give ``f``, a copy the pass owns, a scratch local and a shim at each
     branch site: the entry shim before the first instruction, every other
     one after its site's instruction."""
-    sites = mark_branch_sites(f)
+    sites = mark_branch_sites(f, num_imported_funcs)
+    ids = [rng.randrange(MAP_SIZE) for _ in sites]
     emit = _shim_emitter(prev_global, trace_base,
                          add_fresh_local(m, f, "i32"))
     old = f.body
     body: list[Instr] = []
     done = 0  # instructions of ``old`` already in ``body``
-    for site in sites:  # in body order, the entry site first
-        shim = emit(rng.randrange(MAP_SIZE), site.site_kind)
+    for site, cur in zip(sites, ids):  # in body order, the entry site first
+        prev = None if site.prev_site is None else ids[site.prev_site] >> 1
+        shim = emit(cur, site.site_kind, prev, site.update_seen)
         if site.site_kind != "entry":
             body += old[done:site.position + 1]
             done = site.position + 1
@@ -199,8 +280,10 @@ def apply_coverage_pass(
 
     prev_global = add_global(out, "i32", True, [I("i32.const", 0)])
 
+    num_imported_funcs = out.num_imported_funcs
     for f in out.functions:
-        _instrument_function(out, f, rng, prev_global, trace_base)
+        _instrument_function(out, f, rng, prev_global, trace_base,
+                             num_imported_funcs)
 
     # accessor: () -> i32 returning the trace-bits base
     accessor_type = out.add_type(FuncType((), ("i32",)))

@@ -199,38 +199,47 @@ def test_bucket_table_matches_reference_on_all_counts():
 
 
 def test_edge_index_arithmetic_against_scalar_oracle():
-    """Execute the real emitted shim for 1,000 random (cur, prev) pairs
+    """Execute the real emitted shims for 1,050 random (cur, prev) pairs
     and compare the touched counter index and the updated previous
-    location with a direct scalar computation."""
+    location with a direct scalar computation: the full form reads prev
+    from the global, the short form is given it and ignores the global."""
     rng = random.Random(31337)
     curs = [rng.randrange(MAP_SIZE) for _ in range(100)]
+    # a short form per (cur, prev), its global set to another value
+    known = [(cur, rng.randrange(MAP_SIZE // 2), rng.randrange(MAP_SIZE))
+             for cur in curs[:50]]
 
     m = ModuleIR()
     m.memory = (2, None)
     m.globals.append(Global("i32", True, [I("i32.const", 0)]))  # prev
     ti = m.add_type(FuncType((), ()))
-    for k, cur in enumerate(curs):
-        body = emit_coverage_shim(cur, prev_global=0, trace_base=65536,
-                                  scratch_local=0) + [I("end")]
-        m.functions.append(FunctionIR(ti, ["i32"], body))
+    shims = ([emit_coverage_shim(cur, prev_global=0, trace_base=65536,
+                                 scratch_local=0) for cur in curs]
+             + [emit_coverage_shim(cur, prev_global=0, trace_base=65536,
+                                   scratch_local=0, prev=prev)
+                for cur, prev, _ in known])
+    for k, shim in enumerate(shims):
+        m.functions.append(FunctionIR(ti, ["i32"], shim + [I("end")]))
         m.exports.append(Export(f"shim{k}", "func", k))
     assert validate_module(m).ok
 
+    runs = [(k, cur, rng.randrange(MAP_SIZE), None)
+            for k, cur in enumerate(curs) for _ in range(10)]
+    runs += [(len(curs) + k, cur, stale, prev)
+             for k, (cur, prev, stale) in enumerate(known)]
     eng = Engine(m)
     checked = 0
-    for k, cur in enumerate(curs):
-        for _ in range(10):
-            prev = rng.randrange(MAP_SIZE)
-            inst = eng.instantiate()
-            inst.globals[0] = prev
-            out, _ = eng.call_export(inst, f"shim{k}", [])
-            assert out.status == "exit"
-            idx = cur ^ prev
-            assert inst.memory[65536 + idx] == 1
-            assert sum(inst.memory[65536 : 65536 + MAP_SIZE]) == 1
-            assert inst.globals[0] == cur >> 1
-            checked += 1
-    assert checked == 1000
+    for k, cur, global_prev, prev in runs:
+        inst = eng.instantiate()
+        inst.globals[0] = global_prev
+        out, _ = eng.call_export(inst, f"shim{k}", [])
+        assert out.status == "exit"
+        idx = cur ^ (global_prev if prev is None else prev)
+        assert inst.memory[65536 + idx] == 1
+        assert sum(inst.memory[65536 : 65536 + MAP_SIZE]) == 1
+        assert inst.globals[0] == cur >> 1
+        checked += 1
+    assert checked == 1050
 
 
 # -- criteria 7 + 8: end-to-end campaign, then exact replay -----------------

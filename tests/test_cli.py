@@ -104,7 +104,7 @@ def test_run_crash_input_exits_ten(hardened, tmp_path, capsys):
 def test_run_fuel_exhaustion_exits_eleven(hardened, tmp_path):
     inp = tmp_path / "in"
     inp.write_bytes(b"hello")
-    # the whole run takes 83 instructions
+    # the whole run takes 77 instructions
     assert main(["run", str(hardened), str(inp), "--fuel", "50"]) \
         == EXIT_FUEL
 
@@ -118,13 +118,40 @@ def test_fuel_that_is_not_a_count_is_a_usage_error(hardened, tmp_path, capsys,
     seeds.mkdir()
     (seeds / "s0").write_bytes(b"AAAA")
     campaign = ["-o", str(out), "--seeds", str(seeds), "--execs", "10"]
-    with pytest.raises(SystemExit) as e:
-        main([command, str(hardened), *(campaign if command == "fuzz"
-                                         else []), "--fuel", fuel])
-    assert e.value.code == EXIT_USAGE
-    assert "argument --fuel: expected a count of instructions" in (
-        capsys.readouterr().err)
+    assert main([command, str(hardened), *(campaign if command == "fuzz"
+                                            else []), "--fuel", fuel]) \
+        == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(
+        "error: argument --fuel: expected a count of instructions")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("option,value", [
+    ("--jobs", "-3"), ("--jobs", "0"), ("--jobs", "x"), ("--execs", "-5"),
+    ("--execs", "1.5"), ("--time", "-1"), ("--time", "nan"),
+])
+def test_fuzz_refuses_counts_out_of_range(hardened, tmp_path, capsys, option,
+                                         value):
+    out = tmp_path / "c"
+    seeds = tmp_path / "s"
+    seeds.mkdir()
+    (seeds / "s0").write_bytes(b"AAAA")
+    budget = [] if option == "--execs" else ["--execs", "10"]
+    assert main(["fuzz", str(hardened), "-o", str(out), "--seeds",
+                 str(seeds), *budget, option, value]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: argument {option}: expected ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_zero_execs_and_seconds_are_budgets(hardened, tmp_path):
+    seeds = tmp_path / "s"
+    seeds.mkdir()
+    (seeds / "s0").write_bytes(b"AAAA")
+    for k, budget in enumerate((["--execs", "0"], ["--time", "0"])):
+        assert main(["fuzz", str(hardened), "-o", str(tmp_path / f"c{k}"),
+                     "--seeds", str(seeds), *budget]) == EXIT_OK
 
 
 def test_run_at_zero_fuel_exhausts_it(hardened, tmp_path):
@@ -470,6 +497,16 @@ def inputs(tmp_path, hardened, victim_wasm):
 FUZZ = ["--execs", "10"]
 # (argv, exit code, a path the refused command must not create)
 REFUSALS = {
+    "run-negative-fuel": (["run", "x.wasm", "--fuel", "-5"], EXIT_USAGE,
+                          None),
+    "run-no-binary": (["run"], EXIT_USAGE, None),
+    "instrument-negative-sp-global": (["instrument", "v.wasm", "-o", "v.x",
+                                       "--sp-global", "-1"], EXIT_USAGE,
+                                      "v.x"),
+    "fuzz-jobs-not-a-count": (["fuzz", "v.h", "-o", "c", "--seeds", "s",
+                               "--jobs", "x", *FUZZ], EXIT_USAGE, "c"),
+    "fuzz-negative-jobs": (["fuzz", "v.h", "-o", "c", "--seeds", "s",
+                            "--jobs", "-3", *FUZZ], EXIT_USAGE, "c"),
     "run-missing-input": (["run", "v.h", "missing-input"], EXIT_USAGE, None),
     "run-directory": (["run", "dir"], EXIT_USAGE, None),
     "cov-directory-input": (["cov", "v.h", "dir"], EXIT_USAGE, None),

@@ -1,8 +1,13 @@
 import hashlib
+import importlib.util
+import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import modbuild
+from test_runs import NO_SHRINK, generated_module
 from wasmwarden import (
     Engine,
     WasiConfig,
@@ -20,6 +25,8 @@ from wasmwarden.ir import (
     Global,
     I,
     ModuleIR,
+    add_fresh_local,
+    add_global,
 )
 from wasmwarden.passes import (
     CanaryConfig,
@@ -124,6 +131,61 @@ def test_shim_is_eleven_instructions_updating_the_edge_counter():
     assert shim[0].site.id == 0x40
     assert shim[-2] == I("i32.const", 0x20)  # prev = cur >> 1
     assert shim[-1] == I("global.set", 1)
+
+
+def test_short_shim_counts_a_known_edge_at_a_constant_address():
+    base = 3 * MAP_SIZE
+    shim = emit_coverage_shim(0x40, prev_global=1, trace_base=base,
+                              scratch_local=0, prev=0x12)
+    assert [i.op for i in shim] == [
+        "i32.const", "i32.const", "i32.load8_u", "i32.const", "i32.add",
+        "i32.store8", "i32.const", "global.set"]
+    assert shim[0] == shim[1] == I("i32.const", base | (0x40 ^ 0x12))
+    assert shim[0].args is shim[1].args  # built once, used twice
+    assert shim[0].site.id == 0x40 and shim[1].site is None
+    assert shim[-2:] == [I("i32.const", 0x20), I("global.set", 1)]
+
+
+# (kind, prev_site, update_seen) of each site
+@pytest.mark.parametrize("body,imports,sites", [
+    # a br_if to the function's label returns, which reads the entry's
+    # update; the br_if knows it
+    ([I("local.get", 0), I("br_if", 0), I("end")], 0,
+     [("entry", None, True), ("br_if", 0, True)]),
+    # a check whose fall-through traps: no one sees the br_if's update,
+    # and only the branch reaches the end, where the entry's is known;
+    # the end's own update is the one the exit reads
+    ([I("block", None), I("local.get", 0), I("br_if", 0), I("unreachable"),
+      I("end"), I("nop"), I("end")], 0,
+     [("entry", None, False), ("br_if", 0, False), ("end", 0, True)]),
+    # a call to a defined function reads the previous location and
+    # leaves it unknown; a host call does neither
+    ([I("call", 1), I("local.get", 0), I("if", None), I("end"), I("end")],
+     0, [("entry", None, True), ("if", None, True)]),
+    ([I("call", 1), I("local.get", 0), I("if", None), I("end"), I("end")],
+     2, [("entry", None, True), ("if", 0, True)]),
+    # arms that disagree meet at an end, whose full shim reads them all;
+    # no one reads the entry's update past the if and else shims
+    ([I("local.get", 0), I("if", None), I("local.get", 0), I("br_if", 0),
+      I("else"), I("end"), I("end")], 0,
+     [("entry", None, False), ("if", 0, True), ("br_if", 1, True),
+      ("else", 0, True), ("end", None, True)]),
+    # a loop head is never known; the branch back reads what the br_if
+    # brings
+    ([I("loop", None), I("local.get", 0), I("br_if", 0), I("end"),
+      I("end")], 0,
+     [("entry", None, True), ("loop", None, True), ("br_if", 1, True)]),
+    # a path after br_table adds nothing to the inner end, which the
+    # entry reaches alone; the outer end joins it with the branch
+    ([I("block", None), I("block", None), I("local.get", 0),
+      I("br_table", (0,), 1), I("end"), I("end"), I("end")], 0,
+     [("entry", None, True), ("end", 0, True), ("end", None, True)]),
+])
+def test_the_walk_finds_known_locations_and_unseen_updates(body, imports,
+                                                            sites):
+    f = FunctionIR(0, ["i32"], body)
+    assert [(s.site_kind, s.prev_site, s.update_seen)
+            for s in mark_branch_sites(f, imports)] == sites
 
 
 def test_shim_arithmetic_in_memory():
@@ -347,37 +409,156 @@ def test_passes_leave_the_instructions_of_their_input_unchanged(make):
     modbuild.branchy_module,
 ])
 def test_every_shim_is_emit_coverage_shim_sharing_its_fixed_part(make):
-    m = make()
-    out = modbuild.hardened(m)
+    """Each shim is ``emit_coverage_shim``'s full form, or its short form
+    at the previous location that the walk derives, less the update of
+    that location where no reader sees it."""
+    m, _ = apply_heap_pass(make(), HeapConfig(rng_seed=1))
+    m, _ = apply_stack_pass(m, CanaryConfig(rng_seed=1))
+    out, _ = apply_coverage_pass(m, rng_seed=3)
     prev_global = out.num_globals - 1
     trace_base = m.memory[0] * PAGE
-    for f in out.functions[:-1]:  # the accessor has no shim
-        scratch = len(out.types[f.type_idx].params) + len(f.locals) - 1
-        shims = []
-        for off, instr in enumerate(f.body):
-            if instr.site is None or not instr.site.kind.startswith("cov"):
-                continue
-            shim = f.body[off:off + 11]
-            want = emit_coverage_shim(instr.site.id, prev_global, trace_base,
-                                      scratch, instr.site.kind[4:])
+    short_forms = 0
+    for f, g in zip(m.functions, out.functions):
+        scratch = len(out.types[g.type_idx].params) + len(g.locals) - 1
+        offsets = [off for off, instr in enumerate(g.body)
+                   if instr.site and instr.site.kind.startswith("cov")]
+        sites = mark_branch_sites(f, m.num_imported_funcs)
+        assert len(offsets) == len(sites)
+        ids = [g.body[off].site.id for off in offsets]
+        full, short = [], []
+        for site, off, cur in zip(sites, offsets, ids):
+            prev = None if site.prev_site is None else ids[site.prev_site] >> 1
+            want = emit_coverage_shim(cur, prev_global, trace_base, scratch,
+                                      site.site_kind, prev)
+            if not site.update_seen:
+                want = want[:-2]
+            shim = g.body[off:off + len(want)]
             assert ([(i.op, i.args, i.site) for i in shim]
                     == [(i.op, i.args, i.site) for i in want])
-            shims.append(shim)
-        assert shims
-        # all but the site's two constants are one object per function
-        for k in (*range(1, 9), 10):
-            assert len({id(shim[k]) for shim in shims}) == 1
+            (full if prev is None else short).append(shim)
+        # what does not depend on the site is one object per function: a
+        # full shim's eight ops after its constant, among them the load,
+        # add and store of every short shim, and the global.set
+        for k in range(1, 9):
+            assert len({id(shim[k]) for shim in full}) == 1
+        for shim in short:
+            assert [id(i) for i in shim[2:6]] == [id(i) for i in full[0][5:9]]
+        updates = {id(shim[-1]) for shim in full + short
+                   if shim[-1].op == "global.set"}
+        assert len(updates) == 1
+        short_forms += len(short)
+    assert short_forms
 
 
-# SHA-256 of the encoded module and of the oracle sites' JSON, taken
-# before the passes shared instructions and the encoder memoized them
+def full_form_pass(m: ModuleIR, rng_seed: int) -> ModuleIR:
+    """``apply_coverage_pass``'s module with ``emit_coverage_shim``'s full
+    form at every site, from the same draws: the reference for the
+    shims that know the previous location or leave out its update."""
+    out = m.copy()
+    rng = random.Random(rng_seed)
+    pages, most = out.memory
+    trace_base = pages * PAGE
+    out.memory = (pages + 1, None if most is None else most + 1)
+    prev_global = add_global(out, "i32", True, [I("i32.const", 0)])
+    for f in out.functions:
+        scratch = add_fresh_local(out, f, "i32")
+        body, done = [], 0
+        for site in mark_branch_sites(f):
+            if site.site_kind != "entry":
+                body += f.body[done:site.position + 1]
+                done = site.position + 1
+            body += emit_coverage_shim(rng.randrange(MAP_SIZE), prev_global,
+                                       trace_base, scratch, site.site_kind)
+        f.body = body + f.body[done:]
+    accessor_type = out.add_type(FuncType((), ("i32",)))
+    out.functions.append(FunctionIR(
+        accessor_type, [], [I("i32.const", trace_base), I("end")]))
+    out.exports.append(Export(ACCESSOR_NAME, "func", out.num_funcs - 1))
+    return out
+
+
+def observed(m: ModuleIR, inputs, export=None, args=()) -> list[tuple]:
+    """Status, exit code, trap kind, stdout and trace map of each run of
+    ``m``: ``_start`` on each input, or ``export`` called with ``args``."""
+    eng, seen = Engine(m), []
+    for data in inputs:
+        inst = eng.instantiate(WasiConfig(stdin=data))
+        if export is None:
+            out = eng.run_start(inst)
+        else:
+            out, _ = eng.call_export(inst, export, list(args))
+        seen.append((out.status, out.exit_code, out.trap_kind, out.stdout,
+                     bytes(eng.read_trace_bits(inst))))
+    return seen
+
+
+def _perfbench_targets():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "targets.py"
+    spec = importlib.util.spec_from_file_location("perfbench_targets", path)
+    targets = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(targets)
+    return targets
+
+
+def _equivalence_cases():
+    """(name, module, inputs): the corpus, plain and with canaries, and the
+    benchmark's two targets with canaries, each on its own inputs and on
+    random ones."""
+    rng = random.Random(25)
+    cases = []
+    for name, m, inputs in modbuild.corpus():
+        cases.append((name, m, inputs))
+        cases.append((f"{name}-canaries", _canaries(m), inputs))
+    targets = _perfbench_targets()
+    noise = [rng.randbytes(rng.randrange(33)) for _ in range(16)]
+    cases.append(("victim", _canaries(targets.victim_module()),
+                  [b"", b"A" * 16, b"4", b"42", b"42" + b"A" * 14,
+                   b"42" + b"B" * 30, *noise]))
+    cases.append(("instrument", _canaries(targets.big_module(2021)),
+                  [bytes(range(16)), *noise]))
+    return cases
+
+
+def _canaries(m: ModuleIR) -> ModuleIR:
+    m, _ = apply_heap_pass(m, HeapConfig(rng_seed=1))
+    m, _ = apply_stack_pass(m, CanaryConfig(rng_seed=1))
+    return m
+
+
+def test_short_shims_count_what_full_shims_count():
+    runs = 0
+    for name, m, inputs in _equivalence_cases():
+        out, _ = apply_coverage_pass(m, rng_seed=3)
+        ref = full_form_pass(m, rng_seed=3)
+        got, want = observed(out, inputs), observed(ref, inputs)
+        assert got == want, name
+        assert any(any(bits) for *_, bits in got), name
+        runs += len(inputs)
+    assert runs >= 200
+
+
+@settings(max_examples=100, deadline=None, phases=NO_SHRINK)
+@given(st.data(), st.integers(0, 2**32))
+def test_short_shims_count_what_full_shims_count_on_generated_bodies(
+        data, seed):
+    m, args = generated_module(data)
+    out, _ = apply_coverage_pass(m, rng_seed=seed)
+    ref = full_form_pass(m, rng_seed=seed)
+    assert (observed(out, [b""], "f", args)
+            == observed(ref, [b""], "f", args))
+
+
+# SHA-256 of the encoded module and of the oracle sites' JSON. Taken when
+# shims came to know the previous location and to leave out unseen
+# updates, which changed the bytes and the oracle offsets by design; the
+# equivalence tests above check that the traces did not change
 GOLDEN = {
     "victim_module": (
-        "f268bd4431b63e0e48c031a4c863e4199ad38fea98a2c59dffd0a6afdfb29377",
-        "928240e20bc9f055701f38743a9a8941b9f29c5402f7f757ef360114ea475388"),
+        "7a98a47ef45d449f9ef85d342e94713895e68b91ad1e68a0c70643819403c394",
+        "90a2b769f3e258539f09e6be59e090a7e31fbb26b969dd11099493887f10dc5e"),
     "heap_victim_module": (
-        "45b8de1d4176137c3429acd1b864fc44e8c200f6c06e1ffbed0b542dca3aabcb",
-        "b244aeb2db91e93ef96fd5ffbea5a7d9d4f3b9738cc535337df1a3f535a9582c"),
+        "92ff746ffe9ce040b2ea90a9cdffee2cba2cb4a0a30a37dd66cffb570c3e5883",
+        "f9adaa32966f813a6378c4fbd361178acfb770de038f8195e638b125af7ddb37"),
 }
 
 

@@ -279,6 +279,9 @@ def test_call_indirect_checks_signatures_past_imported_functions():
     # br_table whose default is the function's label
     ([I("i32.const", 7), I("i32.const", 5), I("br_table", (0, 0), 0),
       I("end")], [7], 4),
+    # and one with no labels but its default
+    ([I("i32.const", 7), I("i32.const", 0), I("br_table", (), 0),
+      I("end")], [7], 4),
     # a branch out of a block to the function's label carries its value
     ([I("block", None), I("i32.const", 9), I("br", 1), I("end"),
       I("i32.const", 1), I("end")], [9], 4),
