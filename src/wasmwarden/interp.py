@@ -3,15 +3,16 @@
 The engine validates a module once; instances are cheap and isolated,
 each run is fuel metered, and traps are classified for crash triage.
 
-``Engine()`` validates every body but compiles none: a body is compiled,
-from the validator's block record, the first time its function is
-entered, since a campaign calls few of a module's functions. Compiling
-makes the body one generated Python function (``_function_source``), as
-wasm2c makes each Wasm function one C function: Wasm locals and operand
-stack slots become Python locals, basic blocks become the cases of a
-dispatch inside the function, and host calls and the checks of
-``call_indirect`` run inline. Compiled functions are kept per
-``Engine``, never across engines, and nothing changes them.
+``Engine()`` validates every body but compiles none: a body is compiled
+the first time its function is entered, since a campaign calls few of a
+module's functions. Compiling makes the body one generated Python
+function (``_function_source``), written straight from its ``Instr``
+list and the validator's record of its blocks, as wasm2c makes each Wasm
+function one C function: Wasm locals and operand stack slots become
+Python locals, basic blocks become the cases of a dispatch inside the
+function, and host calls and the checks of ``call_indirect`` run inline.
+Compiled functions are kept per ``Engine``, never across engines, and
+nothing changes them.
 
 A call to a defined function returns to ``Engine._run``, which keeps the
 caller on an explicit frame stack, as ``MAX_CALL_DEPTH`` is above Python's
@@ -441,133 +442,21 @@ def _build_numeric() -> dict[str, object]:
     return ops
 
 
-# compiled instruction codes
-C_UNREACHABLE = 0
-C_NOP = 1
-C_IF = 2
-C_BR = 3
-C_BR_IF = 4
-C_BR_TABLE = 5
-C_RETURN = 6
-C_CALL = 7
-C_CALL_INDIRECT = 8
-C_DROP = 9
-C_SELECT = 10
-C_LOCAL_GET = 11
-C_LOCAL_SET = 12
-C_LOCAL_TEE = 13
-C_GLOBAL_GET = 14
-C_GLOBAL_SET = 15
-C_LOAD = 16
-C_STORE = 17
-C_MEMSIZE = 18
-C_MEMGROW = 19
-C_CONST = 20
-C_NUM1 = 21
-C_NUM2 = 22
-
-_NOP = (C_NOP,)
-
-# ops whose compiled form does not depend on their position or arguments
-_PLAIN = {
-    "unreachable": (C_UNREACHABLE,), "nop": _NOP, "return": (C_RETURN,),
-    "drop": (C_DROP,), "select": (C_SELECT,), "memory.size": (C_MEMSIZE,),
-    "memory.grow": (C_MEMGROW,),
-    # a value is its bit pattern, so reinterpreting it changes nothing
-    "i32.reinterpret_f32": _NOP, "i64.reinterpret_f64": _NOP,
-    "f32.reinterpret_i32": _NOP, "f64.reinterpret_i64": _NOP,
-}
-
-# ops compiled to (code, *args)
-_WITH_ARGS = {
-    "local.get": C_LOCAL_GET, "local.set": C_LOCAL_SET,
-    "local.tee": C_LOCAL_TEE, "global.get": C_GLOBAL_GET,
-    "global.set": C_GLOBAL_SET,
-}
-
 _NUMERIC = _build_numeric()
-
-# numeric ops compile to (C_NUM1 or C_NUM2, op), by arity
-_PLAIN.update((op, (C_NUM1 if len(SIGS[op][0]) == 1 else C_NUM2, op))
-              for op in (*_INT_FMT, *_NUMERIC))
 
 _MASK = {t: (1 << 8 * width) - 1 for t, width in VALTYPE_WIDTH.items()}
 _CONST_MASK = {f"{t}.const": mask for t, mask in _MASK.items()}
-
-# loads and stores compiled to (code, memarg offset, *access)
-_MEMORY = {
-    op: ((C_LOAD, (width, signed, _MASK[t])) if SIGS[op][1]  # pushes: a load
-         else (C_STORE, (width, (1 << 8 * width) - 1)))
-    for op, (t, width, signed) in MEM_ACCESS.items()
-}
-
-
-def _compile_body(body, nresults: int, types: list[FuncType],
-                  blocks: dict[int, tuple]) -> tuple:
-    """Flat body of a validated function -> one tuple per instruction, from
-    which its function-level code is generated. ``blocks`` is the
-    validator's record of the body's blocks (``ValidationReport.blocks``).
-
-    A branch compiles to (code, target pc, arity, height): it keeps its top
-    ``arity`` values, cuts the operand stack to ``height`` values above
-    the frame's base and jumps to the ``end`` of a block or ``if``, to a
-    ``loop``, or to the function's final ``end``, which returns.
-    ``block``, ``loop`` and the other ends are no-ops costing one fuel.
-    """
-    # per open label: (target pc, arity, height); the outermost is the
-    # function's own label
-    labels = [(len(body) - 1, nresults, 0)]
-    code: list[tuple] = []
-    for pc, instr in enumerate(body):
-        op = instr.op
-        a = instr.args
-        if op in _PLAIN:
-            code.append(_PLAIN[op])
-        elif op in _WITH_ARGS:
-            code.append((_WITH_ARGS[op], *a))
-        elif op in _CONST_MASK:
-            code.append((C_CONST, a[0] & _CONST_MASK[op]))
-        elif op in _MEMORY:
-            c, access = _MEMORY[op]
-            code.append((c, a[1], *access))
-        elif op == "br" or op == "br_if":
-            code.append((C_BR if op == "br" else C_BR_IF,
-                         *labels[-1 - a[0]]))
-        elif op == "br_table":
-            targets, default = a
-            brs = tuple((C_BR, *labels[-1 - t])
-                        for t in (*targets, default))
-            code.append((C_BR_TABLE, brs[:-1], brs[-1]))
-        elif op == "call":
-            code.append((C_CALL, a[0]))
-        elif op == "call_indirect":
-            code.append((C_CALL_INDIRECT, types[a[0]]))
-        elif op == "else":  # the then-arm is done: jump to the end
-            code.append((C_BR, *labels[-1]))
-        elif op == "end":
-            labels.pop()
-            code.append(_NOP if labels else (C_RETURN,))
-        else:  # block, loop or if
-            height, else_pc, end = blocks[pc]
-            # a branch to a loop restarts it and, in MVP, carries no value
-            if op == "loop":
-                labels.append((pc, 0, height))
-            else:
-                labels.append((end, 0 if a[0] is None else 1, height))
-            if op == "if":
-                code.append((C_IF, end if else_pc is None else else_pc + 1))
-            else:
-                code.append(_NOP)
-    return tuple(code)
 
 
 # --------------------------------------------------------------------------
 # function-level code
 #
-# A compiled body is one generated Python function,
+# A body's function-level code is one generated Python function,
 #
 #     f(inst, mem, G, fuel, executed, at, L, S) -> request
 #
+# generated straight from the body's ``Instr`` list and the validator's
+# record of its blocks (``ValidationReport.blocks``),
 # whose Wasm locals are the Python locals ``l0, l1, ...`` and whose operand
 # stack slot i is the Python local ``s{i}``. Its basic blocks are the
 # cases of a dispatch on ``at``, a branch target's pc; straight-line code
@@ -590,14 +479,17 @@ _HANDS_OFF = 2  # (_HANDS_OFF, executed, pc, operand stack, locals)
 # the same way, which raises ``_Fuel`` at its end: fuel runs out on the
 # same instruction with the same memory.
 #
+# A branch goes to (target pc, arity, height): it keeps its top ``arity``
+# values, cuts the operand stack to ``height`` values above the frame's
+# base and jumps to the ``end`` of a block or ``if``, to a ``loop``, or to
+# the function's final ``end``, which returns. ``else`` ends the then-arm
+# with a branch to its ``if``'s end. ``block``, ``loop``, the other ends,
+# ``nop`` and the reinterprets cost one fuel and do nothing else.
+#
 # Each line that may trap or call the host ends in ``# @pc``, its op's pc.
 # The handler around the body finds that line from the traceback and
 # reports the op and the count stepping would have reached, so the hot
 # path keeps no record of where it is.
-
-# ops after which control does not simply go on to the next pc
-_LEAVES = frozenset((C_IF, C_BR, C_BR_IF, C_BR_TABLE, C_RETURN,
-                     C_UNREACHABLE, C_CALL_INDIRECT))
 
 _TEST = re.compile(r"1 if (.*) else 0")  # a comparison, as _INT_FMT has it
 _MARK = re.compile(r"  # @(\d+)$")
@@ -655,40 +547,69 @@ def _indirect_callee(table: list, func_types: list, elem: int,
     return target
 
 
-def _is_leaving(ins: tuple, n_host: int) -> bool:
-    return ins[0] in _LEAVES or (ins[0] == C_CALL and ins[1] >= n_host)
-
-
-def _function_source(name: str, code: tuple, meta, n_host: int,
-                     func_types: list, bind, cut=None) -> str:
+def _function_source(name: str, body: list, blocks: dict, meta,
+                     types: list, func_types: list, n_host: int, bind,
+                     cut=None) -> str:
     """Python source of ``name``, the function-level code of ``meta``'s
-    body, compiled to ``code``. ``bind(value)`` gives the name a value is
-    bound to in the generated code's namespace.
+    body, the ``Instr`` list of a validated function whose blocks the
+    validator recorded in ``blocks``. ``types`` are the module's types,
+    which ``call_indirect`` names, and ``func_types`` the type of each
+    function index. ``bind(value)`` gives the name a value is bound to in
+    the generated code's namespace.
 
     With ``cut``, ``(pc, k, height)``, it is the code of the ``k`` ops
     from the segment head ``pc`` on, entered with ``height`` values on the
     operand stack, that raises ``_Fuel`` after them; ``k`` is less than
     the segment's length, so none of those ops branches or leaves."""
-    nlocals = meta.nparams + len(meta.local_zeros)
-    local_list = "[" + ", ".join(f"l{i}" for i in range(nlocals)) + "]"
+    local_list = "[" + ", ".join(f"l{i}" for i in range(meta.nlocals)) + "]"
 
+    # where each op that branches goes: a br, br_if or ``else`` to its
+    # label's (target, arity, height), a br_table to one per label, default
+    # last, and an ``if`` to the pc its false condition jumps to
+    goes: dict = {}
+    # per open label, where a branch to it goes; the outermost is the
+    # function's own label
+    open_labels = [(len(body) - 1, meta.nresults, 0)]
     # branch targets; a call_indirect's next pc too, where a host
     # callee's result and the resumed caller meet
     labels = set()
-    for pc, ins in enumerate(code):
-        c = ins[0]
-        if c == C_IF or c == C_BR or c == C_BR_IF:
-            labels.add(ins[1])
-        elif c == C_BR_TABLE:
-            labels.update(br[1] for br in (*ins[1], ins[2]))
-        elif c == C_CALL_INDIRECT:
+    # whether control may not simply go on to the next pc after each op
+    leaves = [False] * len(body)
+    for pc, instr in enumerate(body):
+        op, a = instr.op, instr.args
+        if op == "br" or op == "br_if" or op == "else":
+            # ``else``: the then-arm is done, so it branches to the end
+            goes[pc] = open_labels[-1 if op == "else" else -1 - a[0]]
+            labels.add(goes[pc][0])
+        elif op == "br_table":
+            goes[pc] = tuple(open_labels[-1 - t] for t in (*a[0], a[1]))
+            labels.update(target for target, _, _ in goes[pc])
+        elif op == "block" or op == "loop" or op == "if":
+            height, else_pc, end = blocks[pc]
+            # a branch to a loop restarts it and, in MVP, carries no value
+            open_labels.append((pc, 0, height) if op == "loop" else
+                               (end, 0 if a[0] is None else 1, height))
+            if op != "if":
+                continue
+            goes[pc] = end if else_pc is None else else_pc + 1
+            labels.add(goes[pc])
+        elif op == "end":
+            open_labels.pop()
+            if open_labels:
+                continue
+        elif op == "call_indirect":
             labels.add(pc + 1)
+        elif op == "call":
+            if a[0] < n_host:  # a host call runs inline
+                continue
+        elif op != "return" and op != "unreachable":
+            continue
+        leaves[pc] = True
     # the last pc of each pc's segment; a valid body ends in a return
-    ends = [0] * len(code)
-    for pc in range(len(code) - 1, -1, -1):
-        ends[pc] = (pc if _is_leaving(code[pc], n_host) or pc + 1 in labels
-                    else ends[pc + 1])
-    head, height, pcs = 0, 0, range(len(code))
+    ends = [0] * len(body)
+    for pc in range(len(body) - 1, -1, -1):
+        ends[pc] = pc if leaves[pc] or pc + 1 in labels else ends[pc + 1]
+    head, height, pcs = 0, 0, range(len(body))
     if cut:  # the cut's ops are one segment, which ends at its last op
         head, k, height = cut
         pcs = range(head, head + k)
@@ -768,8 +689,7 @@ def _function_source(name: str, code: tuple, meta, n_host: int,
     pc = head
     start(0, height)
     for pc in pcs:
-        ins = code[pc]
-        c = ins[0]
+        op, imm = body[pc].op, body[pc].args
         if pc in labels and pc != head:  # the entry is the label of the head
             if cur is not None:  # falls into the label
                 cur += jump(pc, 0, len(st))
@@ -778,19 +698,19 @@ def _function_source(name: str, code: tuple, meta, n_host: int,
                 start(pc, pending[pc])
         if cur is None:  # no live code reaches this pc
             continue
-        if pc == head or pc in labels or _is_leaving(code[pc - 1], n_host):
+        if pc == head or pc in labels or leaves[pc - 1]:
             n = ends[pc] - pc + 1
             if not cut:
                 cur.append(f"if executed + {n} > fuel: return ({_HANDS_OFF}, "
                            f"executed, {pc}, [{', '.join(st)}], {local_list})")
             cur.append(f"executed += {n}")
 
-        if c == C_CONST:
-            st.append(str(ins[1]))
-        elif c == C_LOCAL_GET:
-            st.append(f"l{ins[1]}")
-        elif c == C_LOCAL_SET or c == C_LOCAL_TEE:
-            local = f"l{ins[1]}"
+        if op in _CONST_MASK:
+            st.append(str(imm[0] & _CONST_MASK[op]))
+        elif op == "local.get":
+            st.append(f"l{imm[0]}")
+        elif op == "local.set" or op == "local.tee":
+            local = f"l{imm[0]}"
             value = take()
             # entries that read the local read it before this write
             for i, e in enumerate(st):
@@ -798,112 +718,115 @@ def _function_source(name: str, code: tuple, meta, n_host: int,
                     cur.append(f"s{i} = {local}")
                     st[i] = f"s{i}"
             cur.append(f"{local} = {value}")
-            if c == C_LOCAL_TEE:
+            if op == "local.tee":
                 st.append(local)
-        elif c == C_GLOBAL_GET:
-            push(f"G[{ins[1]}]")
-        elif c == C_GLOBAL_SET:
-            cur.append(f"G[{ins[1]}] = {take()}")
-        elif c == C_DROP:
+        elif op == "global.get":
+            push(f"G[{imm[0]}]")
+        elif op == "global.set":
+            cur.append(f"G[{imm[0]}] = {take()}")
+        elif op == "drop":
             st.pop()
-        elif c == C_SELECT:
+        elif op == "select":
             cond, b, a = st.pop(), st.pop(), st.pop()
             push(f"{a} if {cond} else {b}")
-        elif c == C_NUM1 or c == C_NUM2:
-            fmt = _INT_FMT.get(ins[1], "{a}{b}")
-            b = operand(fmt.count("{b}") == 1) if c == C_NUM2 else ""
+        elif op in _INT_FMT or op in _NUMERIC:
+            fmt = _INT_FMT.get(op, "{a}{b}")
+            b = (operand(fmt.count("{b}") == 1) if len(SIGS[op][0]) == 2
+                 else "")
             a = operand(fmt.count("{a}") == 1)
-            if ins[1] in _INT_FMT:
+            if op in _INT_FMT:
                 push(fmt.format(a=a, b=b))
             else:  # div, rem, trunc and the float ops
-                push(f"{_helper_name(ins[1])}({a}{', ' + b if b else ''})")
+                push(f"{_helper_name(op)}({a}{', ' + b if b else ''})")
                 cur[-1] = marked(cur[-1])
-        elif c == C_LOAD or c == C_STORE:
-            width = ins[2]
-            value = operand() if c == C_STORE else ""
+        elif op in MEM_ACCESS:
+            t, width, signed = MEM_ACCESS[op]
+            store = not SIGS[op][1]
+            offset = imm[1]
+            value = operand() if store else ""
             addr = st.pop()
             # the effective address and the end of the access, written
             # out where they are used, so no expression reads a temporary
             if addr[0].isdigit():  # a constant address
-                a = str(int(addr) + ins[1])
-                last = str(int(a) + width)
+                a = str(int(addr) + offset)
+                stop = str(int(a) + width)
             else:
-                a = f"{addr} + {ins[1]}" if ins[1] else addr
-                last = f"{addr} + {ins[1] + width}"
-            if width == 1 and not (c == C_LOAD and ins[3]):
+                a = f"{addr} + {offset}" if offset else addr
+                stop = f"{addr} + {offset + width}"
+            if width == 1 and not signed:
                 # indexing checks the bounds, raising IndexError
-                if c == C_STORE:
+                if store:
                     cur.append(f"mem[{a}] = {value} & 0xFF")
                 else:
                     push(f"mem[{a}]")
                 cur[-1] = marked(cur[-1])
                 continue
-            cur.append(marked(f"if {last} > size: raise _Trap(MEM_OOB)"))
-            span = f"mem[{a}:{last}]"
-            if c == C_STORE:
-                cur.append(f"{span} = ({value} & {ins[3]:#x})"
+            cur.append(marked(f"if {stop} > size: raise _Trap(MEM_OOB)"))
+            span = f"mem[{a}:{stop}]"
+            if store:
+                cur.append(f"{span} = ({value} & {(1 << 8 * width) - 1:#x})"
                            f".to_bytes({width}, 'little')")
-            elif ins[3]:  # sign-extends
+            elif signed:  # sign-extends
                 push(f"from_bytes({span}, 'little', signed=True)"
-                     f" & {ins[4]:#x}")
+                     f" & {_MASK[t]:#x}")
             else:  # zero-extends: the mask cannot clear a bit
                 push(f"from_bytes({span}, 'little')")
-        elif c == C_MEMSIZE:
+        elif op == "memory.size":
             push(f"size // {PAGE}")
-        elif c == C_MEMGROW:
+        elif op == "memory.grow":
             push(f"grow(inst, {st.pop()})")
             cur.append("size = len(mem)")
-        elif c == C_IF:
+        elif op == "if":
             cur.append(f"if not {test(take())}:")
-            cur += ["    " + line for line in jump(ins[1], 0, len(st))]
-        elif c == C_BR_IF:
+            cur += ["    " + line for line in jump(goes[pc], 0, len(st))]
+        elif op == "br_if":
             cur.append(f"if {test(take())}:")
-            cur += ["    " + line for line in jump(*ins[1:])]
-        elif c == C_BR:
-            cur += jump(*ins[1:])
+            cur += ["    " + line for line in jump(*goes[pc])]
+        elif op == "br" or op == "else":
+            cur += jump(*goes[pc])
             cur = None
-        elif c == C_BR_TABLE:
+        elif op == "br_table":
             cur.append(f"t = {take()}")
-            brs = (*ins[1], ins[2])
-            if len({br[2:] for br in brs}) == 1:  # one arity and height
-                keys = tuple(br[1] for br in ins[1])  # () for none
+            *brs, default = goes[pc]
+            if len({br[1:] for br in goes[pc]}) == 1:  # one arity and height
+                keys = tuple(br[0] for br in brs)  # () for none
                 cur.append(f"at = {keys}[t] if t < {len(keys)} "
-                           f"else {ins[2][1]}")
-                for br in brs:
-                    if br[1] > pc:
-                        pending[br[1]] = br[3] + br[2]
+                           f"else {default[0]}")
+                for br in goes[pc]:
+                    if br[0] > pc:
+                        pending[br[0]] = br[2] + br[1]
                 # where each goes is set; the rest of a jump is shared
-                cur += jump(ins[2][1], *ins[2][2:])[:-2] + ["continue"]
+                cur += jump(*default)[:-2] + ["continue"]
             else:
-                for i, br in enumerate(ins[1]):
+                for i, br in enumerate(brs):
                     cur.append(f"if t == {i}:")
-                    cur += ["    " + line for line in jump(*br[1:])]
-                cur += jump(*ins[2][1:])
+                    cur += ["    " + line for line in jump(*br)]
+                cur += jump(*default)
             cur = None
-        elif c == C_RETURN:
+        elif op == "return" or op == "end" and leaves[pc]:  # the final end
             result = take() if meta.nresults else "None"
             cur.append(f"return ({_RETURNS}, executed, {result})")
             cur = None
-        elif c == C_UNREACHABLE:
+        elif op == "unreachable":
             cur.append(marked("raise _Trap(UNREACHABLE)"))
             cur = None
-        elif c == C_CALL and ins[1] < n_host:  # a host call runs inline
-            sig = func_types[ins[1]]
-            host = call(f"HOSTS[{ins[1]}]", args_of(len(sig.params)))
+        elif op == "call" and imm[0] < n_host:  # a host call runs inline
+            sig = func_types[imm[0]]
+            host = call(f"HOSTS[{imm[0]}]", args_of(len(sig.params)))
             if sig.results:
                 push(f"{host} & 0xFFFFFFFF")
             else:
                 cur.append(host)
             cur[-1] = marked(cur[-1])
-        elif c == C_CALL or c == C_CALL_INDIRECT:
-            if c == C_CALL:
-                sig, callee = func_types[ins[1]], str(ins[1])
+        elif op == "call" or op == "call_indirect":
+            if op == "call":
+                sig, callee = func_types[imm[0]], str(imm[0])
             else:
-                sig, callee = ins[1], "t"
+                sig, callee = types[imm[0]], "t"
                 cur.append(marked(f"t = callee({st.pop()}, {bind(sig)})"))
             args = args_of(len(sig.params))
             height = len(st) + len(sig.results)
-            if c == C_CALL_INDIRECT:  # a host callee runs inline
+            if op == "call_indirect":  # a host callee runs inline
                 host = call("HOSTS[t]", args)
                 host = [marked(f"s{len(st)} = {host} & 0xFFFFFFFF"
                                if sig.results else host)]
@@ -918,7 +841,8 @@ def _function_source(name: str, code: tuple, meta, n_host: int,
             start(~pc, height)
             if height:
                 cur.append(f"{', '.join(st)}, = S")
-        # C_NOP: block, loop and end markers, nop, reinterprets
+        # otherwise block, loop, the other ends, nop or a reinterpret: a
+        # value is its bit pattern, so reinterpreting it changes nothing
     if cut:
         cur.append("raise _Fuel()")
 
@@ -936,15 +860,15 @@ def _function_source(name: str, code: tuple, meta, n_host: int,
     if jumps or len(keys) > 1:
         body = ["while True:"] + ["    " + line for line in body]
     params = [f"l{i}" for i in range(meta.nparams)]
-    zeros = [f"l{i}" for i in range(meta.nparams, nlocals)]
+    zeros = [f"l{i}" for i in range(meta.nparams, meta.nlocals)]
     entry = ([f"{', '.join(params)}, = L"] if params else []) + (
         [f"{' = '.join(zeros)} = 0"] if zeros else [])
-    if any(key < 0 for key in keys) and nlocals:  # resumes after a call
+    if any(key < 0 for key in keys) and meta.nlocals:  # resumes after a call
         entry = (["if at:", f"    {', '.join(params + zeros)}, = L", "else:"]
                  + ["    " + line for line in entry or ["pass"]])
     if cut:  # entered with its locals and stack
         stack = ", ".join(f"s{i}" for i in range(height))
-        entry = ([f"{local_list[1:-1]}, = L"] if nlocals else []) + (
+        entry = ([f"{local_list[1:-1]}, = L"] if meta.nlocals else []) + (
             [f"{stack}, = S"] if height else [])
     lines = ([f"def {name}(inst, mem, G, fuel, executed, at, L, S):"]
              + ["    " + line for line in entry + ["size = len(mem)"]])
@@ -964,16 +888,14 @@ def _function_source(name: str, code: tuple, meta, n_host: int,
 
 
 class _FuncMeta:
-    __slots__ = ("func_idx", "ftype", "nparams", "nresults", "local_zeros",
-                 "code", "fn")
+    __slots__ = ("func_idx", "ftype", "nparams", "nresults", "nlocals", "fn")
 
-    def __init__(self, func_idx, ftype: FuncType, nlocals):
+    def __init__(self, func_idx, ftype: FuncType, ndeclared: int):
         self.func_idx = func_idx
         self.ftype = ftype
         self.nparams = len(ftype.params)
         self.nresults = len(ftype.results)
-        self.local_zeros = [0] * nlocals
-        self.code = None  # the body's tuples, built by ``body_code``
+        self.nlocals = self.nparams + ndeclared  # params included
         self.fn = None  # built by ``Engine.compiled`` on the first call
 
 
@@ -1199,15 +1121,20 @@ class Engine:
                       for i, f in enumerate(module.functions)]
         self._blocks = report.blocks
 
+        # up to the last slot a segment fills, as the minimum may be 2^32 - 1;
+        # ``_indirect_callee`` traps past the list as on an empty slot
         self.table: list[Optional[int]] = []
         if module.table is not None:
-            self.table = [None] * module.table[0]
+            filled = []
             for elem in module.elems:
                 off = self.eval_const(elem.offset)
-                if off + len(elem.func_indices) > len(self.table):
+                if off + len(elem.func_indices) > module.table[0]:
                     raise InstantiationTrap("element segment out of bounds")
-                for k, fi in enumerate(elem.func_indices):
-                    self.table[off + k] = fi
+                filled.append((off, elem.func_indices))
+            self.table = [None] * max((off + len(funcs)
+                                       for off, funcs in filled), default=0)
+            for off, funcs in filled:
+                self.table[off: off + len(funcs)] = funcs
 
         # what every instance starts from; a data segment out of bounds
         # still traps at instantiate(). Each instance zeroes its whole
@@ -1318,16 +1245,6 @@ class Engine:
             )
         return meta
 
-    def body_code(self, meta: _FuncMeta) -> tuple:
-        """The tuples ``meta``'s body compiles to, which its function-level
-        code is generated from."""
-        if meta.code is None:
-            i = meta.func_idx - self.n_host
-            meta.code = _compile_body(self.module.functions[i].body,
-                                      meta.nresults, self.module.types,
-                                      self._blocks[i])
-        return meta.code
-
     def compiled(self, meta: _FuncMeta):
         """The function-level code of ``meta``'s body, generated and
         compiled the first time it is asked for."""
@@ -1343,8 +1260,10 @@ class Engine:
         frees. A cut binds no name, so the namespace does not change: it
         writes its trap marks out as a literal."""
         name = f"f{meta.func_idx}"
-        src = _function_source(name, self.body_code(meta), meta, self.n_host,
-                               self.func_types,
+        i = meta.func_idx - self.n_host
+        src = _function_source(name, self.module.functions[i].body,
+                               self._blocks[i], meta, self.module.types,
+                               self.func_types, self.n_host,
                                self._bind if cut is None else repr, cut)
         made: dict = {}
         exec(compile(src, f"<wasm function {meta.func_idx}>", "exec"),

@@ -559,9 +559,9 @@ def test_a_run_compiles_exactly_the_bodies_it_enters():
     modbuild.add_start(m, [I("i32.const", 0), I("call_indirect", void),
                            I("end")])
     eng = Engine(m)
-    assert [meta.code for meta in eng.metas] == [None] * 5
+    assert [meta.fn for meta in eng.metas] == [None] * 5
     assert eng.run_start(eng.instantiate()).status == "exit"
-    assert [meta.code is not None for meta in eng.metas] == [
+    assert [meta.fn is not None for meta in eng.metas] == [
         True, True, False, True, True]
 
 

@@ -17,6 +17,7 @@ from wasmwarden import Engine, RunLimits, WasiConfig
 from wasmwarden.interp import (
     DIV_ZERO,
     INDIRECT_MISMATCH,
+    InstantiationTrap,
     MAX_CALL_DEPTH,
     MEM_OOB,
     STACK_EXHAUSTED,
@@ -78,7 +79,7 @@ def sweep_fuel(m: ModuleIR, data: bytes) -> list:
 
 def _compiled_nothing(ref: Reference) -> bool:
     """Whether the reference ran without function-level code."""
-    return all(meta.code is meta.fn is None for meta in ref.metas)
+    return all(meta.fn is None for meta in ref.metas)
 
 
 def test_corpus_matches_the_step_path():
@@ -105,7 +106,7 @@ def test_engine_makes_no_source_until_a_body_is_entered():
     eng = Engine(m)
     names = dict(eng._names)
     assert _compiled_functions(eng) == {} and eng._bound == 0
-    assert all(meta.code is None for meta in eng.metas)
+    assert all(meta.fn is None for meta in eng.metas)
     eng.run_start(eng.instantiate(WasiConfig(stdin=b"AAAA")))
     # the constants the two entered bodies bound, and no functions
     assert eng._names.keys() - names.keys() - {"__builtins__"} == {
@@ -152,16 +153,14 @@ def test_running_never_changes_a_compiled_body():
     eng = Engine(modbuild.hardened(modbuild.victim_module()))
     for meta in eng.metas:
         eng.compiled(meta)
-    before = [(meta.fn, meta.fn.__code__, meta.code, list(meta.code))
-              for meta in eng.metas]
+    before = [(meta.fn, meta.fn.__code__) for meta in eng.metas]
     names = dict(eng._names)
     for data in (b"AAAA", b"42" + b"A" * 14, b"42" + b"A" * 21, b""):
         for fuel in (1_000_000, 30):
             eng.run_start(eng.instantiate(WasiConfig(stdin=data)),
                           RunLimits(fuel=fuel))
-    for meta, (fn, fn_code, code, ops) in zip(eng.metas, before):
+    for meta, (fn, fn_code) in zip(eng.metas, before):
         assert eng.compiled(meta) is fn and fn.__code__ is fn_code
-        assert meta.code is code and list(code) == ops
     assert eng._names == names
 
 
@@ -286,6 +285,45 @@ def test_indirect_callee_calling_back_matches_the_step_path(data, status,
     assert (full.status, full.trap_kind) == (status, kind)
 
 
+def _table_module(size: int, offset: int) -> ModuleIR:
+    """A table of ``size`` entries whose one segment puts function 0, which
+    returns 7, in slot ``offset``; export ``g`` calls through the slot its
+    argument names."""
+    m = ModuleIR()
+    ti = m.add_type(FuncType((), ("i32",)))
+    m.functions.append(FunctionIR(ti, [], [I("i32.const", 7), I("end")]))
+    m.functions.append(FunctionIR(
+        m.add_type(FuncType(("i32",), ("i32",))), [],
+        [I("local.get", 0), I("call_indirect", ti), I("end")]))
+    m.table = (size, None)
+    m.elems.append(ElemSegment([I("i32.const", offset)], [0]))
+    m.exports.append(Export("g", "func", 1))
+    return m
+
+
+@pytest.mark.parametrize("slot,status,kind", [
+    (3, "exit", ""),
+    (2, "trap", UNINIT_TABLE),
+    (4, "trap", UNINIT_TABLE),
+    (0xFFFFFFFE, "trap", UNINIT_TABLE),
+], ids=["filled", "before", "after", "last"])
+def test_a_table_is_held_up_to_its_last_filled_slot(slot, status, kind):
+    # declared at the u32 maximum, which as a list would be ~34 GB
+    m = _table_module(0xFFFFFFFF, 3)
+    assert Engine(m).table == [None, None, None, 0]
+    compiled, ref = run_both(m, 1000, export="g", args=(slot,))
+    assert compiled == ref
+    out, results, _, _ = compiled
+    assert (out.status, out.trap_kind) == (status, kind)
+    assert results == ([7] if status == "exit" else [])
+
+
+@pytest.mark.parametrize("size,offset", [(4, 4), (0xFFFFFFFF, 0xFFFFFFFF)])
+def test_a_segment_past_the_declared_table_is_refused(size, offset):
+    with pytest.raises(InstantiationTrap, match="element segment"):
+        Engine(_table_module(size, offset))
+
+
 def test_trap_two_calls_deep_keeps_its_place_and_count():
     m, leaf, div_pc = _trap_two_calls_deep()
     full = sweep_fuel(m, b"0")  # not hardened: the pc is the body's own
@@ -398,8 +436,9 @@ def test_trap_in_a_run_reports_its_own_pc(trap_ops, kind):
     n = len(m.functions[0].body)
     trap_pc = n - 6
     eng = Engine(m)
-    src = _function_source("f", eng.body_code(eng.metas[0]), eng.metas[0],
-                           eng.n_host, eng.func_types, eng._bind)
+    src = _function_source("f", m.functions[0].body, eng._blocks[0],
+                           eng.metas[0], m.types, eng.func_types, eng.n_host,
+                           eng._bind)
     # pc 0 heads a segment of 4 and pc 4 one that runs past the trapping
     # op, charged at once, up to the final end, where the br_if goes
     assert "executed += 4\n" in src and f"executed += {n - 5}\n" in src
