@@ -12,7 +12,8 @@ function one C function: Wasm locals and operand stack slots become
 Python locals, basic blocks become the cases of a dispatch inside the
 function, and host calls and the checks of ``call_indirect`` run inline.
 Compiled functions are kept per ``Engine``, never across engines, and
-nothing changes them.
+nothing changes them. Their source depends on the module alone, so
+compiling adds nothing to the namespace that ``Engine()`` makes.
 
 A call to a defined function returns to ``Engine._run``, which keeps the
 caller on an explicit frame stack, as ``MAX_CALL_DEPTH`` is above Python's
@@ -535,27 +536,27 @@ _NAMES = {
 }
 
 
-def _indirect_callee(table: list, func_types: list, elem: int,
-                     ftype: FuncType) -> int:
-    """The function index that a ``call_indirect`` of type ``ftype``
-    reaches through slot ``elem`` of ``table``."""
+def _indirect_callee(table: list, func_type_ids: list, elem: int,
+                     type_id: int) -> int:
+    """The function index that a ``call_indirect`` of type ``type_id``
+    reaches through slot ``elem`` of ``table``; a type's number is the
+    first index of an equal type, ``func_type_ids`` each function's."""
     if elem >= len(table) or table[elem] is None:
         raise _Trap(UNINIT_TABLE)
     target = table[elem]
-    if func_types[target] != ftype:
+    if func_type_ids[target] != type_id:
         raise _Trap(INDIRECT_MISMATCH)
     return target
 
 
 def _function_source(name: str, body: list, blocks: dict, meta,
-                     types: list, func_types: list, n_host: int, bind,
+                     types: list, func_types: list, n_host: int,
                      cut=None) -> str:
     """Python source of ``name``, the function-level code of ``meta``'s
     body, the ``Instr`` list of a validated function whose blocks the
     validator recorded in ``blocks``. ``types`` are the module's types,
     which ``call_indirect`` names, and ``func_types`` the type of each
-    function index. ``bind(value)`` gives the name a value is bound to in
-    the generated code's namespace.
+    function index. The source depends on these arguments alone.
 
     With ``cut``, ``(pc, k, height)``, it is the code of the ``k`` ops
     from the segment head ``pc`` on, entered with ``height`` values on the
@@ -823,7 +824,8 @@ def _function_source(name: str, body: list, blocks: dict, meta,
                 sig, callee = func_types[imm[0]], str(imm[0])
             else:
                 sig, callee = types[imm[0]], "t"
-                cur.append(marked(f"t = callee({st.pop()}, {bind(sig)})"))
+                cur.append(marked(f"t = callee({st.pop()}, "
+                                  f"{types.index(sig)})"))
             args = args_of(len(sig.params))
             height = len(st) + len(sig.results)
             if op == "call_indirect":  # a host callee runs inline
@@ -881,7 +883,7 @@ def _function_source(name: str, body: list, blocks: dict, meta,
         lines += (["    try:"] + ["        " + line for line in body]
                   + ["    except (_Trap, _ProcExit, IndexError) as e:",
                      f"        raise attribute(e, {meta.func_idx}, "
-                     f"{bind(marks)}, executed)"])
+                     f"{marks}, executed)"])
     else:
         lines += ["    " + line for line in body]
     return "\n".join(lines + [""])
@@ -1152,13 +1154,14 @@ class Engine:
 
         self.exports = module.export_map()
         self.n_host = n_host
-        # what function-level code refers to and, as bodies are compiled,
-        # the functions and the constants bound by ``_bind``; nothing in
-        # it refers back to the engine or its metas
+        # what function-level code refers to, fixed here: compiling adds
+        # nothing, and nothing in it refers back to the engine. It numbers
+        # a type by the first index of an equal type (``_indirect_callee``)
+        number = {t: module.types.index(t) for t in set(self.func_types)}
         self._names = dict(
             _NAMES, HOSTS=hosts, NHOST=n_host,
-            callee=partial(_indirect_callee, self.table, self.func_types))
-        self._bound = 0  # how many values ``_bind`` has named
+            callee=partial(_indirect_callee, self.table,
+                           [number[t] for t in self.func_types]))
         # the map base the coverage pass wrote into its accessor; None when
         # the accessor is missing or not a constant
         exp = self.exports.get(ACCESSOR_NAME)
@@ -1254,28 +1257,20 @@ class Engine:
 
     def _define(self, meta: _FuncMeta, cut=None):
         """Generate and compile the function-level code of ``meta``'s body,
-        or of a ``cut`` of it (see ``_function_source``), against the
-        engine's namespace. The function is kept by its caller only: in its
-        own globals it would be a cycle that only the cycle collector
-        frees. A cut binds no name, so the namespace does not change: it
-        writes its trap marks out as a literal."""
+        or of a ``cut`` of it (see ``_function_source``), and run the
+        definition in the engine's namespace. The source depends on the
+        module alone and names nothing per engine, so the namespace does
+        not change. The function is kept by its caller only: in its own
+        globals it would be a cycle that only the cycle collector frees."""
         name = f"f{meta.func_idx}"
         i = meta.func_idx - self.n_host
         src = _function_source(name, self.module.functions[i].body,
                                self._blocks[i], meta, self.module.types,
-                               self.func_types, self.n_host,
-                               self._bind if cut is None else repr, cut)
+                               self.func_types, self.n_host, cut)
         made: dict = {}
         exec(compile(src, f"<wasm function {meta.func_idx}>", "exec"),
              self._names, made)
         return made[name]
-
-    def _bind(self, value) -> str:
-        """A new name for ``value`` in function-level code."""
-        name = f"K{self._bound}"
-        self._bound += 1
-        self._names[name] = value
-        return name
 
     def _execute(self, inst: Instance, calls: list[_FuncMeta], args: list,
                  limits: RunLimits) -> tuple[ExecOutcome, list]:

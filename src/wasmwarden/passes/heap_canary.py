@@ -71,14 +71,16 @@ def identify_heap_functions(
     m: ModuleIR, overrides: dict[str, int] | None = None
 ) -> HeapFnMap:
     """Resolve allocator entry points by override, export name, then name
-    section, matching the C standard library names."""
-    overrides = overrides or {}
-    resolved: dict[str, int] = {}
+    section, matching the C standard library names. An override must name
+    one of them and a defined function."""
     known = set(ALLOC_NAMES) | set(DEALLOC_NAMES)
-
-    for name in known:
-        if name in overrides:
-            resolved[name] = overrides[name]
+    resolved = dict(overrides or {})
+    for name, idx in resolved.items():
+        if name not in known:
+            raise WasmError(f"unknown allocator {name!r}")
+        if not m.num_imported_funcs <= idx < m.num_funcs:
+            raise WasmError(f"{name} override {idx} names no defined "
+                            "function")
     exports = m.export_map()
     for name in known - resolved.keys():
         e = exports.get(name)
@@ -88,18 +90,9 @@ def identify_heap_functions(
     for name in known - resolved.keys():
         if name in by_name:
             resolved[name] = by_name[name]
-
-    fn_map = HeapFnMap()
-    if "malloc" in resolved:
-        fn_map.allocs.append((resolved["malloc"], "malloc"))
-    if "calloc" in resolved:
-        fn_map.allocs.append((resolved["calloc"], "calloc"))
-    if "realloc" in resolved:
-        fn_map.allocs.append((resolved["realloc"], "realloc"))
-        fn_map.deallocs.append((resolved["realloc"], "realloc"))
-    if "free" in resolved:
-        fn_map.deallocs.append((resolved["free"], "free"))
-    return fn_map
+    return HeapFnMap(
+        [(resolved[n], n) for n in ALLOC_NAMES if n in resolved],
+        [(resolved[n], n) for n in DEALLOC_NAMES if n in resolved])
 
 
 def _alloc_preamble(

@@ -359,8 +359,13 @@ def _check_const_expr(
 MAX_MEMORY_PAGES = 65536  # 4 GiB: the most a memory's limits may name
 
 
-def _check_memory_limits(limits: tuple, report: ValidationReport, ctx: str):
-    if any(n is not None and n > MAX_MEMORY_PAGES for n in limits):
+def _check_limits(limits: tuple, report: ValidationReport, ctx: str,
+                  kind: str):
+    """Check the (min, max) limits of a ``kind``, memory or table."""
+    lo, hi = limits
+    if hi is not None and lo > hi:
+        report.add(f"{ctx}: size minimum must not be greater than maximum")
+    if kind == "memory" and max(lo, hi or 0) > MAX_MEMORY_PAGES:
         report.add(f"{ctx}: memory size must be at most {MAX_MEMORY_PAGES} "
                    "pages (4 GiB)")
 
@@ -374,10 +379,11 @@ def validate_module(m: ModuleIR) -> ValidationReport:
     for i, im in enumerate(m.imports):
         if im.kind == "func" and im.desc >= len(m.types):
             report.add(f"import {i}: type index {im.desc} out of range")
-        if im.kind == "memory":
-            _check_memory_limits(im.desc, report, f"import {i}")
-    if m.memory is not None:
-        _check_memory_limits(m.memory, report, "memory")
+        if im.kind == "memory" or im.kind == "table":
+            _check_limits(im.desc, report, f"import {i}", im.kind)
+    for kind, limits in (("memory", m.memory), ("table", m.table)):
+        if limits is not None:
+            _check_limits(limits, report, kind, kind)
 
     for i, g in enumerate(m.globals):
         _check_const_expr(index, g.init, g.valtype, report, f"global {i}")

@@ -534,6 +534,14 @@ REFUSALS = {
                              "s", *FUZZ], EXIT_PARSE, "c"),
     "fuzz-uninstrumented": (["fuzz", "v.wasm", "-o", "c", "--seeds", "s",
                              *FUZZ], EXIT_USAGE, "c"),
+    "instrument-alloc-past-the-functions": (["instrument", "v.wasm", "-o",
+                                             "v.x", "--alloc", "malloc=999"],
+                                            EXIT_USAGE, "v.x"),
+    "instrument-alloc-imported": (["instrument", "v.wasm", "-o", "v.x",
+                                   "--alloc", "malloc=0"], EXIT_USAGE, "v.x"),
+    "instrument-dealloc-unknown-name": (["instrument", "v.wasm", "-o", "v.x",
+                                         "--dealloc", "fre=1"], EXIT_USAGE,
+                                        "v.x"),
     "fuzz-jobs-uninstrumented": (["fuzz", "v.wasm", "-o", "c", "--seeds",
                                   "s", "--jobs", "2", *FUZZ], EXIT_USAGE,
                                  "c"),

@@ -8,7 +8,15 @@ from wasmwarden import Engine, classify_crash, validate_module
 from wasmwarden.cli import EXIT_CRASH, EXIT_OK, main
 from wasmwarden.encoder import encode_module
 from wasmwarden.fuzz import FuzzConfig, Fuzzer
-from wasmwarden.ir import Export, FuncType, FunctionIR, Global, I, ModuleIR
+from wasmwarden.ir import (
+    Export,
+    FuncType,
+    FunctionIR,
+    Global,
+    I,
+    ModuleIR,
+    WasmError,
+)
 from wasmwarden.parser import parse_module
 from wasmwarden.passes.heap_canary import (
     INFLATION,
@@ -188,6 +196,19 @@ def test_identify_precedence_override_beats_export():
     fn_map = identify_heap_functions(m, {"malloc": free_idx})
     mal = [e for e in fn_map.allocs if e[1] == "malloc"]
     assert mal == [(free_idx, "malloc")]
+
+
+@pytest.mark.parametrize("overrides,message", [
+    ({"fre": 1}, "unknown allocator 'fre'"),
+    ({"malloc": 0}, "malloc override 0 names no defined function"),
+    ({"free": 999}, "free override 999 names no defined function"),
+])
+def test_an_override_names_an_allocator_and_a_defined_function(overrides,
+                                                                message):
+    m = modbuild.victim_module()  # function 0 is imported
+    assert m.num_imported_funcs > 0
+    with pytest.raises(WasmError, match=message):
+        apply_heap_pass(m, HeapConfig(), overrides)
 
 
 def test_identify_falls_back_to_name_section():

@@ -939,7 +939,8 @@ def _fill_module(start, end, pages, const_start):
     (1024, 2048, 500),       # fuel runs out part way
     (65000, 65600, 100_000), # the loop runs off the end of memory
 ])
-def test_fill_peephole_matches_the_step_path(start, end, fuel):
+def test_fill_loop_runs_alike_from_a_constant_and_a_local_start(start, end,
+                                                                 fuel):
     runs = []
     for const_start in (True, False):
         eng = Engine(_fill_module(start, end, 1, const_start))

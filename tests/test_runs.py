@@ -82,7 +82,7 @@ def _compiled_nothing(ref: Reference) -> bool:
     return all(meta.fn is None for meta in ref.metas)
 
 
-def test_corpus_matches_the_step_path():
+def test_corpus_matches_the_reference():
     compared = 0
     for name, m, inputs in modbuild.corpus():
         for module in (m, modbuild.hardened(m)):
@@ -104,13 +104,9 @@ def _compiled_functions(eng: Engine) -> dict:
 def test_engine_makes_no_source_until_a_body_is_entered():
     m = modbuild.hardened(modbuild.victim_module())
     eng = Engine(m)
-    names = dict(eng._names)
-    assert _compiled_functions(eng) == {} and eng._bound == 0
+    assert _compiled_functions(eng) == {}
     assert all(meta.fn is None for meta in eng.metas)
     eng.run_start(eng.instantiate(WasiConfig(stdin=b"AAAA")))
-    # the constants the two entered bodies bound, and no functions
-    assert eng._names.keys() - names.keys() - {"__builtins__"} == {
-        f"K{i}" for i in range(eng._bound)}
     entered = _compiled_functions(eng)
     # _start and process; the trace-map accessor is never called
     assert len(entered) == 2 and len(eng.metas) == 3
@@ -149,6 +145,38 @@ def test_an_engine_and_its_code_are_freed_without_the_cycle_collector():
         gc.enable()
 
 
+def test_compiling_leaves_the_namespace_as_the_engine_made_it():
+    for name, m, inputs in modbuild.corpus():
+        for module in (m, modbuild.hardened(m)):
+            eng = Engine(module)
+            names = dict(eng._names)
+            for data in inputs:
+                fuel = 1_000_000
+                for status in ("exit", "fuel-exhausted"):  # a hand-off
+                    out = eng.run_start(
+                        eng.instantiate(WasiConfig(stdin=data)),
+                        RunLimits(fuel=fuel))
+                    assert out.status == status, (name, data)
+                    fuel = out.instructions_executed - 1
+            assert eng._names.keys() - {"__builtins__"} == names.keys()
+            assert all(eng._names[k] is v for k, v in names.items()), name
+
+
+def test_a_body_compiles_to_the_same_code_in_any_order():
+    compared = 0
+    for name, m, _ in modbuild.corpus():
+        for module in (m, modbuild.hardened(m)):
+            engines = [Engine(module), Engine(module)]
+            for eng, order in zip(engines, (1, -1)):
+                for meta in eng.metas[::order]:
+                    eng.compiled(meta)
+            for ahead, behind in zip(*(eng.metas for eng in engines)):
+                assert ahead.fn.__code__ == behind.fn.__code__, (
+                    name, ahead.func_idx)
+                compared += 1
+    assert compared >= 100
+
+
 def test_running_never_changes_a_compiled_body():
     eng = Engine(modbuild.hardened(modbuild.victim_module()))
     for meta in eng.metas:
@@ -167,7 +195,7 @@ def test_running_never_changes_a_compiled_body():
 # ---------------------------------------------------- the victim, fuel swept
 
 @pytest.mark.parametrize("data", [b"42" + b"A" * 14, b"AAAA"])
-def test_victim_fuel_sweep_matches_the_step_path(data):
+def test_victim_fuel_sweep_matches_the_reference(data):
     sweep_fuel(modbuild.hardened(modbuild.victim_module()), data)
 
 
@@ -268,7 +296,7 @@ def _trap_two_calls_deep() -> tuple[ModuleIR, int, int]:
 
 @pytest.mark.parametrize("data", [b"\x01\x02\x03\x04", b"AB", b""],
                          ids=["small-bytes", "letters", "empty"])
-def test_call_returning_into_a_loop_matches_the_step_path(data):
+def test_call_returning_into_a_loop_matches_the_reference(data):
     full = sweep_fuel(modbuild.hardened(_resume_in_a_loop()), data)
     assert full.status == "exit"
 
@@ -279,7 +307,7 @@ def test_call_returning_into_a_loop_matches_the_step_path(data):
     (b"\x02\x05", "trap", INDIRECT_MISMATCH),
     (b"\x03\x05", "trap", UNINIT_TABLE),
 ], ids=["plus-one", "shifted", "wrong-type", "empty-slot"])
-def test_indirect_callee_calling_back_matches_the_step_path(data, status,
+def test_indirect_callee_calling_back_matches_the_reference(data, status,
                                                              kind):
     full = sweep_fuel(modbuild.hardened(_indirect_callback()), data)
     assert (full.status, full.trap_kind) == (status, kind)
@@ -299,6 +327,26 @@ def _table_module(size: int, offset: int) -> ModuleIR:
     m.elems.append(ElemSegment([I("i32.const", offset)], [0]))
     m.exports.append(Export("g", "func", 1))
     return m
+
+
+@pytest.mark.parametrize("callee_type,call_type", [(1, 0), (0, 1)])
+def test_call_indirect_accepts_a_structurally_equal_type(callee_type,
+                                                         call_type):
+    m = ModuleIR()
+    # two equal () -> i32 types; ``add_type`` would reuse the first
+    m.types += [FuncType((), ("i32",)), FuncType((), ("i32",))]
+    m.functions.append(FunctionIR(callee_type, [],
+                                  [I("i32.const", 7), I("end")]))
+    m.functions.append(FunctionIR(
+        m.add_type(FuncType(("i32",), ("i32",))), [],
+        [I("local.get", 0), I("call_indirect", call_type), I("end")]))
+    m.table = (1, None)
+    m.elems.append(ElemSegment([I("i32.const", 0)], [0]))
+    m.exports.append(Export("g", "func", 1))
+    compiled, ref = run_both(m, 1000, export="g", args=(0,))
+    assert compiled == ref
+    out, results, _, _ = compiled
+    assert (out.status, results) == ("exit", [7])
 
 
 @pytest.mark.parametrize("slot,status,kind", [
@@ -437,8 +485,7 @@ def test_trap_in_a_run_reports_its_own_pc(trap_ops, kind):
     trap_pc = n - 6
     eng = Engine(m)
     src = _function_source("f", m.functions[0].body, eng._blocks[0],
-                           eng.metas[0], m.types, eng.func_types, eng.n_host,
-                           eng._bind)
+                           eng.metas[0], m.types, eng.func_types, eng.n_host)
     # pc 0 heads a segment of 4 and pc 4 one that runs past the trapping
     # op, charged at once, up to the final end, where the br_if goes
     assert "executed += 4\n" in src and f"executed += {n - 5}\n" in src
@@ -684,7 +731,7 @@ def generated_module(data) -> tuple[ModuleIR, tuple]:
 
 @settings(max_examples=150, deadline=None, phases=NO_SHRINK)
 @given(st.data())
-def test_generated_bodies_match_the_step_path(data):
+def test_generated_bodies_match_the_reference(data):
     m, args = generated_module(data)
     # all the fuel it needs, then a cut somewhere inside
     compiled, ref = run_both(m, 100_000, export="f", args=args)

@@ -1,7 +1,7 @@
 import pytest
 
 import modbuild
-from wasmwarden import validate_module
+from wasmwarden import Engine, validate_module
 from wasmwarden.ir import (
     Export,
     FuncType,
@@ -11,6 +11,7 @@ from wasmwarden.ir import (
     Import,
     ModuleIR,
 )
+from wasmwarden.interp import InvalidModule
 
 
 def _minimal(body, params=(), results=(), locals_=()):
@@ -229,6 +230,24 @@ def _with_memory(limits, imported=False):
     return m
 
 
+def _with_table(limits, imported=False):
+    m = _minimal([I("end")])
+    if imported:
+        m.imports.append(Import("env", "tab", "table", limits))
+    else:
+        m.table = limits
+    return m
+
+
+# limits whose minimum is above their maximum
+_INVERTED_LIMITS = [
+    _with_memory((3, 1)),
+    _with_memory((3, 1), imported=True),
+    _with_table((5, 2)),
+    _with_table((5, 2), imported=True),
+]
+
+
 def _caller(body):
     # function 0 takes an i64; function 1 runs ``body``
     m = ModuleIR()
@@ -343,9 +362,27 @@ def _caller(body):
      "func 0: if: no block type"),
     (_minimal([I("block", "v128"), I("end"), I("end")]),
      "func 0: block: block type 'v128' is not a value type"),
+    # limits: the minimum may not exceed the maximum
+    (_INVERTED_LIMITS[0],
+     "memory: size minimum must not be greater than maximum"),
+    (_INVERTED_LIMITS[1],
+     "import 0: size minimum must not be greater than maximum"),
+    (_with_memory((1, 1)), "valid"),
+    (_INVERTED_LIMITS[2],
+     "table: size minimum must not be greater than maximum"),
+    (_INVERTED_LIMITS[3],
+     "import 0: size minimum must not be greater than maximum"),
+    (_with_table((2, 2)), "valid"),
 ])
 def test_report_text(module, expected):
     assert str(validate_module(module)) == expected
+
+
+@pytest.mark.parametrize("module", _INVERTED_LIMITS)
+def test_an_engine_refuses_limits_whose_minimum_exceeds_the_maximum(module):
+    with pytest.raises(InvalidModule,
+                       match="size minimum must not be greater than maximum"):
+        Engine(module)
 
 
 def test_a_variable_of_no_value_type_is_reported_not_raised():
