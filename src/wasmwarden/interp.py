@@ -11,9 +11,16 @@ list and the validator's record of its blocks, as wasm2c makes each Wasm
 function one C function: Wasm locals and operand stack slots become
 Python locals, basic blocks become the cases of a dispatch inside the
 function, and host calls and the checks of ``call_indirect`` run inline.
-Compiled functions are kept per ``Engine``, never across engines, and
-nothing changes them. Their source depends on the module alone, so
-compiling adds nothing to the namespace that ``Engine()`` makes.
+A body's source depends on the module alone, so compiling adds nothing
+to the namespace that ``Engine()`` makes. For a parsed module, which
+carries the hash of its bytes, the compiled code object is shared by
+every engine of the process: ``_CODE`` maps the module hash to each
+body's code, and its memory is bounded by ``CODE_CACHE_MODULES``, the
+number of module hashes it keeps. What runs the code is not shared: each
+engine makes its own function from it, in its own namespace, over its
+own table and host functions, and each instance has its own memory and
+globals. Nothing changes a compiled function. A module built in Python
+or returned by a pass has no hash and compiles per engine.
 
 A call to a defined function returns to ``Engine._run``, which keeps the
 caller on an explicit frame stack, as ``MAX_CALL_DEPTH`` is above Python's
@@ -45,8 +52,10 @@ import operator
 import random
 import re
 import struct
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import partial
+from types import CodeType
 from typing import Optional
 
 from .ir import PAGE, FuncType, ModuleIR, WasmError
@@ -1085,12 +1094,39 @@ _WASI = {
 }
 
 
+# the compiled bodies of parsed modules, shared by the engines of the
+# process: module hash -> function index -> the code object that defines
+# the body's function. It keeps the last ``CODE_CACHE_MODULES`` hashes
+# that an ``Engine()`` was made for, the least recently made dropped first
+CODE_CACHE_MODULES = 8
+_CODE: "OrderedDict[str, dict[int, CodeType]]" = OrderedDict()
+
+
+def _module_code(sha256: str) -> dict[int, CodeType]:
+    """The compiled bodies of the parsed module whose bytes hash to
+    ``sha256``, now the most recently used entry of ``_CODE``."""
+    bodies = _CODE.get(sha256)
+    if bodies is None:
+        bodies = _CODE[sha256] = {}
+        if len(_CODE) > CODE_CACHE_MODULES:
+            _CODE.popitem(last=False)
+    else:
+        _CODE.move_to_end(sha256)
+    return bodies
+
+
 class Engine:
     """A validated module with its imports resolved; instances are then
     cheap to create. Every body is validated here, so an invalid module
     is refused even where nothing calls the invalid function, and each is
     compiled on its function's first call. The module must not change
-    while the engine lives."""
+    while the engine lives.
+
+    The code objects of a parsed module's bodies are shared with the other
+    engines of the process through ``_CODE``, which keeps those of the last
+    ``CODE_CACHE_MODULES`` module hashes; an engine keeps its own module's
+    while it lives. Its functions, namespace, table and host functions are
+    its own, as are each instance's memory and globals."""
 
     def __init__(self, module: ModuleIR):
         self.module = module
@@ -1169,6 +1205,10 @@ class Engine:
                 if exp and exp.kind == "func" and exp.index >= n_host else [])
         is_const = [i.op for i in body] == ["i32.const", "end"]
         self.trace_base = body[0].args[0] & M32 if is_const else None
+        # where compiled bodies are kept beyond the engine; None when they
+        # are not, as a module without the hash of its bytes may be changed
+        sha256 = module.source_sha256
+        self._code = None if sha256 is None else _module_code(sha256)
 
     def eval_const(self, expr) -> int:
         """Bit pattern of a constant expression."""
@@ -1249,8 +1289,9 @@ class Engine:
         return meta
 
     def compiled(self, meta: _FuncMeta):
-        """The function-level code of ``meta``'s body, generated and
-        compiled the first time it is asked for."""
+        """The function-level code of ``meta``'s body, defined the first
+        time it is asked for, from the code that an engine of the same
+        parsed module compiled when there is one."""
         if meta.fn is None:
             meta.fn = self._define(meta)
         return meta.fn
@@ -1260,16 +1301,23 @@ class Engine:
         or of a ``cut`` of it (see ``_function_source``), and run the
         definition in the engine's namespace. The source depends on the
         module alone and names nothing per engine, so the namespace does
-        not change. The function is kept by its caller only: in its own
+        not change, and a whole body's code is shared through ``_CODE``
+        when the module has a hash; a cut, which depends on the fuel left,
+        is not. The function is kept by its caller only: in its own
         globals it would be a cycle that only the cycle collector frees."""
         name = f"f{meta.func_idx}"
-        i = meta.func_idx - self.n_host
-        src = _function_source(name, self.module.functions[i].body,
-                               self._blocks[i], meta, self.module.types,
-                               self.func_types, self.n_host, cut)
+        shared = self._code if cut is None else None
+        code = None if shared is None else shared.get(meta.func_idx)
+        if code is None:
+            i = meta.func_idx - self.n_host
+            src = _function_source(name, self.module.functions[i].body,
+                                   self._blocks[i], meta, self.module.types,
+                                   self.func_types, self.n_host, cut)
+            code = compile(src, f"<wasm function {meta.func_idx}>", "exec")
+            if shared is not None:
+                shared[meta.func_idx] = code
         made: dict = {}
-        exec(compile(src, f"<wasm function {meta.func_idx}>", "exec"),
-             self._names, made)
+        exec(code, self._names, made)
         return made[name]
 
     def _execute(self, inst: Instance, calls: list[_FuncMeta], args: list,

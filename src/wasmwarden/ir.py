@@ -171,7 +171,9 @@ class ModuleIR:
     # SHA-256 hex digest of the binary ``parse_module`` read this module
     # from; None for a module built in Python. ``copy()`` drops it, so a
     # pass's output has none. Code that changes a parsed module in place
-    # must set it to None.
+    # must set it to None: the campaign's ``module_sha256`` and the
+    # interpreter's process-wide cache of compiled bodies both take it as
+    # naming the module's contents.
     source_sha256: Optional[str] = field(default=None, compare=False,
                                          repr=False)
 

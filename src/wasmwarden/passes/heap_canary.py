@@ -72,27 +72,34 @@ def identify_heap_functions(
 ) -> HeapFnMap:
     """Resolve allocator entry points by override, export name, then name
     section, matching the C standard library names. An override must name
-    one of them and a defined function."""
-    known = set(ALLOC_NAMES) | set(DEALLOC_NAMES)
-    resolved = dict(overrides or {})
-    for name, idx in resolved.items():
+    one of them, and each must resolve to a defined function: an imported
+    allocator cannot be wrapped, and wrapping only its partners would hand
+    the host pointers it did not make."""
+    known = dict.fromkeys(ALLOC_NAMES + DEALLOC_NAMES)  # a set, in order
+    found = {}  # name -> (function index, where it was found)
+    for name, idx in (overrides or {}).items():
         if name not in known:
             raise WasmError(f"unknown allocator {name!r}")
-        if not m.num_imported_funcs <= idx < m.num_funcs:
-            raise WasmError(f"{name} override {idx} names no defined "
-                            "function")
+        found[name] = (idx, "override")
     exports = m.export_map()
-    for name in known - resolved.keys():
+    by_name = {v: k for k, v in m.names.items()}
+    for name in known:
+        if name in found:
+            continue
         e = exports.get(name)
         if e is not None and e.kind == "func":
-            resolved[name] = e.index
-    by_name = {v: k for k, v in m.names.items()}
-    for name in known - resolved.keys():
-        if name in by_name:
-            resolved[name] = by_name[name]
+            found[name] = (e.index, "export")
+        elif name in by_name:
+            found[name] = (by_name[name], "name section entry")
+    n_imp = m.num_imported_funcs
+    for name, (idx, where) in found.items():
+        if not n_imp <= idx < m.num_funcs:
+            why = f": function {idx} is imported" if 0 <= idx < n_imp else ""
+            raise WasmError(f"{name} {where} {idx} names no defined "
+                            f"function{why}")
     return HeapFnMap(
-        [(resolved[n], n) for n in ALLOC_NAMES if n in resolved],
-        [(resolved[n], n) for n in DEALLOC_NAMES if n in resolved])
+        [(found[n][0], n) for n in ALLOC_NAMES if n in found],
+        [(found[n][0], n) for n in DEALLOC_NAMES if n in found])
 
 
 def _alloc_preamble(

@@ -20,7 +20,7 @@ from wasmwarden.cli import (
 from wasmwarden.encoder import encode_module
 from wasmwarden.fuzz.bitmap import bucket_for_count
 from wasmwarden.interp import INPUT_PATH, MAX_PAGES, Engine
-from wasmwarden.ir import I, WasmError
+from wasmwarden.ir import Export, I, WasmError
 from wasmwarden.passes.coverage import MAP_SIZE
 from wasmwarden.passes.sites import SiteTable
 
@@ -450,7 +450,8 @@ def inputs(tmp_path, hardened, victim_wasm):
     one whose seed crashes, a garbage binary, modules with one and with
     two functions that fail validation, one whose memory limit is past
     4 GiB and one whose limit is at it, one whose initial memory is past
-    ``MAX_PAGES`` and one whose is at it, a malformed sidecar, a plain
+    ``MAX_PAGES`` and one whose is at it, two whose export or name section
+    calls an imported function an allocator, a malformed sidecar, a plain
     file and a directory."""
     d = tmp_path / "inputs"
     d.mkdir()
@@ -488,6 +489,13 @@ def inputs(tmp_path, hardened, victim_wasm):
     top = modbuild.victim_module()
     top.memory = (top.memory[0], 65536)
     (d / "top.wasm").write_bytes(encode_module(top))
+    # an allocator that is the imported function 0, by export and by name
+    exported = modbuild.victim_module()
+    exported.exports.append(Export("free", "func", 0))
+    (d / "free-export.wasm").write_bytes(encode_module(exported))
+    named = modbuild.victim_module()
+    named.names[0] = "malloc"
+    (d / "malloc-name.wasm").write_bytes(encode_module(named))
     (d / "malformed.json").write_text("{not json")
     (d / "file").write_bytes(b"")
     (d / "dir").mkdir()
@@ -539,6 +547,12 @@ REFUSALS = {
                                             EXIT_USAGE, "v.x"),
     "instrument-alloc-imported": (["instrument", "v.wasm", "-o", "v.x",
                                    "--alloc", "malloc=0"], EXIT_USAGE, "v.x"),
+    "instrument-exported-allocator-imported": (["instrument",
+                                                "free-export.wasm", "-o",
+                                                "f.x"], EXIT_USAGE, "f.x"),
+    "instrument-named-allocator-imported": (["instrument", "malloc-name.wasm",
+                                             "-o", "m.x"], EXIT_USAGE,
+                                            "m.x"),
     "instrument-dealloc-unknown-name": (["instrument", "v.wasm", "-o", "v.x",
                                          "--dealloc", "fre=1"], EXIT_USAGE,
                                         "v.x"),

@@ -140,6 +140,38 @@ def test_campaigns_are_deterministic(tmp_path):
     assert results[0] == results[1]
 
 
+# what ``stats.json`` holds of the wall clock
+WALL_CLOCK = ("execs_per_sec", "elapsed_seconds", "last_new_path_seconds")
+
+
+def _artifacts(out: Path) -> dict:
+    """Every file a campaign left in ``out`` by its path, with
+    ``stats.json`` read and its wall-clock fields dropped."""
+    found = {p.relative_to(out).as_posix(): p.read_bytes()
+             for p in out.rglob("*") if p.is_file()}
+    stats = json.loads(found.pop("stats.json"))
+    return {**found, "stats.json": {k: v for k, v in stats.items()
+                                    if k not in WALL_CLOCK}}
+
+
+def test_a_campaign_on_shared_code_keeps_what_a_cold_one_keeps(tmp_path,
+                                                                code_cache):
+    m, sites = instrumented_victim()
+    module = parse_module(encode_module(m))
+    kept, shared = [], []
+    for run in ("cold", "warm"):
+        fz = Fuzzer(module, sites, quick_cfg(tmp_path / run,
+                                             max_execs=10_000))
+        fz.run([b"A" * 16])
+        kept.append(_artifacts(tmp_path / run))
+        shared.append(dict(code_cache[module.source_sha256]))
+    # the warm campaign compiled nothing: it ran the cold one's code
+    assert shared[0] and shared[0].keys() == shared[1].keys()
+    assert all(shared[1][i] is code for i, code in shared[0].items())
+    assert any(name.startswith("crashes/") for name in kept[0])
+    assert kept[0] == kept[1]
+
+
 def test_duplicate_crash_signatures_are_collapsed():
     m, sites = instrumented_victim()
     fz = Fuzzer(m, sites, quick_cfg())

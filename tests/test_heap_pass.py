@@ -211,6 +211,28 @@ def test_an_override_names_an_allocator_and_a_defined_function(overrides,
         apply_heap_pass(m, HeapConfig(), overrides)
 
 
+def _export_free_of_the_import(m):
+    m.exports.append(Export("free", "func", 0))
+    return "free export 0"
+
+
+def _name_malloc_the_import(m):
+    m.names[0] = "malloc"
+    return "malloc name section entry 0"
+
+
+@pytest.mark.parametrize("call_the_import_an_allocator",
+                         [_export_free_of_the_import, _name_malloc_the_import])
+def test_an_imported_allocator_is_refused(call_the_import_an_allocator):
+    # refused, not skipped: a wrapped malloc would hand its user pointers
+    # to an imported free, which knows nothing of the canaries
+    m = modbuild.victim_module()  # function 0 is imported
+    where = call_the_import_an_allocator(m)
+    with pytest.raises(WasmError, match=f"^{where} names no defined function"
+                                        ": function 0 is imported$"):
+        apply_heap_pass(m, HeapConfig())
+
+
 def test_identify_falls_back_to_name_section():
     m = modbuild.bump_alloc_module(use_names=True)
     assert not any(e.name == "malloc" for e in m.exports)

@@ -14,7 +14,9 @@ from hypothesis import Phase, event, given, settings, strategies as st
 import modbuild
 from reference import Reference
 from wasmwarden import Engine, RunLimits, WasiConfig
+from wasmwarden.encoder import encode_module
 from wasmwarden.interp import (
+    CODE_CACHE_MODULES,
     DIV_ZERO,
     INDIRECT_MISMATCH,
     InstantiationTrap,
@@ -22,6 +24,7 @@ from wasmwarden.interp import (
     MEM_OOB,
     STACK_EXHAUSTED,
     UNINIT_TABLE,
+    UNREACHABLE,
     _function_source,
 )
 from wasmwarden.ir import (
@@ -36,6 +39,7 @@ from wasmwarden.ir import (
     ModuleIR,
 )
 from wasmwarden.opcodes import MEM_ACCESS, SIGS
+from wasmwarden.parser import parse_module
 
 
 def run_both(m: ModuleIR, fuel: int, wasi=None, export=None, args=()):
@@ -190,6 +194,157 @@ def test_running_never_changes_a_compiled_body():
     for meta, (fn, fn_code) in zip(eng.metas, before):
         assert eng.compiled(meta) is fn and fn.__code__ is fn_code
     assert eng._names == names
+
+
+# ---------------------------------------- code shared across engines
+
+def parsed(m: ModuleIR) -> ModuleIR:
+    return parse_module(encode_module(m))
+
+
+def _store_then_trap() -> tuple[ModuleIR, dict]:
+    """Exports ``a`` and ``b``: each stores its argument to memory and to
+    global 0, then ``a`` reaches ``unreachable`` and ``b`` divides by
+    zero. Returns the module and, per export, its index, the address it
+    stores to and the pc of its trap."""
+    m = modbuild.new_module(imports=("fd_read",))
+    where = {}
+    for name, addr, trap in (("a", 0x100, [I("unreachable")]),
+                             ("b", 0x200, [I("i32.const", 1),
+                                           I("i32.const", 0),
+                                           I("i32.div_u")])):
+        body = [I("i32.const", addr), I("local.get", 0), I("i32.store", 2, 0),
+                I("local.get", 0), I("global.set", 0)] + trap
+        idx = modbuild.add_func(m, ("i32",), (), (), body + [I("drop"),
+                                                           I("end")],
+                                export=name)
+        where[name] = (idx, addr, len(body) - 1)
+    return m, where
+
+
+def _load(inst, addr: int) -> int:
+    return int.from_bytes(inst.memory[addr: addr + 4], "little")
+
+
+def test_engines_sharing_code_trap_and_store_each_in_their_own(code_cache):
+    m, where = _store_then_trap()
+    module = parsed(m)
+    engines = [Engine(module), Engine(module)]
+    insts = [eng.instantiate() for eng in engines]
+    # a's code is compiled by the first engine and shared with the second,
+    # then b's by the second and shared with the first
+    for k, name, arg in ((0, "a", 7), (1, "a", 9), (1, "b", 5),
+                         (0, "b", 3)):
+        eng, inst = engines[k], insts[k]
+        out, _ = eng.call_export(inst, name, [arg])
+        idx, addr, trap_pc = where[name]
+        assert out.status == "trap"
+        assert out.trap_kind == (UNREACHABLE if name == "a" else DIV_ZERO)
+        assert (out.trap_function, out.trap_offset) == (idx, trap_pc)
+        assert _load(inst, addr) == arg and inst.globals[0] == arg
+    a, b = where["a"][1], where["b"][1]
+    assert (_load(insts[0], a), _load(insts[0], b)) == (7, 3)
+    assert (_load(insts[1], a), _load(insts[1], b)) == (9, 5)
+    assert [inst.globals[0] for inst in insts] == [3, 5]
+    codes = [{meta.func_idx: meta.fn.__code__ for meta in eng.metas}
+             for eng in engines]
+    assert all(codes[0][i] is codes[1][i] for i in codes[0])
+
+
+def test_a_second_engine_defines_its_functions_from_the_shared_code(
+        code_cache):
+    module = parsed(modbuild.hardened(modbuild.victim_module()))
+    first = Engine(module)
+    for meta in first.metas:
+        first.compiled(meta)
+    assert list(code_cache) == [module.source_sha256]
+    shared = dict(code_cache[module.source_sha256])
+    assert shared.keys() == {meta.func_idx for meta in first.metas}
+    second = Engine(module)
+    names = dict(second._names)
+    for ahead, behind in zip(first.metas, second.metas):
+        fn = second.compiled(behind)
+        assert fn is not ahead.fn and fn.__globals__ is second._names
+        assert fn.__code__ is ahead.fn.__code__
+    assert code_cache[module.source_sha256] == shared  # nothing recompiled
+    assert second._names.keys() - {"__builtins__"} == names.keys()
+    assert all(second._names[k] is v for k, v in names.items())
+
+
+def test_a_fuel_cut_is_never_shared(code_cache):
+    module = parsed(modbuild.hardened(modbuild.victim_module()))
+    data = b"42" + b"A" * 14
+    first = Engine(module)
+    full = first.run_start(first.instantiate(WasiConfig(stdin=data)))
+    fuel = full.instructions_executed - 1  # the last segment hands off
+    short = first.run_start(first.instantiate(WasiConfig(stdin=data)),
+                            RunLimits(fuel=fuel))
+    assert short.status == "fuel-exhausted"
+    second = Engine(module)
+    again = second.run_start(second.instantiate(WasiConfig(stdin=data)))
+    assert again == full
+    for ahead, behind in zip(first.metas, second.metas):
+        assert (ahead.fn is None) == (behind.fn is None)
+        assert ahead.fn is None or behind.fn.__code__ is ahead.fn.__code__
+
+
+def test_a_module_differing_in_one_body_shares_no_code(code_cache):
+    # the key is the module's hash, so the bodies that did not change are
+    # compiled again, to equal code
+    m, where = _store_then_trap()
+    other, _ = _store_then_trap()
+    b = where["b"][0] - other.num_imported_funcs
+    other.functions[b].body[5] = I("i32.const", 2)  # b divides 2 by zero
+    engines = [Engine(parsed(m)), Engine(parsed(other))]
+    for eng in engines:
+        for meta in eng.metas:
+            eng.compiled(meta)
+    assert len(code_cache) == 2
+    a_code, b_code = ([meta.fn.__code__ for meta in eng.metas]
+                      for eng in engines)
+    assert a_code[0] is not b_code[0] and a_code[0] == b_code[0]
+    assert a_code[1] is not b_code[1] and a_code[1] != b_code[1]
+
+
+def test_a_module_without_the_hash_of_its_bytes_is_never_cached(code_cache):
+    built = modbuild.hardened(modbuild.victim_module())
+    passed = modbuild.hardened(parsed(modbuild.victim_module()))
+    for module in (built, passed):
+        assert module.source_sha256 is None
+        engines = [Engine(module), Engine(module)]
+        for eng in engines:
+            assert eng._code is None
+            for meta in eng.metas:
+                eng.compiled(meta)
+        for ahead, behind in zip(*(eng.metas for eng in engines)):
+            assert ahead.fn.__code__ is not behind.fn.__code__
+            assert ahead.fn.__code__ == behind.fn.__code__
+    assert not code_cache
+
+
+def test_the_cache_keeps_the_last_modules_an_engine_was_made_for(
+        code_cache):
+    def module(k: int) -> ModuleIR:
+        m = modbuild.new_module(imports=())
+        modbuild.add_func(m, (), ("i32",), (), [I("i32.const", k), I("end")],
+                          export="f")
+        return parsed(m)
+
+    modules = [module(k) for k in range(CODE_CACHE_MODULES + 1)]
+    engines = [Engine(m) for m in modules[:CODE_CACHE_MODULES]]
+    Engine(modules[0])  # used again, so now the most recent
+    last = Engine(modules[-1])
+    hashes = [m.source_sha256 for m in modules]
+    assert len(set(hashes)) == len(hashes)
+    # the second is dropped
+    assert list(code_cache) == hashes[2:-1] + hashes[:1] + hashes[-1:]
+    # an engine keeps its module's code while it lives
+    dropped = engines[1]
+    out, vals = dropped.call_export(dropped.instantiate(), "f", [])
+    assert (out.status, vals) == ("exit", [1])
+    assert list(dropped._code) == [dropped.metas[0].func_idx]
+    assert all(kept is not dropped._code for kept in code_cache.values())
+    assert last._code is code_cache[hashes[-1]]
 
 
 # ---------------------------------------------------- the victim, fuel swept
