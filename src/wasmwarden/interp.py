@@ -22,17 +22,17 @@ own table and host functions, and each instance has its own memory and
 globals. Nothing changes a compiled function. A module built in Python
 or returned by a pass has no hash and compiles per engine.
 
-A call to a defined function returns to ``Engine._run``, which keeps the
-caller on an explicit frame stack, as ``MAX_CALL_DEPTH`` is above Python's
-recursion limit, and re-enters it at the call's resume point when the
-callee returns.
+A call to a defined function is a Python call from the caller's code to
+the callee's, which is compiled on its first call. Python 3.11 and later
+keep such calls off the C stack, so a run raises Python's recursion limit
+by ``MAX_CALL_DEPTH`` and a fixed headroom, and puts it back after.
 
 Function-level code is exact. Fuel is charged once per segment, the ops
 from a block's head to the branch, call or branch target that ends it,
-when that fits the budget; otherwise the function hands its pc, operand
-stack and locals back to ``Engine._run``, which generates and runs the
-segment's first ``fuel - executed`` ops the same way, so fuel runs out on
-the same instruction with the same memory. Each op is written once: the
+when that fits the budget; otherwise the segment's head generates and
+runs the segment's first ``fuel - executed`` ops the same way, entered
+with its operand stack and locals, so fuel runs out on the same
+instruction with the same memory. Each op is written once: the
 integer ops as expressions (``_INT_FMT``), the other numeric ops as the
 ``_NUMERIC`` functions that the generated code calls, and everything else
 as a template in ``_function_source``.
@@ -52,6 +52,7 @@ import operator
 import random
 import re
 import struct
+import sys
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import partial
@@ -117,6 +118,9 @@ class SeedCrashes(WasmError):
 
 MAX_PAGES = 1024  # memory.grow fails past this many pages
 MAX_CALL_DEPTH = 10_000  # calls nested below the entry; one more traps
+# Python frames a run may need beyond one per Wasm call: helpers, host
+# functions, and a first compile or a fuel hand-off at the deepest call
+_CALL_HEADROOM = 100
 
 
 @dataclass
@@ -189,12 +193,13 @@ class _Trap(Exception):
 
     def __init__(self, kind: str):
         self.kind = kind
+        self.executed = None
 
 
 class _ProcExit(Exception):
     def __init__(self, code: int):
         self.code = code
-        self.executed = 0  # set by the run that made the call
+        self.executed = None  # set by the code that made the call
 
 
 class _Fuel(Exception):
@@ -463,31 +468,28 @@ _CONST_MASK = {f"{t}.const": mask for t, mask in _MASK.items()}
 #
 # A body's function-level code is one generated Python function,
 #
-#     f(inst, mem, G, fuel, executed, at, L, S) -> request
+#     f(inst, mem, G, F, fuel, executed, depth, l0, l1, ...)
+#         -> (executed, result or None)
 #
 # generated straight from the body's ``Instr`` list and the validator's
-# record of its blocks (``ValidationReport.blocks``),
-# whose Wasm locals are the Python locals ``l0, l1, ...`` and whose operand
-# stack slot i is the Python local ``s{i}``. Its basic blocks are the
-# cases of a dispatch on ``at``, a branch target's pc; straight-line code
-# between them runs inline, constants and ``local.get`` values unwritten
-# until something needs them in their slot. ``at`` is 0 on entry, where
-# ``L`` holds the arguments, or the resume key of a call the function
-# made, where ``L`` holds its locals and ``S`` its operand stack with the
-# callee's result on top. It returns one of three requests to
-# ``Engine._run``:
-_RETURNS = 0  # (_RETURNS, executed, result or None)
-_CALLS = 1  # (_CALLS, executed, callee's index, args, resume key, L, S)
-_HANDS_OFF = 2  # (_HANDS_OFF, executed, pc, operand stack, locals)
+# record of its blocks (``ValidationReport.blocks``), whose Wasm locals
+# are the Python locals ``l0, l1, ...`` and whose operand stack slot i is
+# the Python local ``s{i}``. Its basic blocks are the cases of a dispatch
+# on ``at``, a branch target's pc; straight-line code between them runs
+# inline, constants and ``local.get`` values unwritten until something
+# needs them in their slot. ``F`` is the
+# engine's functions by index (``Engine.funcs``), ``depth`` the calls
+# below the run's entry. A call to a defined function is a Python call,
+# as wasm2c makes it a C call, and the callee may have grown memory.
 #
 # A segment is the code from a block's head up to and including the op
-# that ends it: a branch, ``if``, ``return``, ``unreachable``, a call that
-# may leave the function, or the op before the next branch target. Its
-# head charges its length in fuel when that fits the budget, and hands its
-# pc, stack and locals back when it does not. ``Engine._run`` then runs
-# the cut of that segment, its first ``fuel - executed`` ops, generated
-# the same way, which raises ``_Fuel`` at its end: fuel runs out on the
-# same instruction with the same memory.
+# that ends it: a branch, ``if``, ``return``, ``unreachable``, a call to a
+# defined function or through the table, or the op before the next branch
+# target, so a callee starts from an exact count. Its head charges its
+# length in fuel when that fits the budget, and otherwise runs the cut of
+# that segment, its first ``fuel - executed`` ops, generated the same way
+# and entered with the stack and locals, which raises ``_Fuel`` at its
+# end: fuel runs out on the same instruction with the same memory.
 #
 # A branch goes to (target pc, arity, height): it keeps its top ``arity``
 # values, cuts the operand stack to ``height`` values above the frame's
@@ -496,10 +498,11 @@ _HANDS_OFF = 2  # (_HANDS_OFF, executed, pc, operand stack, locals)
 # with a branch to its ``if``'s end. ``block``, ``loop``, the other ends,
 # ``nop`` and the reinterprets cost one fuel and do nothing else.
 #
-# Each line that may trap or call the host ends in ``# @pc``, its op's pc.
-# The handler around the body finds that line from the traceback and
-# reports the op and the count stepping would have reached, so the hot
-# path keeps no record of where it is.
+# Each line that may trap or call ends in ``# @pc``, its op's pc. The
+# handler around the body finds that line from the traceback and reports
+# the op and the count stepping would have reached, so the hot path keeps
+# no record of where it is. A trap or ``proc_exit`` that a callee or a cut
+# already reported passes through its callers' handlers as it is.
 
 _TEST = re.compile(r"1 if (.*) else 0")  # a comparison, as _INT_FMT has it
 _MARK = re.compile(r"  # @(\d+)$")
@@ -526,7 +529,11 @@ def _attribute(e, func_idx: int, marks: dict, executed: int):
     function-level code, stands for, with where it happened set.
     ``marks`` maps each marked line to its op's pc and the ops after it in
     its segment, which ``executed`` already counts. An ``IndexError`` is a
-    one-byte access past the end of memory, which ``bytearray`` checks."""
+    one-byte access past the end of memory, which ``bytearray`` checks.
+    A trap or ``proc_exit`` that a callee or a cut reported is returned as
+    it is."""
+    if not isinstance(e, IndexError) and e.executed is not None:
+        return e
     pc, after = marks[e.__traceback__.tb_lineno]
     if isinstance(e, IndexError):
         e = _Trap(MEM_OOB)
@@ -536,11 +543,30 @@ def _attribute(e, func_idx: int, marks: dict, executed: int):
     return e
 
 
+def _compile_callee(inst, func_idx: int):
+    """The function of ``func_idx``, compiled on its first call."""
+    engine = inst.engine
+    return engine.compiled(engine.metas[func_idx - engine.n_host])
+
+
+def _cut(inst, fuel: int, executed: int, func_idx: int, pc: int, S: list,
+         L: list):
+    """Run the first ``fuel - executed`` ops of the segment at ``pc`` of
+    ``func_idx``'s body on the operand stack ``S`` and the locals ``L``;
+    raises ``_Fuel`` after them, or the trap or exit of one of them."""
+    engine = inst.engine
+    meta = engine.metas[func_idx - engine.n_host]
+    fn = engine._define(meta, (pc, fuel - executed, len(S)))
+    fn(inst, inst.memory, inst.globals, fuel, executed, L, S)
+
+
 # what function-level code refers to besides its engine's names
 _NAMES = {
     "_Trap": _Trap, "_ProcExit": _ProcExit, "MEM_OOB": MEM_OOB,
-    "UNREACHABLE": UNREACHABLE, "from_bytes": int.from_bytes,
+    "UNREACHABLE": UNREACHABLE, "STACK_EXHAUSTED": STACK_EXHAUSTED,
+    "MAX_CALL_DEPTH": MAX_CALL_DEPTH, "from_bytes": int.from_bytes,
     "_Fuel": _Fuel, "grow": _memory_grow, "attribute": _attribute,
+    "define": _compile_callee, "cut": _cut,
     **{_helper_name(op): fn for op, fn in _NUMERIC.items()},
 }
 
@@ -580,10 +606,9 @@ def _function_source(name: str, body: list, blocks: dict, meta,
     # per open label, where a branch to it goes; the outermost is the
     # function's own label
     open_labels = [(len(body) - 1, meta.nresults, 0)]
-    # branch targets; a call_indirect's next pc too, where a host
-    # callee's result and the resumed caller meet
-    labels = set()
-    # whether control may not simply go on to the next pc after each op
+    labels = set()  # branch targets
+    # whether each op ends its segment: control may not simply go on to
+    # the next pc, or a defined function may be called
     leaves = [False] * len(body)
     for pc, instr in enumerate(body):
         op, a = instr.op, instr.args
@@ -607,12 +632,10 @@ def _function_source(name: str, body: list, blocks: dict, meta,
             open_labels.pop()
             if open_labels:
                 continue
-        elif op == "call_indirect":
-            labels.add(pc + 1)
         elif op == "call":
             if a[0] < n_host:  # a host call runs inline
                 continue
-        elif op != "return" and op != "unreachable":
+        elif op not in ("return", "unreachable", "call_indirect"):
             continue
         leaves[pc] = True
     # the last pc of each pc's segment; a valid body ends in a return
@@ -659,18 +682,14 @@ def _function_source(name: str, body: list, blocks: dict, meta,
     def marked(line: str) -> str:
         return f"{line}  # @{pc}"
 
-    def settle(n: int, out: list[str]):
-        """Write the bottom ``n`` stack entries to their slots."""
-        out.extend(f"s{i} = {e}" for i, e in enumerate(st[:n])
-                   if e != f"s{i}")
-
     def jump(target: int, arity: int, height: int) -> list[str]:
         """Lines that keep the top ``arity`` values at ``height`` and go
         to ``target``."""
         nonlocal jumps
         jumps = True
-        out: list[str] = []
-        settle(height, out)
+        # the bottom ``height`` entries written to their slots
+        out = [f"s{i} = {e}" for i, e in enumerate(st[:height])
+               if e != f"s{i}"]
         if arity and st[-1] != f"s{height}":
             out.append(f"s{height} = {st[-1]}")
         if target > pc:
@@ -711,8 +730,9 @@ def _function_source(name: str, body: list, blocks: dict, meta,
         if pc == head or pc in labels or leaves[pc - 1]:
             n = ends[pc] - pc + 1
             if not cut:
-                cur.append(f"if executed + {n} > fuel: return ({_HANDS_OFF}, "
-                           f"executed, {pc}, [{', '.join(st)}], {local_list})")
+                cur.append(f"if executed + {n} > fuel: cut(inst, fuel, "
+                           f"executed, {meta.func_idx}, {pc}, "
+                           f"[{', '.join(st)}], {local_list})")
             cur.append(f"executed += {n}")
 
         if op in _CONST_MASK:
@@ -815,7 +835,7 @@ def _function_source(name: str, body: list, blocks: dict, meta,
             cur = None
         elif op == "return" or op == "end" and leaves[pc]:  # the final end
             result = take() if meta.nresults else "None"
-            cur.append(f"return ({_RETURNS}, executed, {result})")
+            cur.append(f"return executed, {result}")
             cur = None
         elif op == "unreachable":
             cur.append(marked("raise _Trap(UNREACHABLE)"))
@@ -836,22 +856,24 @@ def _function_source(name: str, body: list, blocks: dict, meta,
                 cur.append(marked(f"t = callee({st.pop()}, "
                                   f"{types.index(sig)})"))
             args = args_of(len(sig.params))
-            height = len(st) + len(sig.results)
+            result = f"s{len(st)}" if sig.results else "_"
+            lines = [marked("if depth == MAX_CALL_DEPTH: "
+                            "raise _Trap(STACK_EXHAUSTED)"),
+                     marked(f"executed, {result} = (F[{callee}] or define("
+                            f"inst, {callee}))(inst, mem, G, F, fuel, "
+                            f"executed, depth + 1"
+                            f"{''.join(', ' + a for a in args)})"),
+                     "size = len(mem)"]
             if op == "call_indirect":  # a host callee runs inline
                 host = call("HOSTS[t]", args)
-                host = [marked(f"s{len(st)} = {host} & 0xFFFFFFFF"
-                               if sig.results else host)]
-                settle(len(st), host)
-                cur.append("if t < NHOST:")
-                cur += ["    " + line for line in
-                        host + [f"at = {pc + 1}", "continue"]]
-                pending[pc + 1] = height
-            cur.append(f"return ({_CALLS}, executed, {callee}, "
-                       f"({''.join(a + ', ' for a in args)}), {~pc}, "
-                       f"{local_list}, [{', '.join(st)}])")
-            start(~pc, height)
-            if height:
-                cur.append(f"{', '.join(st)}, = S")
+                cur += ["if t < NHOST:",
+                        marked(f"    {result} = {host} & 0xFFFFFFFF"
+                               if sig.results else f"    {host}"),
+                        "else:"]
+                lines = ["    " + line for line in lines]
+            cur += lines
+            if sig.results:
+                st.append(result)
         # otherwise block, loop, the other ends, nop or a reinterpret: a
         # value is its bit pattern, so reinterpreting it changes nothing
     if cut:
@@ -870,18 +892,18 @@ def _function_source(name: str, body: list, blocks: dict, meta,
     body = dispatch(keys)
     if jumps or len(keys) > 1:
         body = ["while True:"] + ["    " + line for line in body]
-    params = [f"l{i}" for i in range(meta.nparams)]
     zeros = [f"l{i}" for i in range(meta.nparams, meta.nlocals)]
-    entry = ([f"{', '.join(params)}, = L"] if params else []) + (
-        [f"{' = '.join(zeros)} = 0"] if zeros else [])
-    if any(key < 0 for key in keys) and meta.nlocals:  # resumes after a call
-        entry = (["if at:", f"    {', '.join(params + zeros)}, = L", "else:"]
-                 + ["    " + line for line in entry or ["pass"]])
+    entry = [f"{' = '.join(zeros)} = 0"] if zeros else []
+    params = ["inst", "mem", "G", "F", "fuel", "executed", "depth"] + [
+        f"l{i}" for i in range(meta.nparams)]
     if cut:  # entered with its locals and stack
         stack = ", ".join(f"s{i}" for i in range(height))
         entry = ([f"{local_list[1:-1]}, = L"] if meta.nlocals else []) + (
             [f"{stack}, = S"] if height else [])
-    lines = ([f"def {name}(inst, mem, G, fuel, executed, at, L, S):"]
+        params = ["inst", "mem", "G", "fuel", "executed", "L", "S"]
+    if len(keys) > 1:
+        entry.append("at = 0")
+    lines = ([f"def {name}({', '.join(params)}):"]
              + ["    " + line for line in entry + ["size = len(mem)"]])
     # the lines before the body's are the def, the entry and ``try:``
     first = len(lines) + 2
@@ -899,7 +921,7 @@ def _function_source(name: str, body: list, blocks: dict, meta,
 
 
 class _FuncMeta:
-    __slots__ = ("func_idx", "ftype", "nparams", "nresults", "nlocals", "fn")
+    __slots__ = ("func_idx", "ftype", "nparams", "nresults", "nlocals")
 
     def __init__(self, func_idx, ftype: FuncType, ndeclared: int):
         self.func_idx = func_idx
@@ -907,7 +929,6 @@ class _FuncMeta:
         self.nparams = len(ftype.params)
         self.nresults = len(ftype.results)
         self.nlocals = self.nparams + ndeclared  # params included
-        self.fn = None  # built by ``Engine.compiled`` on the first call
 
 
 _WASI_MODULE = "wasi_snapshot_preview1"
@@ -1158,6 +1179,8 @@ class Engine:
                                 len(f.locals))
                       for i, f in enumerate(module.functions)]
         self._blocks = report.blocks
+        # each function index's code, built by ``compiled``; a host's None
+        self.funcs: list = [None] * len(self.func_types)
 
         # up to the last slot a segment fills, as the minimum may be 2^32 - 1;
         # ``_indirect_callee`` traps past the list as on an empty slot
@@ -1292,9 +1315,10 @@ class Engine:
         """The function-level code of ``meta``'s body, defined the first
         time it is asked for, from the code that an engine of the same
         parsed module compiled when there is one."""
-        if meta.fn is None:
-            meta.fn = self._define(meta)
-        return meta.fn
+        fn = self.funcs[meta.func_idx]
+        if fn is None:
+            fn = self.funcs[meta.func_idx] = self._define(meta)
+        return fn
 
     def _define(self, meta: _FuncMeta, cut=None):
         """Generate and compile the function-level code of ``meta``'s body,
@@ -1304,7 +1328,8 @@ class Engine:
         not change, and a whole body's code is shared through ``_CODE``
         when the module has a hash; a cut, which depends on the fuel left,
         is not. The function is kept by its caller only: in its own
-        globals it would be a cycle that only the cycle collector frees."""
+        globals it would be a cycle that only the cycle collector frees,
+        so function-level code is handed ``funcs`` as an argument."""
         name = f"f{meta.func_idx}"
         shared = self._code if cut is None else None
         code = None if shared is None else shared.get(meta.func_idx)
@@ -1323,9 +1348,12 @@ class Engine:
     def _execute(self, inst: Instance, calls: list[_FuncMeta], args: list,
                  limits: RunLimits) -> tuple[ExecOutcome, list]:
         """Run ``calls`` in order under one fuel budget; return how the run
-        ended and the last call's results."""
+        ended and the last call's results. A Wasm call is a Python call,
+        so the run raises Python's recursion limit, and puts it back."""
         executed = 0
         results: list = []
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(limit + MAX_CALL_DEPTH + _CALL_HEADROOM)
         try:
             for meta in calls:
                 vals, executed = self._run(inst, meta, args, limits, executed)
@@ -1342,6 +1370,8 @@ class Engine:
         except _Fuel:
             outcome = ExecOutcome("fuel-exhausted")
             executed = limits.fuel
+        finally:
+            sys.setrecursionlimit(limit)
         outcome.stdout = bytes(inst.stdout)
         outcome.stderr = bytes(inst.stderr)
         outcome.instructions_executed = executed
@@ -1349,41 +1379,9 @@ class Engine:
 
     def _run(self, inst: Instance, meta: _FuncMeta, args: list,
              limits: RunLimits, executed: int):
-        """Call ``meta``'s function with ``args``; return its results and
-        the count. Each body's function-level code runs until it returns,
-        calls a defined function or runs short of fuel; calls keep their
-        caller on ``frames``, not on Python's stack, which could not hold
-        ``MAX_CALL_DEPTH`` of them."""
-        fuel = limits.fuel
-        mem = inst.memory
-        glb = inst.globals
-        metas = self.metas
-        n_host = self.n_host
-        frames: list = []  # (meta, resume key, locals, operand stack)
-        fn = meta.fn or self.compiled(meta)
-        at, L, S = 0, args, None
-        while True:
-            r = fn(inst, mem, glb, fuel, executed, at, L, S)
-            executed = r[1]
-            if r[0] == _CALLS:
-                if len(frames) >= MAX_CALL_DEPTH:
-                    t = _Trap(STACK_EXHAUSTED)  # the call's own pc and count
-                    t.func, t.offset, t.executed = meta.func_idx, ~r[4], executed
-                    raise t
-                frames.append((meta, r[4], r[5], r[6]))
-                meta = metas[r[2] - n_host]
-                fn = meta.fn or self.compiled(meta)
-                at, L, S = 0, r[3], None
-                continue
-            if r[0] == _HANDS_OFF:  # raises _Fuel, _Trap or _ProcExit
-                cut = (r[2], fuel - executed, len(r[3]))
-                self._define(meta, cut)(inst, mem, glb, fuel, executed, 0,
-                                        r[4], r[3])
-            result = r[2]
-            if not frames:
-                return ([result] if meta.nresults else []), executed
-            nresults = meta.nresults
-            meta, at, L, S = frames.pop()
-            fn = meta.fn
-            if nresults:
-                S.append(result)
+        """Call ``meta``'s function with ``args``, ``executed`` ops into
+        the run; return its results and the count."""
+        executed, result = (self.funcs[meta.func_idx] or self.compiled(meta))(
+            inst, inst.memory, inst.globals, self.funcs, limits.fuel,
+            executed, 0, *args)
+        return ([result] if meta.nresults else []), executed

@@ -559,9 +559,9 @@ def test_a_run_compiles_exactly_the_bodies_it_enters():
     modbuild.add_start(m, [I("i32.const", 0), I("call_indirect", void),
                            I("end")])
     eng = Engine(m)
-    assert [meta.fn for meta in eng.metas] == [None] * 5
+    assert eng.funcs == [None] * 5
     assert eng.run_start(eng.instantiate()).status == "exit"
-    assert [meta.fn is not None for meta in eng.metas] == [
+    assert [fn is not None for fn in eng.funcs] == [
         True, True, False, True, True]
 
 

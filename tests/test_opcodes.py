@@ -93,5 +93,5 @@ def test_every_typed_op_runs_as_on_the_reference(op):
                              inst.globals))
             assert seen[0] == seen[1], (op, imm, args)
             runs += 1
-        assert all(meta.fn is None for meta in engines[1].metas)
+        assert all(fn is None for fn in engines[1].funcs)
     assert runs >= 2

@@ -6,7 +6,11 @@ trace bits of an engine that runs function-level code must equal its.
 """
 
 import gc
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import Phase, event, given, settings, strategies as st
@@ -40,6 +44,8 @@ from wasmwarden.ir import (
 )
 from wasmwarden.opcodes import MEM_ACCESS, SIGS
 from wasmwarden.parser import parse_module
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_both(m: ModuleIR, fuel: int, wasi=None, export=None, args=()):
@@ -83,7 +89,7 @@ def sweep_fuel(m: ModuleIR, data: bytes) -> list:
 
 def _compiled_nothing(ref: Reference) -> bool:
     """Whether the reference ran without function-level code."""
-    return all(meta.fn is None for meta in ref.metas)
+    return all(fn is None for fn in ref.funcs)
 
 
 def test_corpus_matches_the_reference():
@@ -101,15 +107,20 @@ def test_corpus_matches_the_reference():
 # ------------------------------------------- compiled code, per engine
 
 def _compiled_functions(eng: Engine) -> dict:
-    return {meta.func_idx: meta.fn for meta in eng.metas
-            if meta.fn is not None}
+    return {idx: fn for idx, fn in enumerate(eng.funcs) if fn is not None}
+
+
+def _defined(eng: Engine) -> list:
+    """The engine's functions of its defined functions, None where a body
+    was not compiled."""
+    return eng.funcs[eng.n_host:]
 
 
 def test_engine_makes_no_source_until_a_body_is_entered():
     m = modbuild.hardened(modbuild.victim_module())
     eng = Engine(m)
     assert _compiled_functions(eng) == {}
-    assert all(meta.fn is None for meta in eng.metas)
+    assert all(fn is None for fn in eng.funcs)
     eng.run_start(eng.instantiate(WasiConfig(stdin=b"AAAA")))
     entered = _compiled_functions(eng)
     # _start and process; the trace-map accessor is never called
@@ -140,8 +151,8 @@ def test_an_engine_and_its_code_are_freed_without_the_cycle_collector():
     try:
         eng = Engine(m)
         eng.run_start(eng.instantiate(WasiConfig(stdin=b"42" + b"A" * 14)))
-        refs = [weakref.ref(eng)] + [weakref.ref(meta.fn)
-                                     for meta in eng.metas if meta.fn]
+        refs = [weakref.ref(eng)] + [weakref.ref(fn)
+                                     for fn in eng.funcs if fn]
         assert len(refs) == 3
         del eng
         assert [ref() for ref in refs] == [None] * 3
@@ -174,9 +185,9 @@ def test_a_body_compiles_to_the_same_code_in_any_order():
             for eng, order in zip(engines, (1, -1)):
                 for meta in eng.metas[::order]:
                     eng.compiled(meta)
-            for ahead, behind in zip(*(eng.metas for eng in engines)):
-                assert ahead.fn.__code__ == behind.fn.__code__, (
-                    name, ahead.func_idx)
+            for ahead, behind in zip(*map(_defined, engines)):
+                assert ahead.__code__ == behind.__code__, (
+                    name, ahead.__name__)
                 compared += 1
     assert compared >= 100
 
@@ -185,7 +196,7 @@ def test_running_never_changes_a_compiled_body():
     eng = Engine(modbuild.hardened(modbuild.victim_module()))
     for meta in eng.metas:
         eng.compiled(meta)
-    before = [(meta.fn, meta.fn.__code__) for meta in eng.metas]
+    before = [(fn, fn.__code__) for fn in _defined(eng)]
     names = dict(eng._names)
     for data in (b"AAAA", b"42" + b"A" * 14, b"42" + b"A" * 21, b""):
         for fuel in (1_000_000, 30):
@@ -246,9 +257,8 @@ def test_engines_sharing_code_trap_and_store_each_in_their_own(code_cache):
     assert (_load(insts[0], a), _load(insts[0], b)) == (7, 3)
     assert (_load(insts[1], a), _load(insts[1], b)) == (9, 5)
     assert [inst.globals[0] for inst in insts] == [3, 5]
-    codes = [{meta.func_idx: meta.fn.__code__ for meta in eng.metas}
-             for eng in engines]
-    assert all(codes[0][i] is codes[1][i] for i in codes[0])
+    codes = [[fn.__code__ for fn in _defined(eng)] for eng in engines]
+    assert all(a is b for a, b in zip(*codes))
 
 
 def test_a_second_engine_defines_its_functions_from_the_shared_code(
@@ -262,10 +272,10 @@ def test_a_second_engine_defines_its_functions_from_the_shared_code(
     assert shared.keys() == {meta.func_idx for meta in first.metas}
     second = Engine(module)
     names = dict(second._names)
-    for ahead, behind in zip(first.metas, second.metas):
-        fn = second.compiled(behind)
-        assert fn is not ahead.fn and fn.__globals__ is second._names
-        assert fn.__code__ is ahead.fn.__code__
+    for ahead, meta in zip(_defined(first), second.metas):
+        fn = second.compiled(meta)
+        assert fn is not ahead and fn.__globals__ is second._names
+        assert fn.__code__ is ahead.__code__
     assert code_cache[module.source_sha256] == shared  # nothing recompiled
     assert second._names.keys() - {"__builtins__"} == names.keys()
     assert all(second._names[k] is v for k, v in names.items())
@@ -283,9 +293,9 @@ def test_a_fuel_cut_is_never_shared(code_cache):
     second = Engine(module)
     again = second.run_start(second.instantiate(WasiConfig(stdin=data)))
     assert again == full
-    for ahead, behind in zip(first.metas, second.metas):
-        assert (ahead.fn is None) == (behind.fn is None)
-        assert ahead.fn is None or behind.fn.__code__ is ahead.fn.__code__
+    for ahead, behind in zip(first.funcs, second.funcs):
+        assert (ahead is None) == (behind is None)
+        assert ahead is None or behind.__code__ is ahead.__code__
 
 
 def test_a_module_differing_in_one_body_shares_no_code(code_cache):
@@ -300,7 +310,7 @@ def test_a_module_differing_in_one_body_shares_no_code(code_cache):
         for meta in eng.metas:
             eng.compiled(meta)
     assert len(code_cache) == 2
-    a_code, b_code = ([meta.fn.__code__ for meta in eng.metas]
+    a_code, b_code = ([fn.__code__ for fn in _defined(eng)]
                       for eng in engines)
     assert a_code[0] is not b_code[0] and a_code[0] == b_code[0]
     assert a_code[1] is not b_code[1] and a_code[1] != b_code[1]
@@ -316,9 +326,9 @@ def test_a_module_without_the_hash_of_its_bytes_is_never_cached(code_cache):
             assert eng._code is None
             for meta in eng.metas:
                 eng.compiled(meta)
-        for ahead, behind in zip(*(eng.metas for eng in engines)):
-            assert ahead.fn.__code__ is not behind.fn.__code__
-            assert ahead.fn.__code__ == behind.fn.__code__
+        for ahead, behind in zip(*map(_defined, engines)):
+            assert ahead.__code__ is not behind.__code__
+            assert ahead.__code__ == behind.__code__
     assert not code_cache
 
 
@@ -589,20 +599,124 @@ def test_hand_offs_in_growing_and_host_calling_segments_match(name, data,
             assert full.stdout == data
 
 
-def test_recursion_to_the_depth_limit_traps_at_the_same_count():
+def _callee_grows() -> ModuleIR:
+    """``_start`` calls ``grow``, which grows memory by one page; then, in
+    the segment after the call, it stores to and loads from the new page
+    and stores ``memory.size``."""
+    m = modbuild.new_module(imports=())
+    m.memory = (2, 3)
+    grow = modbuild.add_func(m, (), ("i32",), (), [
+        I("i32.const", 1), I("memory.grow"), I("end"),
+    ])
+    new_page = 2 * 65536 + 8
+    modbuild.add_start(m, [
+        I("i32.const", modbuild.OUT_ADDR),
+        I("call", grow),
+        I("i32.store", 2, 0),
+        I("i32.const", new_page), I("i32.const", 0x5A5A),
+        I("i32.store", 2, 0),
+        I("i32.const", modbuild.OUT_ADDR + 4),
+        I("i32.const", new_page), I("i32.load", 2, 0),
+        I("i32.store", 2, 0),
+        I("i32.const", modbuild.OUT_ADDR + 8), I("memory.size"),
+        I("i32.store", 2, 0),
+        I("end"),
+    ])
+    return m
+
+
+def test_memory_grown_by_a_callee_is_seen_by_its_caller():
+    m = _callee_grows()
+    compiled, ref = run_both(m, 1000)
+    assert compiled == ref
+    out, _, mem, _ = compiled
+    assert out.status == "exit"
+    out_addr = modbuild.OUT_ADDR
+    assert len(mem) == 3 * 65536
+    assert [int.from_bytes(mem[at: at + 4], "little")
+            for at in range(out_addr, out_addr + 12, 4)] == [2, 0x5A5A, 3]
+    assert sweep_fuel(m, b"").status == "exit"
+
+
+def _calls_itself(op: str) -> ModuleIR:
+    """Export ``f`` calls itself with no end, by ``call`` or through its
+    own table slot."""
     m = ModuleIR()
     ti = m.add_type(FuncType((), ()))
-    m.functions.append(FunctionIR(ti, [], [I("nop"), I("call", 0),
-                                           I("end")]))
+    call = ([I("call", 0)] if op == "call" else
+            [I("i32.const", 0), I("call_indirect", ti)])
+    m.functions.append(FunctionIR(ti, [], [I("nop"), *call, I("end")]))
+    if op == "call_indirect":
+        m.table = (1, 1)
+        m.elems.append(ElemSegment([I("i32.const", 0)], [0]))
     m.exports.append(Export("f", "func", 0))
+    return m
+
+
+@pytest.mark.parametrize("op", ["call", "call_indirect"])
+def test_recursion_to_the_depth_limit_traps_at_the_same_count(op):
+    m = _calls_itself(op)
     compiled, ref = run_both(m, 10_000_000, export="f")
     assert compiled == ref
     out = compiled[0]
+    call_pc = len(m.functions[0].body) - 2
     assert (out.status, out.trap_kind) == ("trap", STACK_EXHAUSTED)
-    assert (out.trap_function, out.trap_offset) == (0, 1)
-    # the entry and MAX_CALL_DEPTH calls below it run, and the next call
-    # traps: two instructions per function
-    assert out.instructions_executed == 2 * (MAX_CALL_DEPTH + 1)
+    assert (out.trap_function, out.trap_offset) == (0, call_pc)
+    # the entry and MAX_CALL_DEPTH calls below it run up to their call,
+    # and the next call traps
+    assert out.instructions_executed == (call_pc + 1) * (MAX_CALL_DEPTH + 1)
+
+
+# runs the module on standard input in a thread with a 512 KiB stack and
+# prints how the run ended
+_IN_A_SMALL_THREAD = """
+import sys, threading
+from wasmwarden import Engine
+from wasmwarden.parser import parse_module
+eng = Engine(parse_module(sys.stdin.buffer.read()))
+ran = []
+threading.stack_size(512 * 1024)
+thread = threading.Thread(
+    target=lambda: ran.append(eng.call_export(eng.instantiate(), "f", [])))
+thread.start()
+thread.join()
+out = ran[0][0]
+print(out.status, out.trap_kind, out.trap_offset, out.instructions_executed)
+"""
+
+
+def test_the_depth_limit_is_reached_on_a_small_thread_stack():
+    # in its own process, so that a crash fails the test alone
+    proc = subprocess.run(
+        [sys.executable, "-c", _IN_A_SMALL_THREAD],
+        input=encode_module(_calls_itself("call")), capture_output=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=300)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.decode().split() == [
+        "trap", STACK_EXHAUSTED, "1", str(2 * (MAX_CALL_DEPTH + 1))]
+
+
+def _hardened_victim() -> ModuleIR:
+    return modbuild.hardened(modbuild.victim_module())
+
+
+@pytest.mark.parametrize("module,export,data,fuel,want", [
+    (_hardened_victim, "_start", b"AAAA", 1000, ("exit", "", 0)),
+    (_hardened_victim, "_start", b"42" + b"A" * 14, 1000,
+     ("trap", UNREACHABLE, 0)),
+    (_hardened_victim, "_start", b"AAAA", 30, ("fuel-exhausted", "", 0)),
+    (modbuild._exit_code_program, "_start", b"\x07", 1000, ("exit", "", 3)),
+    (lambda: _calls_itself("call"), "f", b"", 10**6,
+     ("trap", STACK_EXHAUSTED, 0)),
+], ids=["exit", "trap", "fuel", "proc-exit", "stack-exhausted"])
+def test_a_run_leaves_the_recursion_limit_as_it_found_it(module, export,
+                                                         data, fuel, want):
+    eng = Engine(module())
+    limit = sys.getrecursionlimit()
+    out, _ = eng.call_export(eng.instantiate(WasiConfig(stdin=data)), export,
+                             [], RunLimits(fuel=fuel))
+    assert (out.status, out.trap_kind, out.exit_code) == want
+    assert sys.getrecursionlimit() == limit
 
 
 # -------------------------------------------------- a trap inside a segment
